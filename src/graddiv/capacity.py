@@ -4,20 +4,34 @@ A capacity is a monotone nonnegative set function on the subsets of a
 finite ground set, with no additivity or normalization assumed. Grading a
 maximal chain of subsets by the capacity and diverging from the position
 function gives each chain an entropy -sum dmu ln dmu; the capacity's
-entropy is the infimum of that quantity over all maximal chains, attained
-here by exhaustive search (every chain of a finite Boolean lattice is a
-permutation of the ground elements) or bounded from above by a greedy
-chain construction.
+entropy is the infimum of that quantity over all maximal chains.
 
-All chain values, including the one reported by the greedy method, come
-from one shared evaluation routine, so the exhaustive minimum can never
-exceed the value of any specific chain by even one ulp.
+Every maximal chain is a path from the empty set to the ground set in the
+Boolean lattice, and each of its terms depends only on one cover edge
+(A, A + {e}). The exhaustive method therefore finds the minimum over all
+n! chains as a shortest path over the 2^n subsets (the subset dynamic
+program of Bellman and of Held and Karp), one popcount layer at a time:
+O(n 2^n) work, about n times the size of the capacity itself. The greedy
+method builds one chain by always taking the cheapest next edge, an
+O(n^2) upper bound.
+
+Exactness. All chain values, including the reported entropy of either
+method, come from one shared evaluator that folds the edge terms left to
+right from 0.0. Rounded addition is monotone in each argument, so the
+forward program, which accumulates in the same order, returns exactly the
+minimum of that evaluator over all chains, and greedy >= exhaustive holds
+bit for bit. Ties go to the lexicographically first minimizing chain.
+Because a prefix one ulp worse can still finish equal, the witness is not
+read off by backtracking: a backward pass computes, for every subset S,
+the largest prefix value theta(S) from which some completion still folds
+to at most the minimum, and a forward walk from the empty set takes at
+each step the smallest element whose rounded prefix stays within theta.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +39,6 @@ from .discrete import DivergenceResult
 from .errors import InvalidInputError
 
 __all__ = [
-    "DEFAULT_EXHAUSTIVE_LIMIT",
     "Capacity",
     "MaximalChain",
     "CapacityEntropyReport",
@@ -33,10 +46,6 @@ __all__ = [
     "chain_divergence",
     "capacity_entropy",
 ]
-
-DEFAULT_EXHAUSTIVE_LIMIT = 10
-
-_BATCH_ROWS = 200_000
 
 
 @dataclass(frozen=True)
@@ -134,43 +143,42 @@ class MaximalChain:
         return tuple(out)
 
 
-def enumerate_chains(n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Iterator[MaximalChain]:
-    """All n! maximal chains in lexicographic insertion-order."""
+def enumerate_chains(n: int, limit: int = 10) -> Iterator[MaximalChain]:
+    """All n! maximal chains in lexicographic insertion-order.
+
+    A brute-force oracle for small n; limit guards against asking for an
+    astronomically long enumeration by accident.
+    """
     if not 1 <= n <= limit:
         raise InvalidInputError(f"n must be in 1..{limit}, got {n}")
     for perm in itertools.permutations(range(1, n + 1)):
         yield MaximalChain(perm)
 
 
-def _chain_value_rows(values: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """-sum dmu ln dmu along each chain row, zero increments contributing 0.
+def _edge_terms(inc: np.ndarray) -> np.ndarray:
+    """-d ln d for each chain increment d, zero increments contributing 0.
 
-    The single evaluation path shared by chain_divergence, the exhaustive
-    scan, and the greedy report; bit-identical results regardless of how
-    many rows are evaluated at once.
+    The one place edge terms are computed, so the lattice search, its
+    witness walk and the chain evaluator see identical bits.
     """
-    bits = np.left_shift(np.int64(1), perms - 1)
-    masks = np.cumsum(bits, axis=1)  # bits are distinct, so sum == union
-    mu = values[masks]
-    inc = np.empty_like(mu)
-    inc[:, 0] = mu[:, 0]  # mu(empty set) = 0
-    inc[:, 1:] = mu[:, 1:] - mu[:, :-1]
     positive = inc > 0.0
     safe = np.where(positive, inc, 1.0)
-    terms = np.where(positive, -safe * np.log(safe), 0.0)
-    return terms.sum(axis=1) + 0.0
+    return np.where(positive, -safe * np.log(safe), 0.0)
 
 
-def _chain_increments(mu: Capacity, order: tuple[int, ...]) -> list[float]:
-    inc = []
+def _chain_value(values: Sequence[float], order: Sequence[int]) -> tuple[float, int]:
+    """The chain's entropy, folded left to right from 0.0, and its number
+    of positive increments: the evaluator shared by every reported value."""
+    mu = []
     mask = 0
-    prev = 0.0
     for e in order:
         mask |= 1 << (e - 1)
-        cur = mu.values[mask]
-        inc.append(cur - prev)
-        prev = cur
-    return inc
+        mu.append(values[mask])
+    inc = np.diff(np.asarray(mu), prepend=0.0)
+    value = 0.0
+    for term in _edge_terms(inc).tolist():
+        value += term
+    return value, int(np.count_nonzero(inc > 0.0))
 
 
 def chain_divergence(mu: Capacity, chain: MaximalChain) -> DivergenceResult:
@@ -181,11 +189,8 @@ def chain_divergence(mu: Capacity, chain: MaximalChain) -> DivergenceResult:
             f"chain of length {len(chain.order)} does not fit ground size "
             f"{mu.ground_size}"
         )
-    rows = _chain_value_rows(
-        np.asarray(mu.values), np.asarray([chain.order], dtype=np.int64)
-    )
-    terms = sum(1 for d in _chain_increments(mu, chain.order) if d > 0.0)
-    return DivergenceResult(value=float(rows[0]), terms_used=terms)
+    value, terms = _chain_value(mu.values, chain.order)
+    return DivergenceResult(value=value, terms_used=terms)
 
 
 @dataclass(frozen=True)
@@ -213,34 +218,123 @@ class CapacityEntropyReport:
             raise InvalidInputError("greedy search builds exactly one chain")
 
 
-def _permutation_batches(n: int, batch_rows: int) -> Iterator[np.ndarray]:
-    stream = itertools.permutations(range(1, n + 1))
-    while True:
-        chunk = list(itertools.islice(stream, batch_rows))
-        if not chunk:
-            return
-        yield np.asarray(chunk, dtype=np.int64)
+def _layers(n: int) -> list[np.ndarray]:
+    """The subset masks of {1..n} grouped by size, ascending within each."""
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        popcount = np.concatenate((popcount, popcount + 1))
+    order = np.argsort(popcount, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(popcount))[:-1])
+
+
+def _cover_bits(layer: np.ndarray, flip: int, k: int) -> np.ndarray:
+    """The (len(layer), k) grid of the bits set in layer ^ flip, lowest
+    first: each mask's own elements (flip = 0) or its missing ones (flip =
+    the full mask), k per row."""
+    rest = layer ^ flip
+    out = np.empty((layer.size, k), dtype=np.int64)
+    for j in range(k):
+        low = rest & -rest
+        out[:, j] = low
+        rest = rest ^ low
+    return out
+
+
+_SIGN = np.uint64(1 << 63)
+
+
+def _float_keys(x: np.ndarray) -> np.ndarray:
+    """Unsigned integers ordered as the floats are (NaN aside)."""
+    raw = x.view(np.uint64)
+    return np.where(raw & _SIGN, ~raw, raw | _SIGN)
+
+
+def _key_floats(key: np.ndarray) -> np.ndarray:
+    return np.where(key & _SIGN, key ^ _SIGN, ~key).view(np.float64)
+
+
+def _largest_prefix(term: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """The largest float p with fl(p + term) <= bound, elementwise.
+
+    fl(p + term) is nondecreasing in p, so the answer is where the real sum
+    crosses the rounding midpoint above bound, bound - term + ulp(bound)/2.
+    That point is formed with an error-free subtraction, so the estimate
+    is within an ulp of the answer even when |p| is far below |term|;
+    every element is then checked exactly, and the rare misses (infinite
+    terms or bounds, for instance) fall back to bisection over the floats'
+    bit patterns.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = bound - term
+        back = diff - bound
+        err = (bound - (diff - back)) - (term + back)  # diff + err == bound - term
+        half_ulp = (np.nextafter(bound, np.inf) - bound) * 0.5
+        p = diff + (err + half_ulp)
+        # Step down once if p overshoots, then probe the neighbour that must
+        # not fit (above p) or must fit (p itself, after a step down).
+        fits = p + term <= bound
+        p = np.where(fits, p, np.nextafter(p, -np.inf))
+        probe = np.where(fits, np.nextafter(p, np.inf), p)
+        miss = (probe + term <= bound) == fits
+        if miss.any():
+            p[miss] = _bisect_prefix(term[miss], bound[miss])
+    return p
+
+
+def _bisect_prefix(term: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    # fl(-inf + term) = -inf always fits; fl(+inf + term) never does, since
+    # terms are below +inf and bounds never reach it.
+    lo = np.full(term.shape, _float_keys(np.array(-np.inf))[()])
+    hi = np.full(term.shape, _float_keys(np.array(np.inf))[()])
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // np.uint64(2)
+        fits = _key_floats(mid) + term <= bound
+        lo = np.where(fits, mid, lo)
+        hi = np.where(fits, hi, mid)
+    return _key_floats(lo)
 
 
 def _exhaustive(mu: Capacity) -> CapacityEntropyReport:
+    n = mu.ground_size
     vals = np.asarray(mu.values)
-    best_value = math.inf
-    best_order: np.ndarray | None = None
-    examined = 0
-    # Lexicographic batches with a first-wins reduction reproduce the
-    # sequential tie-break no matter how the stream is partitioned.
-    for batch in _permutation_batches(mu.ground_size, _BATCH_ROWS):
-        rows = _chain_value_rows(vals, batch)
-        i = int(np.argmin(rows))  # first occurrence: lowest rank in batch
-        if best_order is None or rows[i] < best_value:
-            best_value = float(rows[i])
-            best_order = batch[i].copy()
-        examined += batch.shape[0]
-    assert best_order is not None
+    full = (1 << n) - 1
+    layers = _layers(n)
+
+    # Forward: best[S] is the smallest left-to-right fold over chains to S.
+    best = np.empty(vals.size)
+    best[0] = 0.0
+    for k in range(1, n + 1):
+        into = layers[k][:, None]
+        came = into ^ _cover_bits(layers[k], 0, k)
+        cand = best[came] + _edge_terms(vals[into] - vals[came])
+        best[layers[k]] = cand.min(axis=1)
+
+    # Backward, overwriting best: theta[S] is the largest prefix value at S
+    # from which some completion still folds to <= the minimum.
+    theta = best
+    for k in range(n - 1, -1, -1):
+        came = layers[k][:, None]
+        into = came | _cover_bits(layers[k], full, n - k)
+        fit = _largest_prefix(_edge_terms(vals[into] - vals[came]), theta[into])
+        theta[layers[k]] = fit.max(axis=1)
+
+    # Forward walk: the smallest element that keeps the prefix feasible.
+    order = []
+    mask = 0
+    acc = 0.0
+    for _ in range(n):
+        free = [e for e in range(n) if not mask >> e & 1]
+        nxt = mask | np.left_shift(1, free)
+        prefix = acc + _edge_terms(vals[nxt] - vals[mask])
+        i = int(np.argmax(prefix <= theta[nxt]))
+        acc = float(prefix[i])
+        mask = int(nxt[i])
+        order.append(free[i] + 1)
+
     return CapacityEntropyReport(
-        entropy=best_value,
-        argmin_chain=MaximalChain(tuple(int(e) for e in best_order)),
-        chains_examined=examined,
+        entropy=_chain_value(vals, order)[0],
+        argmin_chain=MaximalChain(tuple(order)),
+        chains_examined=math.factorial(n),
         method="exhaustive",
     )
 
@@ -262,35 +356,23 @@ def _greedy(mu: Capacity) -> CapacityEntropyReport:
         order.append(best_e)
         remaining.remove(best_e)
         mask |= 1 << (best_e - 1)
-    value = _chain_value_rows(
-        np.asarray(mu.values), np.asarray([order], dtype=np.int64)
-    )
     return CapacityEntropyReport(
-        entropy=float(value[0]),
+        entropy=_chain_value(mu.values, order)[0],
         argmin_chain=MaximalChain(tuple(order)),
         chains_examined=1,
         method="greedy",
     )
 
 
-def capacity_entropy(
-    mu: Capacity,
-    method: str = "exhaustive",
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-) -> CapacityEntropyReport:
+def capacity_entropy(mu: Capacity, method: str = "exhaustive") -> CapacityEntropyReport:
     """Entropy of a capacity: the minimum chain divergence over maximal chains.
 
-    The exhaustive method scans all n! chains (the minimum is attained on a
-    finite lattice) and is capped at exhaustive_limit elements; the greedy
-    method builds one chain by repeatedly appending the element with the
-    smallest incremental term, an upper bound on the true entropy.
+    The exhaustive method finds the exact minimum over all n! chains as a
+    shortest path on the subset lattice in O(n 2^n); the greedy method
+    builds one chain by repeatedly appending the element with the smallest
+    incremental term, an O(n^2) upper bound on the true entropy.
     """
     if method == "exhaustive":
-        if mu.ground_size > exhaustive_limit:
-            raise InvalidInputError(
-                f"ground size {mu.ground_size} exceeds the exhaustive limit "
-                f"{exhaustive_limit}; request the greedy method for an upper bound"
-            )
         return _exhaustive(mu)
     if method == "greedy":
         return _greedy(mu)

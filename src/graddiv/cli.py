@@ -11,14 +11,13 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
-import os
 import sys
 import time
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
 from . import __version__
-from .capacity import DEFAULT_EXHAUSTIVE_LIMIT, capacity_entropy
+from .capacity import capacity_entropy
 from .continuous import (
     corrected_entropy,
     divergence_continuous,
@@ -55,8 +54,6 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_COMPUTATION = 2
 EXIT_USAGE = 64
-
-ENV_EXHAUSTIVE_LIMIT = "GD_EXHAUSTIVE_LIMIT"
 
 
 class _Inputs:
@@ -187,21 +184,6 @@ def _checked(result: DivergenceResult, args: argparse.Namespace) -> dict:
     return divergence_result_to_doc(result)
 
 
-def _exhaustive_limit() -> int:
-    raw = os.environ.get(ENV_EXHAUSTIVE_LIMIT)
-    if raw is None:
-        return DEFAULT_EXHAUSTIVE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise InvalidInputError(
-            f"{ENV_EXHAUSTIVE_LIMIT} must be an integer, got {raw!r}"
-        ) from None
-    if limit < 1:
-        raise InvalidInputError(f"{ENV_EXHAUSTIVE_LIMIT} must be >= 1, got {limit}")
-    return limit
-
-
 def _cmd_divergence_discrete(args, inputs: _Inputs) -> dict:
     f = grading_sample_from_doc(inputs.load("f", args.f))
     g = grading_sample_from_doc(inputs.load("g", args.g))
@@ -238,7 +220,7 @@ def _cmd_entropy_partition(args, inputs: _Inputs) -> dict:
 
 def _cmd_entropy_capacity(args, inputs: _Inputs) -> dict:
     mu = capacity_from_doc(inputs.load("capacity", args.capacity))
-    report = capacity_entropy(mu, method=args.method, exhaustive_limit=_exhaustive_limit())
+    report = capacity_entropy(mu, method=args.method)
     return capacity_report_to_doc(report)
 
 

@@ -118,3 +118,13 @@ def additive_capacities(max_n: int = 5):
     return st.lists(
         st.floats(0.05, 2.0, allow_nan=False), min_size=1, max_size=max_n
     ).map(lambda ms: Capacity.additive(tuple(ms)))
+
+
+def all_tie_capacities(max_n: int = 5):
+    """Additive capacities with equal masses: every chain ties in exact
+    arithmetic, so which chain wins is decided by rounding alone."""
+    return st.builds(
+        lambda n, m: Capacity.additive([m] * n),
+        st.integers(1, max_n),
+        st.sampled_from([1 / 3, 0.1, 0.7, 1 / 7, 1.3, 2.0]),
+    )

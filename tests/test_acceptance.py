@@ -255,7 +255,7 @@ def test_criterion_7_capacity_entropy():
     elapsed = time.perf_counter() - t0
     assert rep8.chains_examined == math.factorial(8)
     assert elapsed < 1.0
-    print(f"PASS criterion 7: capacity entropy checks, n=8 scan in {elapsed:.2f}s")
+    print(f"PASS criterion 7: capacity entropy checks, n=8 exhaustive search in {elapsed:.2f}s")
 
 
 def test_criterion_8_cli_determinism(tmp_path):

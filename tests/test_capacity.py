@@ -1,8 +1,10 @@
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graddiv import (
     Capacity,
@@ -15,7 +17,14 @@ from graddiv import (
     partition_entropy,
 )
 
-from conftest import additive_capacities, capacities, monotone_capacity
+from graddiv.capacity import _largest_prefix
+
+from conftest import (
+    additive_capacities,
+    all_tie_capacities,
+    capacities,
+    monotone_capacity,
+)
 
 WORKED = Capacity(2, (0.0, 0.6, 0.7, 1.0))
 
@@ -129,6 +138,18 @@ class TestChainDivergence:
         with pytest.raises(InvalidInputError):
             chain_divergence(WORKED, MaximalChain((1, 2, 3)))
 
+    def test_folds_left_to_right(self):
+        # From n = 8 numpy sums pairwise; the lattice search accumulates
+        # left to right, so the evaluator must too.
+        mu = monotone_capacity(10, [0.3, 1.7, 0.02, 0.9, 0.0, 2.4, 0.55])
+        for order in ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (10, 3, 7, 1, 9, 2, 8, 4, 6, 5)):
+            masks = np.cumsum([1 << (e - 1) for e in order])
+            inc = np.diff([mu.values[m] for m in masks], prepend=0.0)
+            expected = 0.0
+            for d in inc:
+                expected += -d * np.log(d) if d > 0.0 else 0.0
+            assert chain_divergence(mu, MaximalChain(order)).value == expected
+
     def test_zero_increment_skipped(self):
         mu = Capacity(2, (0.0, 0.0, 0.5, 1.0))
         r = chain_divergence(mu, MaximalChain((1, 2)))
@@ -176,17 +197,6 @@ class TestCapacityEntropy:
         with pytest.raises(InvalidInputError):
             capacity_entropy(WORKED, method="anneal")
 
-    def test_exhaustive_limit_enforced(self):
-        mu = monotone_capacity(4, [0.1, 0.2, 0.05])
-        with pytest.raises(InvalidInputError) as exc:
-            capacity_entropy(mu, method="exhaustive", exhaustive_limit=3)
-        assert "greedy" in str(exc.value)
-
-    def test_exhaustive_limit_can_be_raised(self):
-        mu = monotone_capacity(4, [0.1, 0.2, 0.05])
-        rep = capacity_entropy(mu, method="exhaustive", exhaustive_limit=4)
-        assert rep.chains_examined == 24
-
     @given(additive_capacities(max_n=4))
     def test_additive_chain_invariance(self, mu):
         # For additive capacities every maximal chain sees the same multiset
@@ -210,19 +220,45 @@ class TestCapacityEntropy:
 
     @given(capacities(max_n=4))
     def test_entropy_matches_argmin_chain(self, mu):
-        rep = capacity_entropy(mu, method="exhaustive")
-        direct = chain_divergence(mu, rep.argmin_chain).value
-        assert rel_close(rep.entropy, direct)
+        for method in ("exhaustive", "greedy"):
+            rep = capacity_entropy(mu, method=method)
+            assert rep.entropy == chain_divergence(mu, rep.argmin_chain).value
 
-    @settings(max_examples=3)
-    @given(capacities(max_n=5))
+    @settings(max_examples=25)
+    @given(st.one_of(capacities(max_n=7), all_tie_capacities(max_n=7)))
     def test_exhaustive_is_true_minimum(self, mu):
+        # The lattice search against the n! scan, bit for bit: the value is
+        # the smallest chain divergence and the witness the first chain, in
+        # enumerate_chains order, that reaches it.
         rep = capacity_entropy(mu, method="exhaustive")
-        lowest = min(
-            chain_divergence(mu, ch).value
+        scan = [
+            (chain_divergence(mu, ch).value, ch)
             for ch in enumerate_chains(mu.ground_size)
+        ]
+        lowest = min(v for v, _ in scan)
+        assert rep.entropy == lowest
+        assert rep.argmin_chain == next(ch for v, ch in scan if v == lowest)
+
+    def test_prefix_one_ulp_worse_can_still_win(self):
+        # Entering {1, 2} by (1, 2) costs one ulp more than by (2, 1), yet
+        # both finish at the minimum, so the first minimizer is (1, 2, 3):
+        # a witness read back from the best prefix at each subset would
+        # start with 2.
+        mu = Capacity.additive((0.1, 0.7, 0.2))
+        sub = Capacity(2, mu.values[:4])
+        assert (
+            chain_divergence(sub, MaximalChain((1, 2))).value
+            > chain_divergence(sub, MaximalChain((2, 1))).value
         )
-        assert rel_close(rep.entropy, lowest)
+        rep = capacity_entropy(mu, method="exhaustive")
+        assert rep.argmin_chain.order == (1, 2, 3)
+        assert rep.entropy == chain_divergence(mu, MaximalChain((2, 1, 3))).value
+
+    def test_additive_sixteen_elements_match_partition_entropy(self):
+        masses = [0.5 + 0.37 * k % 1.9 for k in range(16)]
+        rep = capacity_entropy(Capacity.additive(masses), method="exhaustive")
+        assert rep.chains_examined == math.factorial(16)
+        assert rel_close(rep.entropy, partition_entropy(masses).value)
 
     def test_eight_element_exhaustive_under_a_second(self):
         mu = monotone_capacity(8, [0.05, 0.11, 0.07, 0.02, 0.13])
@@ -231,6 +267,40 @@ class TestCapacityEntropy:
         elapsed = time.perf_counter() - t0
         assert rep.chains_examined == math.factorial(8)
         assert elapsed < 1.0
+
+
+# Edge terms are finite or -inf (an overflowing -d ln d), and so are the
+# bounds the lattice search asks about.
+search_floats = st.floats(allow_nan=False).filter(lambda x: x != math.inf)
+
+
+class TestLargestPrefix:
+    @given(
+        st.lists(st.tuples(search_floats, search_floats), min_size=1, max_size=8),
+        st.lists(st.floats(-1e-12, 1e-12), min_size=8, max_size=8),
+    )
+    def test_is_the_largest_float_that_fits(self, pairs, nudges):
+        # Half the bounds sit within a hair of the term, where the answer is
+        # far below the term in magnitude.
+        term = np.array([t for t, _ in pairs])
+        bound = np.array(
+            [b if k % 2 or not math.isfinite(t) else t + nudges[k]
+             for k, (t, b) in enumerate(pairs)]
+        )
+        p = _largest_prefix(term, bound)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.all(p + term <= bound)
+            assert not np.any(np.nextafter(p, np.inf) + term <= bound)
+
+    def test_special_values(self):
+        term = np.array([-np.inf, -np.inf, 0.0, 1.0, 5e-324, 0.25])
+        bound = np.array([-np.inf, 1.0, -np.inf, 1.0, 0.0, 0.25])
+        p = _largest_prefix(term, bound)
+        assert p[0] == p[1] == np.finfo(float).max  # -inf absorbs any finite p
+        assert p[2] == -np.inf
+        assert p[3] + 1.0 == 1.0 and np.nextafter(p[3], np.inf) + 1.0 > 1.0
+        assert p[4] == -5e-324
+        assert p[5] == 2.0**-55  # half an ulp of 0.25: the tie rounds to 0.25
 
 
 class TestCapacityEntropyReport:

@@ -6,16 +6,17 @@ import sys
 
 import pytest
 
-from graddiv import __version__
+from graddiv import MaximalChain, __version__, chain_divergence
 from graddiv.cli import (
-    ENV_EXHAUSTIVE_LIMIT,
     EXIT_COMPUTATION,
     EXIT_INVALID_INPUT,
     EXIT_OK,
     EXIT_USAGE,
     run,
 )
-from graddiv.jsonio import canonical_dumps
+from graddiv.jsonio import canonical_dumps, capacity_to_doc
+
+from conftest import monotone_capacity
 
 
 def invoke(argv):
@@ -206,6 +207,23 @@ class TestCommands:
         assert result["argmin_chain"] == [2, 1]
         assert result["method"] == "exhaustive"
 
+    def test_entropy_capacity_exhaustive_at_twelve_elements(self, tmp_path):
+        # Beyond the old n <= 10 cap: the lattice search certifies all 12!
+        # chains, and its witness and the greedy chain evaluate as reported.
+        mu = monotone_capacity(12, [0.31, 0.07, 0.92, 0.0, 0.45, 1.6, 0.13])
+        path = write(tmp_path, "cap12.json", capacity_to_doc(mu))
+        results = {}
+        for method in ("exhaustive", "greedy"):
+            code, out, _ = invoke(
+                ["entropy", "capacity", "--capacity", path, "--method", method]
+            )
+            assert code == EXIT_OK
+            results[method] = report_of(out)["result"]
+            chain = MaximalChain(tuple(results[method]["argmin_chain"]))
+            assert results[method]["entropy"] == chain_divergence(mu, chain).value
+        assert results["exhaustive"]["chains_examined"] == math.factorial(12)
+        assert results["greedy"]["entropy"] >= results["exhaustive"]["entropy"]
+
     def test_entropy_capacity_greedy(self, sample_files):
         code, out, _ = invoke(
             ["entropy", "capacity", "--capacity", sample_files["cap"],
@@ -296,31 +314,6 @@ class TestValidate:
     def test_validate_rejects_unknown_document(self, tmp_path):
         doc = write(tmp_path, "odd.json", {"spam": 1})
         code, _, _ = invoke(["validate", "--input", doc])
-        assert code == EXIT_INVALID_INPUT
-
-
-class TestExhaustiveLimitEnv:
-    def test_env_lowers_limit(self, sample_files, monkeypatch):
-        monkeypatch.setenv(ENV_EXHAUSTIVE_LIMIT, "1")
-        code, out, _ = invoke(
-            ["entropy", "capacity", "--capacity", sample_files["cap"]]
-        )
-        assert code == EXIT_INVALID_INPUT
-        assert "greedy" in report_of(out)["error"]
-
-    def test_greedy_ignores_limit(self, sample_files, monkeypatch):
-        monkeypatch.setenv(ENV_EXHAUSTIVE_LIMIT, "1")
-        code, _, _ = invoke(
-            ["entropy", "capacity", "--capacity", sample_files["cap"],
-             "--method", "greedy"]
-        )
-        assert code == EXIT_OK
-
-    def test_invalid_env_value(self, sample_files, monkeypatch):
-        monkeypatch.setenv(ENV_EXHAUSTIVE_LIMIT, "many")
-        code, _, _ = invoke(
-            ["entropy", "capacity", "--capacity", sample_files["cap"]]
-        )
         assert code == EXIT_INVALID_INPUT
 
 
