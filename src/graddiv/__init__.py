@@ -6,92 +6,76 @@ of their increments weighted by the graded side. Shannon entropy, relative
 entropy, partition entropy, a chain-minimizing entropy for monotone set
 functions, and a rescaling-invariant entropy for densities on an interval
 all arise as special cases.
+
+Public names are imported from their submodule on first use, so a process
+loads only what it computes with: the discrete kernels need neither numpy
+nor scipy, capacity entropy needs numpy, and only the continuous families
+need scipy.
 """
 
-from .capacity import (
-    Capacity,
-    CapacityEntropyReport,
-    MaximalChain,
-    capacity_entropy,
-    chain_divergence,
-    enumerate_chains,
-)
-from .continuous import (
-    classical_entropy,
-    corrected_entropy,
-    divergence_continuous,
-    riemann_divergence,
-    symmetric_divergence,
-)
-from .discrete import (
-    EMPTY,
-    NEGATIVE_INFINITY,
-    DivergenceResult,
-    ProbabilityVector,
-    cdf_grading,
-    divergence_discrete,
-    partition_entropy,
-    position_grading,
-    relative_entropy,
-    shannon_entropy,
-)
-from .errors import ComputationError, GraddivError, InvalidInputError
-from .families import (
-    Beta,
-    ContinuousGrading,
-    PiecewiseLinearCdf,
-    Power,
-    Triangular,
-    TruncatedNormal,
-    Uniform,
-    bracketed_inverse,
-    invert_cdf,
-)
-from .ordered import GradingSample, IncrementPair, increments, rate_h
-from .quadrature import QuadratureOutcome, QuadratureSpec, integrate_adaptive
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "GraddivError",
-    "InvalidInputError",
-    "ComputationError",
-    "GradingSample",
-    "IncrementPair",
-    "increments",
-    "rate_h",
-    "ProbabilityVector",
-    "DivergenceResult",
-    "NEGATIVE_INFINITY",
-    "EMPTY",
-    "divergence_discrete",
-    "relative_entropy",
-    "shannon_entropy",
-    "partition_entropy",
-    "cdf_grading",
-    "position_grading",
-    "Capacity",
-    "MaximalChain",
-    "CapacityEntropyReport",
-    "capacity_entropy",
-    "chain_divergence",
-    "enumerate_chains",
-    "ContinuousGrading",
-    "Uniform",
-    "Triangular",
-    "Beta",
-    "TruncatedNormal",
-    "Power",
-    "PiecewiseLinearCdf",
-    "invert_cdf",
-    "bracketed_inverse",
-    "QuadratureSpec",
-    "QuadratureOutcome",
-    "integrate_adaptive",
-    "divergence_continuous",
-    "riemann_divergence",
-    "corrected_entropy",
-    "symmetric_divergence",
-    "classical_entropy",
-]
+# submodule -> the public names it provides
+_EXPORTS = {
+    "errors": ("GraddivError", "InvalidInputError", "ComputationError"),
+    "ordered": ("GradingSample", "IncrementPair", "increments", "rate_h"),
+    "discrete": (
+        "ProbabilityVector",
+        "DivergenceResult",
+        "NEGATIVE_INFINITY",
+        "EMPTY",
+        "divergence_discrete",
+        "relative_entropy",
+        "shannon_entropy",
+        "partition_entropy",
+        "cdf_grading",
+        "position_grading",
+    ),
+    "capacity": (
+        "Capacity",
+        "MaximalChain",
+        "CapacityEntropyReport",
+        "capacity_entropy",
+        "chain_divergence",
+        "enumerate_chains",
+    ),
+    "families": (
+        "ContinuousGrading",
+        "Uniform",
+        "Triangular",
+        "Beta",
+        "TruncatedNormal",
+        "Power",
+        "PiecewiseLinearCdf",
+        "invert_cdf",
+        "bracketed_inverse",
+    ),
+    "quadrature": ("QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"),
+    "continuous": (
+        "divergence_continuous",
+        "riemann_divergence",
+        "corrected_entropy",
+        "symmetric_divergence",
+        "classical_entropy",
+    ),
+}
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "jsonio"})
+
+__all__ = ["__version__", *_SUBMODULE_OF]
+
+
+def __getattr__(name: str):
+    # Not cached in the package namespace: every lookup returns the
+    # submodule's current binding, so a name patched there shows through.
+    if name in _SUBMODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_SUBMODULE_OF[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

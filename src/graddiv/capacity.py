@@ -65,24 +65,28 @@ class Capacity:
         n = int(self.ground_size)
         if n < 1:
             raise InvalidInputError(f"ground_size must be >= 1, got {n}")
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if len(vals) != 2**n:
             raise InvalidInputError(
                 f"need {2**n} subset values for ground_size {n}, got {len(vals)}"
             )
-        for v in vals:
-            if not math.isfinite(v) or v < 0:
-                raise InvalidInputError(f"subset values must be finite and >= 0, got {v!r}")
+        arr = np.asarray(vals)
+        bad = np.flatnonzero(~(np.isfinite(arr) & (arr >= 0)))
+        if bad.size:
+            raise InvalidInputError(
+                f"subset values must be finite and >= 0, got {vals[bad[0]]!r}"
+            )
         if vals[0] != 0.0:
             raise InvalidInputError(f"the empty set must have value 0, got {vals[0]!r}")
-        arr = np.asarray(vals)
-        masks = np.arange(2**n)
         for e in range(n):
             bit = 1 << e
-            without = masks[(masks & bit) == 0]
-            bad = without[arr[without] > arr[without | bit]]
+            # rows of the view run over the masks above bit e, [:, 0] holds
+            # the subsets without e and [:, 1] the same subsets with it
+            pairs = arr.reshape(-1, 2, bit)
+            bad = np.flatnonzero(pairs[:, 0] > pairs[:, 1])
             if bad.size:
-                m = int(bad[0])
+                row, low = divmod(int(bad[0]), bit)
+                m = row * 2 * bit + low
                 raise InvalidInputError(
                     f"capacity is not monotone: value({_mask_name(m)})="
                     f"{vals[m]!r} > value({_mask_name(m | bit)})={vals[m | bit]!r}"

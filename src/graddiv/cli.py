@@ -7,6 +7,8 @@ human-oriented to stderr. Exit statuses: 0 success, 1 invalid input,
 matched to their inputs; elapsed_ms is the only non-deterministic field.
 """
 
+from __future__ import annotations
+
 import argparse
 import contextlib
 import dataclasses
@@ -14,15 +16,9 @@ import hashlib
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, TextIO
+from typing import TYPE_CHECKING, Any, Callable, TextIO
 
 from . import __version__
-from .capacity import capacity_entropy
-from .continuous import (
-    corrected_entropy,
-    divergence_continuous,
-    symmetric_divergence,
-)
 from .discrete import (
     NEGATIVE_INFINITY,
     DivergenceResult,
@@ -46,7 +42,12 @@ from .jsonio import (
     quadrature_spec_from_doc,
     weights_from_doc,
 )
-from .quadrature import QuadratureSpec
+
+# capacity, continuous and quadrature load numpy and scipy; the handlers
+# that compute with them import them when called, so the discrete commands
+# and validate start without either.
+if TYPE_CHECKING:
+    from .quadrature import QuadratureSpec
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -170,6 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _quad_spec(args: argparse.Namespace, inputs: _Inputs) -> QuadratureSpec:
+    from .quadrature import QuadratureSpec
+
     spec = QuadratureSpec()
     if args.quad is not None:
         spec = quadrature_spec_from_doc(inputs.load("quad", args.quad))
@@ -191,12 +194,16 @@ def _cmd_divergence_discrete(args, inputs: _Inputs) -> dict:
 
 
 def _cmd_divergence_continuous(args, inputs: _Inputs) -> dict:
+    from .continuous import divergence_continuous
+
     f = continuous_grading_from_doc(inputs.load("f", args.f))
     g = continuous_grading_from_doc(inputs.load("g", args.g))
     return _checked(divergence_continuous(f, g, _quad_spec(args, inputs)), args)
 
 
 def _cmd_divergence_symmetric(args, inputs: _Inputs) -> dict:
+    from .continuous import symmetric_divergence
+
     f = continuous_grading_from_doc(inputs.load("f", args.f))
     g = continuous_grading_from_doc(inputs.load("g", args.g))
     return _checked(symmetric_divergence(f, g, _quad_spec(args, inputs)), args)
@@ -219,12 +226,16 @@ def _cmd_entropy_partition(args, inputs: _Inputs) -> dict:
 
 
 def _cmd_entropy_capacity(args, inputs: _Inputs) -> dict:
+    from .capacity import capacity_entropy
+
     mu = capacity_from_doc(inputs.load("capacity", args.capacity))
     report = capacity_entropy(mu, method=args.method)
     return capacity_report_to_doc(report)
 
 
 def _cmd_entropy_corrected(args, inputs: _Inputs) -> dict:
+    from .continuous import corrected_entropy
+
     grading = continuous_grading_from_doc(inputs.load("grading", args.grading))
     return _checked(corrected_entropy(grading, _quad_spec(args, inputs)), args)
 

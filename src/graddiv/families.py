@@ -323,8 +323,9 @@ class TruncatedNormal(ContinuousGrading):
             raise InvalidInputError(
                 f"need finite mu and sigma > 0, got ({mu!r}, {sigma!r})"
             )
-        z_mass = _phi((b - mu) / sigma) - _phi((a - mu) / sigma)
-        if z_mass <= 0.0:
+        lower = _phi((a - mu) / sigma)
+        mass = _phi((b - mu) / sigma) - lower
+        if mass <= 0.0:
             raise InvalidInputError(
                 "the interval carries no normal mass at this mu/sigma "
                 "(truncation window too deep in a tail)"
@@ -333,6 +334,9 @@ class TruncatedNormal(ContinuousGrading):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        # normal cdf at a and the window's mass, kept outside the fields
+        object.__setattr__(self, "_lower", lower)
+        object.__setattr__(self, "_mass", mass)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -341,19 +345,15 @@ class TruncatedNormal(ContinuousGrading):
     def _z(self, x: float) -> float:
         return (x - self.mu) / self.sigma
 
-    @property
-    def _mass(self) -> float:
-        return _phi(self._z(self.b)) - _phi(self._z(self.a))
-
     def cdf(self, x: float) -> float:
-        return (_phi(self._z(x)) - _phi(self._z(self.a))) / self._mass
+        return (_phi(self._z(x)) - self._lower) / self._mass
 
     def density(self, x: float) -> float:
         z = self._z(x)
         return math.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI * self._mass)
 
     def inverse(self, u: float) -> float:
-        p = _phi(self._z(self.a)) + u * self._mass
+        p = self._lower + u * self._mass
         return self.mu + self.sigma * float(ndtri(p))
 
     def shape_params(self) -> dict:
@@ -435,14 +435,16 @@ class PiecewiseLinearCdf(ContinuousGrading):
                     f"got {knots[k - 1]!r} then {knots[k]!r}"
                 )
         object.__setattr__(self, "knots", knots)
+        # knot coordinates for bisection, kept outside the fields
+        object.__setattr__(self, "_xs", tuple(x for x, _ in knots))
+        object.__setattr__(self, "_ys", tuple(y for _, y in knots))
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.knots[0][0], self.knots[-1][0])
 
     def _segment(self, x: float) -> int:
-        xs = [k[0] for k in self.knots]
-        return min(max(bisect_right(xs, x) - 1, 0), len(self.knots) - 2)
+        return min(max(bisect_right(self._xs, x) - 1, 0), len(self.knots) - 2)
 
     def cdf(self, x: float) -> float:
         if x >= self.knots[-1][0]:
@@ -463,8 +465,7 @@ class PiecewiseLinearCdf(ContinuousGrading):
             return self.knots[-1][0]
         if u <= self.knots[0][1]:
             return self.knots[0][0]
-        ys = [k[1] for k in self.knots]
-        i = min(max(bisect_right(ys, u) - 1, 0), len(self.knots) - 2)
+        i = min(max(bisect_right(self._ys, u) - 1, 0), len(self.knots) - 2)
         (x0, y0), (x1, y1) = self.knots[i], self.knots[i + 1]
         return x0 + (u - y0) * (x1 - x0) / (y1 - y0)
 

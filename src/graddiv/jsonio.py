@@ -7,24 +7,23 @@ the same inputs must produce byte-identical result documents, so nothing
 locale- or hash-order-dependent is allowed here.
 """
 
+from __future__ import annotations
+
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .capacity import Capacity, CapacityEntropyReport
 from .discrete import DivergenceResult, ProbabilityVector
 from .errors import InvalidInputError
-from .families import (
-    Beta,
-    ContinuousGrading,
-    PiecewiseLinearCdf,
-    Power,
-    Triangular,
-    TruncatedNormal,
-    Uniform,
-)
 from .ordered import GradingSample
-from .quadrature import QuadratureSpec
+
+# capacity (numpy), families (scipy) and quadrature (numpy) are imported by
+# the readers that build their objects, so parsing a discrete document
+# loads neither numpy nor scipy.
+if TYPE_CHECKING:
+    from .capacity import Capacity, CapacityEntropyReport
+    from .families import ContinuousGrading
+    from .quadrature import QuadratureSpec
 
 __all__ = [
     "canonical_dumps",
@@ -150,10 +149,20 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
+_PLAIN_NUMBER_TYPES = frozenset({int, float})
+
+
 def _number_list(value: Any, where: str) -> list[float]:
     if not isinstance(value, list):
         raise InvalidInputError(f"{where} must be an array of numbers")
-    return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    # One pass over the element types. Only an element of another type (a
+    # bool, a non-number, or an accepted subclass of int or float) goes
+    # through _number, which raises on the first that is not a number.
+    if not _PLAIN_NUMBER_TYPES.issuperset(map(type, value)):
+        for i, v in enumerate(value):
+            if type(v) not in _PLAIN_NUMBER_TYPES:
+                _number(v, f"{where}[{i}]")
+    return list(map(float, value))
 
 
 def _integer(value: Any, where: str) -> int:
@@ -241,6 +250,8 @@ def _mask_key(mask: int) -> str:
 
 
 def capacity_from_doc(doc: dict) -> Capacity:
+    from .capacity import Capacity
+
     _require_keys(doc, frozenset({"ground_size", "values"}), schema="capacity")
     n = _integer(doc["ground_size"], "ground_size")
     if n < 1:
@@ -282,6 +293,8 @@ _FAMILY_PARAM_KEYS = {
 
 
 def continuous_grading_from_doc(doc: dict) -> ContinuousGrading:
+    from .families import Beta, PiecewiseLinearCdf, Power, Triangular, TruncatedNormal, Uniform
+
     _require_keys(
         doc, frozenset({"family", "params", "support"}), schema="continuous_grading"
     )
@@ -341,6 +354,8 @@ _QUAD_KEYS = frozenset({"abs_tol", "rel_tol", "max_depth", "endpoint_margin"})
 
 
 def quadrature_spec_from_doc(doc: dict) -> QuadratureSpec:
+    from .quadrature import QuadratureSpec
+
     _require_keys(doc, frozenset(), _QUAD_KEYS, "quadrature_spec")
     defaults = QuadratureSpec()
     return QuadratureSpec(

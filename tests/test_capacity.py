@@ -64,6 +64,43 @@ class TestCapacity:
         with pytest.raises(InvalidInputError):
             Capacity(1, (0.0, -0.5))
 
+    def test_first_bad_value_in_index_order_is_named(self):
+        values = [float(bin(m).count("1")) for m in range(1 << 6)]
+        values[50], values[60] = math.nan, -0.5
+        with pytest.raises(InvalidInputError, match=r"got nan$"):
+            Capacity(6, tuple(values))
+        values[50], values[60] = -0.5, math.nan
+        with pytest.raises(InvalidInputError, match=r"got -0\.5$"):
+            Capacity(6, tuple(values))
+
+    def test_values_are_stored_as_python_floats(self):
+        mu = Capacity(2, (0, np.float64(0.5), 1, np.float32(1.5)))
+        assert mu.values == (0.0, 0.5, 1.0, 1.5)
+        assert all(type(v) is float for v in mu.values)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1 << n, max_size=1 << n)))
+    def test_first_monotonicity_violation_is_named(self, raw):
+        n = len(raw).bit_length() - 1
+        values = (0.0, *raw[1:])
+
+        def name(mask):
+            return "{" + ",".join(str(k + 1) for k in range(n) if mask >> k & 1) + "}"
+
+        # the loop the vectorized check must agree with: elements in order,
+        # then subsets without the element in index order
+        pairs = ((m, m | 1 << e) for e in range(n) for m in range(1 << n) if not m >> e & 1)
+        low, high = next(((m, w) for m, w in pairs if values[m] > values[w]), (None, None))
+        if low is None:
+            assert Capacity(n, values).values == values
+            return
+        with pytest.raises(InvalidInputError) as exc:
+            Capacity(n, values)
+        assert str(exc.value) == (
+            f"capacity is not monotone: value({name(low)})={values[low]!r} > "
+            f"value({name(high)})={values[high]!r}"
+        )
+
     def test_ground_size_must_be_positive(self):
         with pytest.raises(InvalidInputError):
             Capacity(0, (0.0,))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import graddiv
 from graddiv import MaximalChain, __version__, chain_divergence
 from graddiv.cli import (
     EXIT_COMPUTATION,
@@ -329,3 +330,84 @@ class TestModuleEntryPoint:
         assert json.loads(proc.stdout)["result"]["value"] == pytest.approx(
             math.log(4.0)
         )
+
+
+# Run in a fresh interpreter: with no arguments, import graddiv; otherwise
+# run the CLI on them (it must exit 0). Prints the numpy and scipy modules
+# loaded by then.
+_LOADED_AFTER = """
+import io, sys
+if len(sys.argv) > 1:
+    from graddiv.cli import run
+    code = run(sys.argv[1:], stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0, code
+else:
+    import graddiv
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
+"""
+
+
+def numeric_modules_after(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestImportCost:
+    """A process loads only the numeric libraries its command computes with."""
+
+    def test_import_graddiv_loads_neither_numpy_nor_scipy(self):
+        assert numeric_modules_after([]) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["divergence", "discrete", "--f", "f_grades", "--g", "g_grades"],
+            ["entropy", "shannon", "--dist", "u4"],
+            ["entropy", "relative", "--f", "u4", "--g", "u4"],
+            ["entropy", "partition", "--masses", "masses"],
+            ["validate", "--input", "f_grades"],
+            ["validate", "--input", "u4"],
+            ["validate", "--input", "masses"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_discrete_commands_load_neither(self, sample_files, argv):
+        assert numeric_modules_after([sample_files.get(a, a) for a in argv]) == []
+
+    def test_capacity_entropy_loads_numpy_but_not_scipy(self, sample_files):
+        loaded = numeric_modules_after(
+            ["entropy", "capacity", "--capacity", sample_files["cap"]]
+        )
+        assert "numpy" in loaded
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        for name in graddiv.__all__:
+            assert getattr(graddiv, name) is not None
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from graddiv import *", namespace)
+        for name in graddiv.__all__:
+            assert namespace[name] is getattr(graddiv, name)
+
+    def test_dir_lists_every_name(self):
+        assert set(graddiv.__all__) <= set(dir(graddiv))
+
+    def test_submodule_attribute_imports_it(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import graddiv; print(graddiv.jsonio.__name__, graddiv.cli.run.__module__)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stdout.split() == ["graddiv.jsonio", "graddiv.cli"], proc.stderr
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            graddiv.no_such_name

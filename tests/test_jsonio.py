@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -115,6 +116,24 @@ class TestGradingSampleDocs:
     def test_non_list_grades_rejected(self):
         with pytest.raises(InvalidInputError):
             grading_sample_from_doc({"grades": "0,1"})
+
+    @pytest.mark.parametrize(
+        "grades, message",
+        [
+            ([0, 1.5, "x", None], "grades[2] must be a number, got 'x'"),
+            ([0.0, True, 2.0], "grades[1] must be a number, got True"),
+            ([0.0, 1.0, None], "grades[2] must be a number, got None"),
+        ],
+    )
+    def test_first_non_number_is_named(self, grades, message):
+        with pytest.raises(InvalidInputError) as exc:
+            grading_sample_from_doc({"grades": grades})
+        assert str(exc.value) == message
+
+    def test_int_and_float_subclasses_are_numbers(self):
+        sample = grading_sample_from_doc({"grades": [0, np.float64(0.5), 1.0]})
+        assert sample.grades == (0.0, 0.5, 1.0)
+        assert all(type(g) is float for g in sample.grades)
 
 
 class TestWeightAndMassDocs:
