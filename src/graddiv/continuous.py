@@ -64,12 +64,13 @@ def divergence_continuous(
 ) -> DivergenceResult:
     """Divergence of G from F: integral of f * ln(g/f) over the support."""
     a, b = _require_same_support(F, G)
+    f, g = F.density, G.density
 
     def integrand(x: float) -> float:
-        fx = F.density(x)
+        fx = f(x)
         if fx <= 0.0:
             return 0.0
-        gx = G.density(x)
+        gx = g(x)
         if gx <= 0.0:
             return -math.inf
         return fx * (math.log(gx) - math.log(fx))
@@ -150,9 +151,10 @@ def classical_entropy(
 ) -> DivergenceResult:
     """Differential entropy -integral of f * ln(f) over the support."""
     a, b = F.support
+    f = F.density
 
     def integrand(x: float) -> float:
-        fx = F.density(x)
+        fx = f(x)
         if fx <= 0.0:
             return 0.0
         return -fx * math.log(fx)

@@ -12,6 +12,7 @@ import abc
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar
 
 from scipy.special import betainc, betaincinv, betaln, ndtri
@@ -116,8 +117,10 @@ class ContinuousGrading(abc.ABC):
     @abc.abstractmethod
     def shape_params(self) -> dict: ...
 
-    @property
+    @cached_property
     def image(self) -> tuple[float, float]:
+        # computed on first use and kept in the instance dict, outside the
+        # dataclass fields, so equality, hashing and repr ignore it
         a, b = self.support
         return (self.cdf(a), self.cdf(b))
 
@@ -260,6 +263,8 @@ class Beta(ContinuousGrading):
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        # log of the normalizing beta function, kept outside the fields
+        object.__setattr__(self, "_log_norm", float(betaln(alpha, beta)))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -272,8 +277,8 @@ class Beta(ContinuousGrading):
         return float(betainc(self.alpha, self.beta, min(max(self._t(x), 0.0), 1.0)))
 
     def density(self, x: float) -> float:
-        t = self._t(x)
         width = self.b - self.a
+        t = (x - self.a) / width
         if t <= 0.0:
             return self._edge_density(self.alpha, width)
         if t >= 1.0:
@@ -281,7 +286,7 @@ class Beta(ContinuousGrading):
         log_pdf = (
             (self.alpha - 1.0) * math.log(t)
             + (self.beta - 1.0) * math.log1p(-t)
-            - float(betaln(self.alpha, self.beta))
+            - self._log_norm
         )
         return math.exp(log_pdf) / width
 
@@ -289,7 +294,7 @@ class Beta(ContinuousGrading):
         if shape > 1.0:
             return 0.0
         if shape == 1.0:
-            return math.exp(-float(betaln(self.alpha, self.beta))) / width
+            return math.exp(-self._log_norm) / width
         return math.inf
 
     def inverse(self, u: float) -> float:
@@ -334,9 +339,11 @@ class TruncatedNormal(ContinuousGrading):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        # normal cdf at a and the window's mass, kept outside the fields
+        # normal cdf at a, the window's mass and the density's divisor,
+        # kept outside the fields
         object.__setattr__(self, "_lower", lower)
         object.__setattr__(self, "_mass", mass)
+        object.__setattr__(self, "_scale", sigma * _SQRT_2PI * mass)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -350,7 +357,7 @@ class TruncatedNormal(ContinuousGrading):
 
     def density(self, x: float) -> float:
         z = self._z(x)
-        return math.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI * self._mass)
+        return math.exp(-0.5 * z * z) / self._scale
 
     def inverse(self, u: float) -> float:
         p = self._lower + u * self._mass

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from itertools import islice
 from typing import TYPE_CHECKING, Any
 
 from .discrete import DivergenceResult, ProbabilityVector
@@ -127,6 +129,16 @@ def load_json(text: str) -> Any:
         )
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise InvalidInputError("JSON arrays or objects nest too deeply") from None
+    except InvalidInputError:
+        raise
+    except ValueError:
+        # the decoder's one other ValueError: an integer literal longer
+        # than int() converts
+        raise InvalidInputError(
+            f"JSON integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _require_keys(
@@ -146,7 +158,10 @@ def _require_keys(
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{where} is out of float range") from None
 
 
 _PLAIN_NUMBER_TYPES = frozenset({int, float})
@@ -162,7 +177,11 @@ def _number_list(value: Any, where: str) -> list[float]:
         for i, v in enumerate(value):
             if type(v) not in _PLAIN_NUMBER_TYPES:
                 _number(v, f"{where}[{i}]")
-    return list(map(float, value))
+    try:
+        return list(map(float, value))
+    except OverflowError:
+        # an integer beyond float range: convert one by one to name it
+        return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
 def _integer(value: Any, where: str) -> int:
@@ -238,6 +257,19 @@ def _subset_mask(key: str, ground_size: int) -> int:
     return mask
 
 
+def _subset_keys(n: int) -> list[str]:
+    """The canonical key of every subset of {1..n}, indexed by mask.
+
+    The key of a mask is the key of the mask without its top element,
+    followed by that element.
+    """
+    keys = [""]
+    for element in range(1, n + 1):
+        top = str(element)
+        keys += [f"{key},{top}" if key else top for key in keys]
+    return keys
+
+
 def _mask_key(mask: int) -> str:
     elements = []
     element = 1
@@ -249,6 +281,11 @@ def _mask_key(mask: int) -> str:
     return ",".join(elements)
 
 
+# No container holds 2^63 entries (len is at most sys.maxsize), so from
+# this ground size on a document always misses subsets.
+_UNHOLDABLE_GROUND_SIZE = sys.maxsize.bit_length()
+
+
 def capacity_from_doc(doc: dict) -> Capacity:
     from .capacity import Capacity
 
@@ -256,29 +293,48 @@ def capacity_from_doc(doc: dict) -> Capacity:
     n = _integer(doc["ground_size"], "ground_size")
     if n < 1:
         raise InvalidInputError(f"ground_size must be >= 1, got {n}")
+    if n >= _UNHOLDABLE_GROUND_SIZE:
+        raise InvalidInputError(
+            f"ground_size {n} has 2^{n} subsets, more values than a document can hold"
+        )
     raw = doc["values"]
     if not isinstance(raw, dict):
         raise InvalidInputError("values must be an object keyed by subset")
     size = 1 << n
-    values: list = [None] * size
-    for key, value in raw.items():
-        mask = _subset_mask(key, n)
-        if values[mask] is not None:
-            raise InvalidInputError(f"subset key {key!r} repeats an earlier subset")
-        values[mask] = _number(value, f"values[{key!r}]")
-    missing = [_mask_key(m) or '""' for m in range(size) if values[m] is None]
-    if missing:
-        shown = ", ".join(missing[:4]) + (", ..." if len(missing) > 4 else "")
-        raise InvalidInputError(
-            f"values must cover every subset; {len(missing)} missing ({shown})"
-        )
-    return Capacity(ground_size=n, values=tuple(values))
+    # With the count right, finding every canonical key means the document
+    # has no other key. Otherwise the slow path below names the fault: a
+    # JSON object has no repeated keys and every accepted key is
+    # canonical, so no two keys name the same subset.
+    keys = _subset_keys(n) if len(raw) == size else []
+    try:
+        ordered = list(map(raw.__getitem__, keys))
+    except KeyError:
+        ordered = []
+    if len(ordered) != size or not _PLAIN_NUMBER_TYPES.issuperset(map(type, ordered)):
+        # name the first bad key or value in document order
+        known = frozenset(keys)
+        for key, value in raw.items():
+            if key not in known:
+                _subset_mask(key, n)
+            _number(value, f"values[{key!r}]")
+        missing = size - len(raw)
+        if missing:
+            absent = (key or '""' for key in map(_mask_key, range(size)) if key not in raw)
+            shown = ", ".join(islice(absent, 4)) + (", ..." if missing > 4 else "")
+            raise InvalidInputError(
+                f"values must cover every subset; {missing} missing ({shown})"
+            )
+    try:
+        values = tuple(map(float, ordered))
+    except OverflowError:
+        values = tuple(_number(v, f"values[{key!r}]") for key, v in zip(keys, ordered))
+    return Capacity(ground_size=n, values=values)
 
 
 def capacity_to_doc(mu: Capacity) -> dict:
     return {
         "ground_size": mu.ground_size,
-        "values": {_mask_key(m): v for m, v in enumerate(mu.values)},
+        "values": dict(zip(_subset_keys(mu.ground_size), mu.values)),
     }
 
 

@@ -33,7 +33,9 @@ from .errors import ComputationError, InvalidInputError
 
 __all__ = ["QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# Python floats, so the panel loop runs in float arithmetic rather than on
+# numpy scalars (the products are the same IEEE doubles either way)
+_GL_NODES, _GL_WEIGHTS = (tuple(map(float, row)) for row in np.polynomial.legendre.leggauss(15))
 
 
 @dataclass(frozen=True)

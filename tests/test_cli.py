@@ -317,6 +317,32 @@ class TestValidate:
         code, _, _ = invoke(["validate", "--input", doc])
         assert code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"grades": [0, 1' + "0" * 400 + "]}", "grades[1] is out of float range"),
+            ('{"ground_size": 1, "values": {"": 0, "1": 1' + "0" * 400 + "}}",
+             "values['1'] is out of float range"),
+            ('{"ground_size": 40, "values": {"": 0}}',
+             "values must cover every subset; 1099511627775 missing (1, 2, 1,2, 3, ...)"),
+            ('{"ground_size": 100, "values": {"": 0}}',
+             "ground_size 100 has 2^100 subsets, more values than a document can hold"),
+            ('{"grades": ' + "[" * 100_000 + "]" * 100_000 + "}",
+             "JSON arrays or objects nest too deeply"),
+            ('{"grades": [1' + "0" * sys.get_int_max_str_digits() + "]}",
+             f"JSON integer has more than {sys.get_int_max_str_digits()} digits"),
+        ],
+        ids=["huge-grade", "huge-capacity-value", "ground-size-40", "ground-size-100",
+             "deep-nesting", "long-integer"],
+    )
+    def test_extreme_documents_give_one_error_line(self, tmp_path, text, error):
+        path = tmp_path / "extreme.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = invoke(["validate", "--input", str(path)])
+        assert code == EXIT_INVALID_INPUT
+        assert report_of(out)["error"] == error
+        assert err == f"graddiv: invalid input: {error}\n"
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, sample_files):

@@ -231,3 +231,35 @@ class TestSymmetricDivergence:
         r = symmetric_divergence(U01, _HalfSupported())
         assert r.value == -math.inf
         assert NEGATIVE_INFINITY in r.flags
+
+
+class TestBitIdenticalResults:
+    """Plain float results, and values pinned to the last bit."""
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda: divergence_continuous(Beta(2.0, 5.0), Beta(5.0, 2.0)),
+            lambda: corrected_entropy(Beta(2.0, 5.0)),
+            lambda: symmetric_divergence(Beta(2.0, 5.0), Beta(5.0, 2.0)),
+            lambda: classical_entropy(TruncatedNormal(0.0, 1.0, -1.0, 2.0)),
+        ],
+    )
+    def test_value_and_estimate_are_python_floats(self, compute):
+        r = compute()
+        assert type(r.value) is float
+        assert type(r.error_estimate) is float
+
+    def test_corrected_beta_pinned(self):
+        r = corrected_entropy(Beta(2.0, 5.0))
+        assert r.value == -0.48453071449579127
+        assert r.error_estimate == 1.5211185719213663e-09
+        assert r.terms_used == 35
+
+    def test_divergence_beta_pair_pinned(self):
+        r = divergence_continuous(Beta(2.0, 5.0), Beta(5.0, 2.0))
+        assert r.value == -3.2500000060047984
+        assert r.terms_used == 31
+
+    def test_riemann_beta_uniform_pinned(self):
+        assert riemann_divergence(Beta(2.0, 2.0), U01, 1000) == -0.12469156408815721

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -151,6 +152,26 @@ class TestGradeStructure:
             assert lo == F.cdf(a)
             assert hi == F.cdf(b)
             assert F.grade_span == hi - lo > 0
+
+    def test_image_is_kept_outside_the_fields(self):
+        for F in CATALOG:
+            fresh = dataclasses.replace(F)
+            a, b = F.support
+            assert F.image == (F.cdf(a), F.cdf(b))
+            assert F.image is F.image
+            assert "image" not in {f.name for f in dataclasses.fields(F)}
+            assert "image" not in repr(F)
+            assert F == fresh and hash(F) == hash(fresh)
+            assert repr(F) == repr(fresh)
+
+    def test_densities_pinned_to_the_last_bit(self):
+        # constants computed at construction must round as the per-call
+        # expressions did
+        assert TruncatedNormal(0.3, 0.3, -1.0, 2.0).density(0.5) == 1.0648345123577605
+        assert TruncatedNormal(1.7, 2.3, -1.0, 2.0).density(0.5) == 0.3506844172853165
+        assert Beta(2.5, 3.7, a=-1.0, b=3.0).density(0.4) == 0.4943073295597911
+        assert Beta(1.0, 3.7, a=-1.0, b=3.0).density(-1.0) == 0.9250000000000002
+        assert Beta(0.7, 1.0).density(1.0) == 0.6999999999999998
 
     def test_catalog_families_are_probabilities(self):
         for F in CATALOG:

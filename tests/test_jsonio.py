@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ class TestLoadJson:
             with pytest.raises(InvalidInputError):
                 load_json(text)
 
+    def test_integer_literal_past_digit_limit_rejected(self):
+        with pytest.raises(InvalidInputError) as exc:
+            load_json("[1" + "0" * (sys.get_int_max_str_digits() + 1) + "]")
+        assert "digits" in str(exc.value)
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(InvalidInputError) as exc:
+            load_json("[" * 100_000 + "]" * 100_000)
+        assert "nest too deeply" in str(exc.value)
+
     def test_malformed_text_rejected(self):
         with pytest.raises(InvalidInputError):
             load_json("{not json")
@@ -129,6 +140,26 @@ class TestGradingSampleDocs:
         with pytest.raises(InvalidInputError) as exc:
             grading_sample_from_doc({"grades": grades})
         assert str(exc.value) == message
+
+    def test_integer_beyond_float_range_is_named(self):
+        huge = 10**400
+        with pytest.raises(InvalidInputError) as exc:
+            grading_sample_from_doc({"grades": [0, huge, 1]})
+        assert str(exc.value) == "grades[1] is out of float range"
+        with pytest.raises(InvalidInputError) as exc:
+            weights_from_doc({"weights": [0.5, -huge]})
+        assert str(exc.value) == "weights[1] is out of float range"
+        with pytest.raises(InvalidInputError) as exc:
+            masses_from_doc({"masses": [huge]})
+        assert str(exc.value) == "masses[0] is out of float range"
+        with pytest.raises(InvalidInputError) as exc:
+            continuous_grading_from_doc(
+                {"family": "beta", "params": {"alpha": huge, "beta": 2}, "support": [0, 1]}
+            )
+        assert str(exc.value) == "params.alpha is out of float range"
+        with pytest.raises(InvalidInputError) as exc:
+            quadrature_spec_from_doc({"abs_tol": huge})
+        assert str(exc.value) == "abs_tol is out of float range"
 
     def test_int_and_float_subclasses_are_numbers(self):
         sample = grading_sample_from_doc({"grades": [0, np.float64(0.5), 1.0]})
@@ -192,6 +223,76 @@ class TestCapacityDocs:
     def test_ground_size_must_be_integer(self):
         with pytest.raises(InvalidInputError):
             capacity_from_doc({"ground_size": True, "values": {"": 0.0, "1": 1.0}})
+
+    def test_subset_keys_match_mask_keys(self):
+        from graddiv.jsonio import _mask_key, _subset_keys
+
+        assert _subset_keys(10) == [_mask_key(m) for m in range(1 << 10)]
+
+    def test_values_are_read_in_mask_order(self):
+        from graddiv.jsonio import _subset_keys
+
+        n = 5
+        values = tuple(bin(m).count("1") / n for m in range(1 << n))
+        doc = load_json(canonical_dumps(capacity_to_doc(Capacity(n, values))))
+        # canonical documents list the keys sorted, not in mask order
+        assert list(doc["values"]) == sorted(doc["values"]) != _subset_keys(n)
+        assert capacity_from_doc(doc).values == values
+
+    def test_value_beyond_float_range_is_named(self):
+        with pytest.raises(InvalidInputError) as exc:
+            capacity_from_doc({"ground_size": 1, "values": {"": 0, "1": 10**400}})
+        assert str(exc.value) == "values['1'] is out of float range"
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (40, "values must cover every subset; 1099511627775 missing (1, 2, 1,2, 3, ...)"),
+            (62, "values must cover every subset; 4611686018427387903 missing (1, 2, 1,2, 3, ...)"),
+            (63, "ground_size 63 has 2^63 subsets, more values than a document can hold"),
+            (10**30, f"ground_size {10**30} has 2^{10**30} subsets, "
+                     "more values than a document can hold"),
+        ],
+        ids=["40", "62", "63", "1e30"],
+    )
+    def test_huge_ground_size_rejected_without_allocating(self, n, message):
+        with pytest.raises(InvalidInputError) as exc:
+            capacity_from_doc({"ground_size": n, "values": {"": 0}})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "n, values, message",
+        [
+            (2, {"": 0.0, "1": 0.5, "2": 0.6, "2,1": 1.0},
+             "subset key '2,1' must list elements in strictly increasing order"),
+            (1, {"": 0.0, "01": 1.0},
+             "subset key '01' is not a comma-separated list of elements"),
+            (2, {"": 0.0, "1": 0.5, " 2": 0.6, "1,2": 1.0},
+             "subset key ' 2' is not a comma-separated list of elements"),
+            (2, {"": 0.0, "0": 0.5, "2": 0.6, "1,2": 1.0},
+             "subset key '0' is not a comma-separated list of elements"),
+            (1, {"": 0.0, "1": 0.5, "2": 1.0},
+             "subset key '2' names element 2 beyond ground size 1"),
+            (2, {"": 0.0, "1": 0.5, "2": 0.6, "1,2": 1.0, "3": 1.0},
+             "subset key '3' names element 3 beyond ground size 2"),
+            (2, {"": 0.0, "1": 0.5}, "values must cover every subset; 2 missing (2, 1,2)"),
+            (4, {"": 0.0, "1": 0.5},
+             "values must cover every subset; 14 missing (2, 1,2, 3, 1,3, ...)"),
+            (3, {"": 0.0, "1": 0.1, "2": 0.2, "3": 0.3, "1,2": 0.4, "1,3": 0.5, "2,3": 0.6},
+             "values must cover every subset; 1 missing (1,2,3)"),
+            (2, {"": 0.0, "1": "0.5", "2": 0.6, "1,2": 1.0},
+             "values['1'] must be a number, got '0.5'"),
+            # the first bad entry in document order is named, key or value
+            (2, {"": 0.0, "1": None, "x": 0.6, "1,2": 1.0},
+             "values['1'] must be a number, got None"),
+            (2, {"": 0.0, "1,1": 0.5, "2": True, "1,2": 1.0},
+             "subset key '1,1' must list elements in strictly increasing order"),
+        ],
+    )
+    def test_first_bad_entry_is_named(self, n, values, message):
+        with pytest.raises(InvalidInputError) as exc:
+            capacity_from_doc({"ground_size": n, "values": values})
+        assert str(exc.value) == message
 
 
 class TestContinuousGradingDocs:

@@ -125,6 +125,18 @@ class TestIntegrateAdaptive:
         actual = abs(out.value - (math.e - 1.0))
         assert actual <= max(out.error_estimate, 1e-14)
 
+    def test_integrand_sees_python_floats(self):
+        seen = set()
+
+        def fn(x):
+            seen.add(type(x))
+            return math.sqrt(x)
+
+        out = integrate_adaptive(fn, 0.0, 1.0, QuadratureSpec())
+        assert seen == {float}
+        assert type(out.value) is float
+        assert type(out.error_estimate) is float
+
     def test_outcome_is_frozen(self):
         out = QuadratureOutcome(1.0, 0.0, 3)
         with pytest.raises(AttributeError):
