@@ -8,9 +8,10 @@ functions, and a rescaling-invariant entropy for densities on an interval
 all arise as special cases.
 
 Public names are imported from their submodule on first use, so a process
-loads only what it computes with: the discrete kernels need neither numpy
-nor scipy, capacity entropy needs numpy, and only the continuous families
-need scipy.
+loads only what it computes with: capacity entropy needs numpy, and
+everything else runs on the standard library, apart from Beta and
+TruncatedNormal quantiles, interior Beta cdf values and ln B at extreme
+shapes, which import scipy.special on first use.
 """
 
 import importlib

@@ -43,9 +43,12 @@ from .jsonio import (
     weights_from_doc,
 )
 
-# capacity, continuous and quadrature load numpy and scipy; the handlers
-# that compute with them import them when called, so the discrete commands
-# and validate start without either.
+# capacity loads numpy, and continuous and quadrature load neither numpy
+# nor scipy (families imports scipy.special only for a Beta or truncated
+# normal quantile, an interior Beta cdf value or ln B at extreme shapes).
+# The handlers import these modules when called, so the discrete commands
+# and validate start without them, and no command but entropy capacity
+# loads numpy.
 if TYPE_CHECKING:
     from .quadrature import QuadratureSpec
 

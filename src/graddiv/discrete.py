@@ -10,7 +10,7 @@ sum f ln(g/f), which is nonpositive for probability vectors (Gibbs).
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError
+from .errors import ComputationError, InvalidInputError
 from .ordered import GradingSample, increments
 
 __all__ = [
@@ -45,7 +45,10 @@ class ProbabilityVector:
         for x in w:
             if not math.isfinite(x) or x < 0:
                 raise InvalidInputError(f"weights must be finite and >= 0, got {x!r}")
-        total = math.fsum(w)
+        try:
+            total = math.fsum(w)
+        except OverflowError:  # a partial sum left double range
+            total = math.inf
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
@@ -99,6 +102,11 @@ def _result(value: float, terms: int, dropped: float, neg_inf: bool,
     if neg_inf:
         flags.add(NEGATIVE_INFINITY)
         value = -math.inf
+    elif not math.isfinite(value):
+        raise ComputationError(
+            f"the sum is {value!r}: a term or the running total overflowed "
+            "double precision"
+        )
     if empty:
         flags.add(EMPTY)
     # + 0.0 turns a -0.0 accumulator into +0.0
@@ -114,15 +122,22 @@ def divergence_discrete(f: GradingSample, g: GradingSample) -> DivergenceResult:
     """Relative divergence of grading sample f from g on a shared ordered set.
 
     Both samples are strictly increasing, so every increment is positive and
-    the result is always finite.
+    the exact result is finite. Raises ComputationError when an increment
+    ratio leaves double range (it overflows, or underflows to 0) or the sum
+    overflows.
     """
     if len(f) != len(g):
         raise InvalidInputError(
             f"samples live on different ordered sets: {len(f)} vs {len(g)} grades"
         )
     total = 0.0
-    for df, dg in zip(increments(f), increments(g)):
-        total += math.log(dg / df) * df
+    try:
+        for df, dg in zip(increments(f), increments(g)):
+            total += math.log(dg / df) * df
+    except ValueError as exc:  # log(0): dg / df underflowed
+        raise ComputationError(
+            "an increment ratio underflowed to 0 in double precision"
+        ) from exc
     return _result(total, terms=len(f) - 1, dropped=0.0, neg_inf=False)
 
 

@@ -9,13 +9,13 @@ tolerance, which monotonicity of the cdf guarantees to converge.
 """
 
 import abc
+import importlib
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar
-
-from scipy.special import betainc, betaincinv, betaln, ndtri
 
 from .errors import ComputationError, InvalidInputError
 
@@ -40,6 +40,51 @@ INVERSE_RESIDUAL_TOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# math.gamma is finite for every argument in [float_info.min, 171)
+_GAMMA_MAX = 171.0
+
+
+def _scipy_special(name: str) -> Callable:
+    """Stand-in for scipy.special.<name>, bound in this module as _<name>.
+
+    The first call imports scipy.special and rebinds _<name> to the real
+    function, so a process that never reaches it does not pay for the
+    import and later calls go straight to scipy.
+    """
+
+    def first_call(*args):
+        fn = getattr(importlib.import_module("scipy.special"), name)
+        globals()[f"_{name}"] = fn
+        return fn(*args)
+
+    return first_call
+
+
+_betainc = _scipy_special("betainc")
+_betaincinv = _scipy_special("betaincinv")
+_betaln = _scipy_special("betaln")
+_ndtri = _scipy_special("ndtri")
+
+
+def _log_beta(alpha: float, beta: float) -> float:
+    """ln B(alpha, beta) for positive finite shapes.
+
+    Where every gamma value is finite this is
+    ln(Gamma(alpha) Gamma(beta) / Gamma(alpha + beta)), dividing before
+    multiplying so no intermediate overflows; this is the route scipy's
+    betaln takes at these sizes. Subnormal, huge and very lopsided shapes
+    go to betaln itself.
+    """
+    big, small = max(alpha, beta), min(alpha, beta)
+    total = big + small
+    if not (small >= sys.float_info.min and total < _GAMMA_MAX):
+        return float(_betaln(alpha, beta))
+    g_big, g_small, g_total = math.gamma(big), math.gamma(small), math.gamma(total)
+    # divide Gamma(alpha + beta) into the factor nearer to it, as scipy does
+    if abs(g_big - g_total) > abs(g_small - g_total):
+        return math.log(g_small / g_total * g_big)
+    return math.log(g_big / g_total * g_small)
 
 
 def _check_interval(a: float, b: float) -> tuple[float, float]:
@@ -264,7 +309,7 @@ class Beta(ContinuousGrading):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         # log of the normalizing beta function, kept outside the fields
-        object.__setattr__(self, "_log_norm", float(betaln(alpha, beta)))
+        object.__setattr__(self, "_log_norm", _log_beta(alpha, beta))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -274,7 +319,11 @@ class Beta(ContinuousGrading):
         return (x - self.a) / (self.b - self.a)
 
     def cdf(self, x: float) -> float:
-        return float(betainc(self.alpha, self.beta, min(max(self._t(x), 0.0), 1.0)))
+        t = min(max(self._t(x), 0.0), 1.0)
+        if t == 0.0 or t == 1.0:
+            # betainc's own value at the ends, without importing scipy
+            return t
+        return float(_betainc(self.alpha, self.beta, t))
 
     def density(self, x: float) -> float:
         width = self.b - self.a
@@ -298,7 +347,7 @@ class Beta(ContinuousGrading):
         return math.inf
 
     def inverse(self, u: float) -> float:
-        t = float(betaincinv(self.alpha, self.beta, u))
+        t = float(_betaincinv(self.alpha, self.beta, u))
         return self.a + t * (self.b - self.a)
 
     def shape_params(self) -> dict:
@@ -328,8 +377,13 @@ class TruncatedNormal(ContinuousGrading):
             raise InvalidInputError(
                 f"need finite mu and sigma > 0, got ({mu!r}, {sigma!r})"
             )
-        lower = _phi((a - mu) / sigma)
-        mass = _phi((b - mu) / sigma) - lower
+        # Above the mean, Phi rounds to 1 deep in the tail and the window's
+        # mass to 0, so such a window is measured on the mirrored lower
+        # tail, Phi(-z) = 1 - Phi(z), which keeps its relative precision;
+        # side = 1 leaves the lower-side expressions as they are, bit for bit
+        side = -1.0 if a > mu else 1.0
+        lower = _phi(side * (a - mu) / sigma)
+        mass = side * (_phi(side * (b - mu) / sigma) - lower)
         if mass <= 0.0:
             raise InvalidInputError(
                 "the interval carries no normal mass at this mu/sigma "
@@ -339,8 +393,9 @@ class TruncatedNormal(ContinuousGrading):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        # normal cdf at a, the window's mass and the density's divisor,
-        # kept outside the fields
+        # the tail side, its normal cdf at a, the window's mass and the
+        # density's divisor, kept outside the fields
+        object.__setattr__(self, "_side", side)
         object.__setattr__(self, "_lower", lower)
         object.__setattr__(self, "_mass", mass)
         object.__setattr__(self, "_scale", sigma * _SQRT_2PI * mass)
@@ -353,15 +408,18 @@ class TruncatedNormal(ContinuousGrading):
         return (x - self.mu) / self.sigma
 
     def cdf(self, x: float) -> float:
-        return (_phi(self._z(x)) - self._lower) / self._mass
+        side = self._side
+        # + 0.0 turns the mirrored side's -0.0 at a into +0.0
+        return side * (_phi(side * self._z(x)) - self._lower) / self._mass + 0.0
 
     def density(self, x: float) -> float:
         z = self._z(x)
         return math.exp(-0.5 * z * z) / self._scale
 
     def inverse(self, u: float) -> float:
-        p = self._lower + u * self._mass
-        return self.mu + self.sigma * float(ndtri(p))
+        side = self._side
+        p = self._lower + side * u * self._mass
+        return self.mu + self.sigma * (side * float(_ndtri(p)))
 
     def shape_params(self) -> dict:
         return {"mu": self.mu, "sigma": self.sigma}

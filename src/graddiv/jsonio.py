@@ -19,9 +19,9 @@ from .discrete import DivergenceResult, ProbabilityVector
 from .errors import InvalidInputError
 from .ordered import GradingSample
 
-# capacity (numpy), families (scipy) and quadrature (numpy) are imported by
-# the readers that build their objects, so parsing a discrete document
-# loads neither numpy nor scipy.
+# capacity (numpy), families and quadrature are imported by the readers
+# that build their objects, so parsing a discrete document loads none of
+# them; only a capacity document loads numpy, and none loads scipy.
 if TYPE_CHECKING:
     from .capacity import Capacity, CapacityEntropyReport
     from .families import ContinuousGrading

@@ -42,6 +42,12 @@ class GradingSample:
                     "grades must be strictly increasing: "
                     f"grades[{k}]={grades[k]!r} <= grades[{k - 1}]={grades[k - 1]!r}"
                 )
+        # every increment is at most the span, so one check keeps them finite
+        if not math.isfinite(grades[-1] - grades[0]):
+            raise InvalidInputError(
+                f"grade span [{grades[0]!r}, {grades[-1]!r}] overflows: its width "
+                "is not a finite double"
+            )
         labels = self.labels
         if labels is not None:
             labels = tuple(str(s) for s in labels)

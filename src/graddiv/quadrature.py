@@ -27,15 +27,27 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import ComputationError, InvalidInputError
 
 __all__ = ["QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"]
 
-# Python floats, so the panel loop runs in float arithmetic rather than on
-# numpy scalars (the products are the same IEEE doubles either way)
-_GL_NODES, _GL_WEIGHTS = (tuple(map(float, row)) for row in np.polynomial.legendre.leggauss(15))
+# 15-point Gauss-Legendre rule on [-1, 1]: the repr of numpy's
+# polynomial.legendre.leggauss(15), kept as Python floats so importing this
+# module needs no numpy and the panel loop runs in float arithmetic
+_GL_NODES = (
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451,
+    0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+)
+_GL_WEIGHTS = (
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
+import ast
 import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graddiv
 from graddiv import MaximalChain, __version__, chain_divergence
@@ -65,6 +70,34 @@ def sample_files(tmp_path):
             "power2.json",
             {"family": "power", "support": [0.0, 1.0], "params": {"p": 2.0}},
         ),
+        "beta25": write(
+            tmp_path,
+            "beta25.json",
+            {"family": "beta", "support": [0.0, 1.0], "params": {"alpha": 2.0, "beta": 5.0}},
+        ),
+        "beta52": write(
+            tmp_path,
+            "beta52.json",
+            {"family": "beta", "support": [0.0, 1.0], "params": {"alpha": 5.0, "beta": 2.0}},
+        ),
+        "tnormal": write(
+            tmp_path,
+            "tnormal.json",
+            {"family": "truncated_normal", "support": [-1.0, 2.0],
+             "params": {"mu": 0.3, "sigma": 0.5}},
+        ),
+        "triangular": write(
+            tmp_path,
+            "triangular.json",
+            {"family": "triangular", "support": [0.0, 2.0], "params": {"c": 0.3}},
+        ),
+        "piecewise": write(
+            tmp_path,
+            "piecewise.json",
+            {"family": "piecewise_linear_cdf", "support": [0.0, 3.0],
+             "params": {"knots": [[0.0, 0.0], [1.0, 0.5], [3.0, 1.0]]}},
+        ),
+        "quad": write(tmp_path, "quad.json", {"abs_tol": 1e-9}),
     }
 
 
@@ -403,12 +436,63 @@ class TestImportCost:
     def test_discrete_commands_load_neither(self, sample_files, argv):
         assert numeric_modules_after([sample_files.get(a, a) for a in argv]) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "corrected", "--grading", "beta25"],
+            ["entropy", "corrected", "--grading", "power2"],
+            ["entropy", "corrected", "--grading", "tnormal"],
+            ["entropy", "corrected", "--grading", "triangular"],
+            ["entropy", "corrected", "--grading", "uniform"],
+            ["entropy", "corrected", "--grading", "piecewise", "--quad", "quad"],
+            ["divergence", "continuous", "--f", "beta25", "--g", "beta52"],
+            ["divergence", "symmetric", "--f", "beta25", "--g", "beta52"],
+            ["validate", "--input", "beta25"],
+            ["validate", "--input", "quad"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_continuous_commands_load_neither(self, sample_files, argv):
+        assert numeric_modules_after([sample_files.get(a, a) for a in argv]) == []
+
     def test_capacity_entropy_loads_numpy_but_not_scipy(self, sample_files):
         loaded = numeric_modules_after(
             ["entropy", "capacity", "--capacity", sample_files["cap"]]
         )
         assert "numpy" in loaded
         assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+    def test_only_capacity_imports_numpy_or_scipy_at_module_level(self):
+        offenders = []
+        for path in sorted(Path(graddiv.__file__).parent.glob("*.py")):
+            if path.name == "capacity.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for name in _module_level_imports(tree.body):
+                if name.split(".")[0] in ("numpy", "scipy"):
+                    offenders.append(f"{path.name} imports {name}")
+        assert offenders == []
+
+
+def _module_level_imports(body):
+    """Modules imported when a module body runs: function bodies are left
+    out, class bodies and conditional blocks are searched, and
+    `if TYPE_CHECKING:` blocks never run."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                yield from _module_level_imports(node.body)
+            yield from _module_level_imports(node.orelse)
+        elif isinstance(node, (ast.Try, ast.With, ast.ClassDef)):
+            for block in ("body", "orelse", "finalbody"):
+                yield from _module_level_imports(getattr(node, block, []))
+            for handler in getattr(node, "handlers", []):
+                yield from _module_level_imports(handler.body)
 
 
 class TestPublicNames:
@@ -437,3 +521,73 @@ class TestPublicNames:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             graddiv.no_such_name
+
+
+# finite doubles at and near the edges of the range, and a few ordinary ones
+_EXTREME = st.sampled_from(
+    [0.0, 5e-324, 1e-300, 1e300, 1e308, 1.7976931348623157e308, 0.25, 0.5, 1.0, 2.0]
+)
+_SIGNED_EXTREME = st.one_of(_EXTREME, _EXTREME.map(lambda x: -x))
+
+
+class TestTotalContract:
+    """Every schema-valid discrete document gives exactly one canonical
+    JSON line and exit 0, 1 or 2, with a result exactly on success."""
+
+    @staticmethod
+    def _check(argv):
+        code, out, err = invoke(argv)
+        assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_COMPUTATION), err
+        assert out.endswith("\n") and out.count("\n") == 1
+        report = json.loads(out)
+        assert canonical_dumps(report) + "\n" == out
+        assert ("result" in report) == (code == EXIT_OK)
+        assert ("error" in report) == (code != EXIT_OK)
+        assert "Traceback" not in err
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(_SIGNED_EXTREME, min_size=2, max_size=5, unique=True).map(sorted),
+        st.lists(_SIGNED_EXTREME, min_size=2, max_size=5, unique=True).map(sorted),
+        st.lists(st.one_of(_SIGNED_EXTREME, st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=1, max_size=5),
+        st.lists(_EXTREME, min_size=1, max_size=5),
+        st.lists(_EXTREME, min_size=0, max_size=5),
+    )
+    def test_extreme_documents(self, f_grades, g_grades, grades, weights, masses):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            f = write(tmp, "f.json", {"grades": f_grades})
+            g = write(tmp, "g.json", {"grades": g_grades})
+            loose = write(tmp, "loose.json", {"grades": grades})
+            w = write(tmp, "w.json", {"weights": weights})
+            half = write(tmp, "half.json", {"weights": [0.5, 0.5, 0.0, 0.0, 0.0][: len(weights)]})
+            m = write(tmp, "m.json", {"masses": masses})
+            for argv in (
+                ["divergence", "discrete", "--f", f, "--g", g],
+                ["divergence", "discrete", "--f", loose, "--g", g],
+                ["validate", "--input", f],
+                ["entropy", "shannon", "--dist", w],
+                ["entropy", "relative", "--f", w, "--g", half],
+                ["entropy", "relative", "--f", half, "--g", w],
+                ["entropy", "partition", "--masses", m],
+                ["validate", "--input", m],
+            ):
+                self._check(argv)
+
+    @pytest.mark.parametrize(
+        "f_grades, g_grades, code",
+        [
+            ([-1e308, 1e308], [0.0, 1.0], EXIT_INVALID_INPUT),
+            ([0.0, 1e-300], [0.0, 1e300], EXIT_COMPUTATION),
+            ([0.0, 1e300], [0.0, 1e-300], EXIT_COMPUTATION),
+            ([0.0, 5e-324], [0.0, 1.0], EXIT_COMPUTATION),
+        ],
+    )
+    def test_overflowing_grades(self, tmp_path, f_grades, g_grades, code):
+        f = write(tmp_path, "f.json", {"grades": f_grades})
+        g = write(tmp_path, "g.json", {"grades": g_grades})
+        got, out, err = invoke(["divergence", "discrete", "--f", f, "--g", g])
+        assert got == code
+        assert "error" in report_of(out)
+        assert err.count("\n") == 1

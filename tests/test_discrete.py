@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from graddiv import (
     EMPTY,
     NEGATIVE_INFINITY,
+    ComputationError,
     DivergenceResult,
     GradingSample,
     InvalidInputError,
@@ -65,6 +66,10 @@ class TestProbabilityVector:
         ProbabilityVector((0.5, 0.5 + 5e-10))
         with pytest.raises(InvalidInputError):
             ProbabilityVector((0.5, 0.5 + 5e-9))
+
+    def test_sum_beyond_float_range_rejected(self):
+        with pytest.raises(InvalidInputError, match="sum to 1"):
+            ProbabilityVector((1e308, 1e308))
 
 
 class TestDivergenceResult:
@@ -298,9 +303,42 @@ class TestPartitionEntropy:
         with pytest.raises(InvalidInputError):
             partition_entropy((0.5, -0.5))
 
+    def test_overflowing_sum_is_a_computation_failure(self):
+        with pytest.raises(ComputationError, match="overflowed"):
+            partition_entropy((1e308, 1e308))
+        with pytest.raises(ComputationError, match="overflowed"):
+            partition_entropy((1.7e308,))
+
     def test_matches_shannon_on_probability_masses(self):
         f = ProbabilityVector((0.1, 0.2, 0.3, 0.4))
         assert partition_entropy(f.weights).value == shannon_entropy(f).value
+
+
+class TestOverflow:
+    """A sum that leaves double range is a computation failure, not the
+    user's input error."""
+
+    def test_ratio_overflows(self):
+        # the exact value, 1e-300 * ln(1e600), is about 1.4e-297
+        f, g = GradingSample((0.0, 1e-300)), GradingSample((0.0, 1e300))
+        with pytest.raises(ComputationError, match="overflowed"):
+            divergence_discrete(f, g)
+        with pytest.raises(ComputationError, match="overflowed"):
+            divergence_discrete(GradingSample((0.0, 5e-324)), GradingSample((0.0, 1.0)))
+
+    def test_ratio_underflows(self):
+        f, g = GradingSample((0.0, 1e300)), GradingSample((0.0, 1e-300))
+        with pytest.raises(ComputationError, match="underflowed"):
+            divergence_discrete(f, g)
+
+    def test_relative_entropy_ratio_overflows(self):
+        f, g = ProbabilityVector((5e-324, 1.0)), ProbabilityVector((0.5, 0.5))
+        with pytest.raises(ComputationError, match="overflowed"):
+            relative_entropy(f, g)
+
+    def test_flagged_divergence_is_not_a_failure(self):
+        f, g = ProbabilityVector((5e-324, 1.0)), ProbabilityVector((0.0, 1.0))
+        assert NEGATIVE_INFINITY in relative_entropy(f, g).flags
 
 
 class TestGradingConstructors:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -15,8 +17,11 @@ from graddiv import (
     TruncatedNormal,
     Uniform,
     bracketed_inverse,
+    QuadratureSpec,
+    corrected_entropy,
     invert_cdf,
 )
+from graddiv.families import _log_beta
 
 CATALOG = [
     Uniform(0.0, 1.0),
@@ -30,6 +35,8 @@ CATALOG = [
     Beta(2.0, 5.0, a=-1.0, b=3.0),
     TruncatedNormal(0.0, 1.0, -1.0, 2.0),
     TruncatedNormal(5.0, 0.5, 4.0, 7.0),
+    TruncatedNormal(-0.5, 1.0, 0.25, 2.0),
+    TruncatedNormal(0.0, 1.0, 30.0, 31.0),
     Power(2.0),
     Power(0.5, a=1.0, b=9.0),
     PiecewiseLinearCdf(((0.0, 0.0), (1.0, 0.5), (3.0, 1.0))),
@@ -130,6 +137,19 @@ class TestClosedForms:
         assert Beta(0.5, 0.5).density(0.0) == math.inf
         assert Beta(1.0, 1.0).density(0.0) == pytest.approx(1.0)
 
+    @given(st.floats(1e-3, 169.0), st.floats(-5.0, 5.0), st.floats(1e-3, 10.0))
+    def test_beta_one_edge_density(self, beta, a, width):
+        # B(1, beta) = 1 / beta, so the density at a is beta / (b - a); from
+        # a + b = 171 on, ln B is a difference of lgamma values near 1e3 and
+        # carries about 1e-13 of absolute error
+        F = Beta(1.0, beta, a=a, b=a + width)
+        assert F.density(a) == pytest.approx(beta / (F.b - F.a), rel=1e-13)
+
+    def test_beta_function_closed_forms(self):
+        assert _log_beta(2.0, 5.0) == pytest.approx(-math.log(30.0), rel=1e-15)
+        assert _log_beta(0.5, 0.5) == pytest.approx(math.log(math.pi), rel=1e-15)
+        assert Beta(2.0, 5.0).density(0.5) == pytest.approx(30.0 * 0.5 * 0.5**4, rel=1e-15)
+
     def test_truncated_normal_endpoints(self):
         tn = TruncatedNormal(0.0, 1.0, -1.0, 2.0)
         assert tn.cdf(-1.0) == 0.0
@@ -169,9 +189,9 @@ class TestGradeStructure:
         # expressions did
         assert TruncatedNormal(0.3, 0.3, -1.0, 2.0).density(0.5) == 1.0648345123577605
         assert TruncatedNormal(1.7, 2.3, -1.0, 2.0).density(0.5) == 0.3506844172853165
-        assert Beta(2.5, 3.7, a=-1.0, b=3.0).density(0.4) == 0.4943073295597911
-        assert Beta(1.0, 3.7, a=-1.0, b=3.0).density(-1.0) == 0.9250000000000002
-        assert Beta(0.7, 1.0).density(1.0) == 0.6999999999999998
+        assert Beta(2.5, 3.7, a=-1.0, b=3.0).density(0.4) == 0.4943073295597909
+        assert Beta(1.0, 3.7, a=-1.0, b=3.0).density(-1.0) == 0.9250000000000004
+        assert Beta(0.7, 1.0).density(1.0) == 0.7000000000000001
 
     def test_catalog_families_are_probabilities(self):
         for F in CATALOG:
@@ -242,3 +262,114 @@ class TestDensityConsistency:
         slope = (F.cdf(x + step) - F.cdf(x - step)) / (2 * step)
         dens = F.density(x)
         assert abs(slope - dens) <= 1e-3 * max(1.0, dens)
+
+
+def _betaln(alpha, beta):
+    from scipy.special import betaln
+
+    return float(betaln(alpha, beta))
+
+
+def _agrees_with_betaln(alpha, beta):
+    ref = _betaln(alpha, beta)
+    value = _log_beta(alpha, beta)
+    # betaln overflows to inf for subnormal shapes; that value is kept
+    return value == ref or abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+class TestLogBeta:
+    """ln B against scipy's betaln, which it replaces where every gamma
+    value is finite and defers to elsewhere."""
+
+    @given(
+        st.floats(5e-324, 1e17, allow_subnormal=True),
+        st.floats(5e-324, 1e17, allow_subnormal=True),
+    )
+    def test_matches_betaln(self, alpha, beta):
+        assert _agrees_with_betaln(alpha, beta)
+
+    @given(st.floats(-3.0, math.log10(171.0)), st.floats(-3.0, math.log10(171.0)))
+    def test_matches_betaln_on_the_gamma_route(self, log_alpha, log_beta):
+        assert _agrees_with_betaln(10.0**log_alpha, 10.0**log_beta)
+
+    @pytest.mark.parametrize(
+        "shape", [5e-324, 2.2250738585072014e-308, 1e-300, 169.99, 170.9, 171.0, 1e6, 1e16]
+    )
+    def test_extreme_shapes_against_one(self, shape):
+        for alpha, beta in ((shape, 1.0), (1.0, shape)):
+            assert _agrees_with_betaln(alpha, beta)
+        # B(x, 1) = 1 / x, wherever betaln itself is finite
+        if math.isfinite(_betaln(shape, 1.0)):
+            assert _log_beta(shape, 1.0) == pytest.approx(-math.log(shape), rel=1e-13)
+
+    def test_outside_the_gamma_range_defers_to_betaln(self):
+        for alpha, beta in ((5e-324, 2.0), (100.0, 71.0), (1e16, 1.0), (1e6, 1e-3)):
+            assert _log_beta(alpha, beta) == _betaln(alpha, beta)
+
+
+_FIRST_QUANTILE = """
+from graddiv import Beta, invert_cdf
+print(repr(invert_cdf(Beta(2.0, 5.0), 0.3)))
+"""
+
+
+def test_first_quantile_in_a_fresh_process_is_betaincinv():
+    from scipy.special import betaincinv
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_QUANTILE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == float(betaincinv(2.0, 5.0, 0.3))
+
+
+def test_scipy_functions_are_bound_directly_after_first_use():
+    from scipy import special
+
+    from graddiv import families
+
+    Beta(2.0, 5.0).cdf(0.3)
+    invert_cdf(Beta(2.0, 5.0), 0.3)
+    invert_cdf(TruncatedNormal(0.0, 1.0, -1.0, 2.0), 0.3)
+    _log_beta(1e16, 1.0)
+    assert families._betainc is special.betainc
+    assert families._betaincinv is special.betaincinv
+    assert families._ndtri is special.ndtri
+    assert families._betaln is special.betaln
+
+
+class TestTruncatedNormalUpperTail:
+    """A window above the mean is measured on the mirrored lower tail."""
+
+    UPPER = TruncatedNormal(0.0, 1.0, 30.0, 31.0)
+    MIRROR = TruncatedNormal(0.0, 1.0, -31.0, -30.0)
+
+    def test_deep_upper_window_is_a_probability(self):
+        assert self.UPPER.image == (0.0, 1.0)
+        assert self.UPPER.is_probability()
+
+    def test_cdf_mirrors_the_lower_window(self):
+        a, b = self.UPPER.support
+        for k in range(65):
+            x = a + (b - a) * k / 64
+            assert self.UPPER.cdf(x) == pytest.approx(1.0 - self.MIRROR.cdf(-x), abs=1e-15)
+            assert self.UPPER.density(x) == pytest.approx(self.MIRROR.density(-x), rel=1e-15)
+
+    def test_quantile_mirrors_the_lower_window(self):
+        for u in (0.0, 1e-9, 0.1, 0.5, 0.9):
+            assert invert_cdf(self.UPPER, u) == pytest.approx(
+                -invert_cdf(self.MIRROR, 1.0 - u), abs=1e-12
+            )
+
+    def test_corrected_entropy_matches_the_mirror(self):
+        spec = QuadratureSpec()
+        up = corrected_entropy(self.UPPER, spec)
+        down = corrected_entropy(self.MIRROR, spec)
+        budget = max(spec.abs_tol, spec.rel_tol * abs(down.value))
+        assert abs(up.value - down.value) <= 2.0 * budget
+
+    def test_shallow_window_above_the_mean(self):
+        F = TruncatedNormal(-0.5, 1.0, 0.25, 2.0)
+        M = TruncatedNormal(0.5, 1.0, -2.0, -0.25)
+        for x in (0.25, 0.5, 1.0, 1.7, 2.0):
+            assert F.cdf(x) == pytest.approx(1.0 - M.cdf(-x), abs=1e-15)

@@ -42,6 +42,11 @@ class TestGradingSample:
         with pytest.raises(InvalidInputError):
             GradingSample((0.0, 1.0), labels=("a",))
 
+    def test_span_whose_width_overflows(self):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            GradingSample((-1e308, 0.0, 1e308))
+        assert increments(GradingSample((-1e308, 0.0, 7e307))) == [1e308, 7e307]
+
 
 class TestIncrements:
     def test_two_point_sample(self):

@@ -137,6 +137,17 @@ class TestIntegrateAdaptive:
         assert type(out.value) is float
         assert type(out.error_estimate) is float
 
+    def test_rule_is_numpys_leggauss(self):
+        import numpy as np
+
+        from graddiv.quadrature import _GL_NODES, _GL_WEIGHTS
+
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert len(_GL_NODES) == len(_GL_WEIGHTS) == 15
+        for ours, theirs in zip(_GL_NODES + _GL_WEIGHTS, [*nodes, *weights]):
+            assert type(ours) is float
+            assert ours == theirs
+
     def test_outcome_is_frozen(self):
         out = QuadratureOutcome(1.0, 0.0, 3)
         with pytest.raises(AttributeError):
