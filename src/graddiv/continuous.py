@@ -43,6 +43,10 @@ def _merged_breakpoints(F: ContinuousGrading, G: ContinuousGrading) -> tuple[flo
     return F.breakpoints() + G.breakpoints()
 
 
+def _out_of_range(detail: str) -> ComputationError:
+    return ComputationError(f"the integrand left double range: {detail}")
+
+
 def _to_result(outcome: QuadratureOutcome) -> DivergenceResult:
     if outcome.negative_infinity:
         return DivergenceResult(
@@ -65,19 +69,36 @@ def divergence_continuous(
     """Divergence of G from F: integral of f * ln(g/f) over the support."""
     a, b = _require_same_support(F, G)
     f, g = F.density, G.density
+    inf, log = math.inf, math.log
+    vanishes = False
 
+    # The value is -inf only where g vanishes under positive, finite f. An
+    # infinite density, a term beyond double range or a float exception
+    # raised by a density is a computation failure, never a -inf
+    # divergence. No sample pays for a test: a term beyond double range is
+    # -inf, which stops the quadrature walk, and is told from a vanishing g
+    # afterwards; a NaN or +inf term fails in integrate_adaptive.
     def integrand(x: float) -> float:
-        fx = f(x)
-        if fx <= 0.0:
-            return 0.0
-        gx = g(x)
+        nonlocal vanishes
+        try:
+            fx = f(x)
+            if fx <= 0.0:
+                return 0.0
+            gx = g(x)
+        except ArithmeticError as exc:
+            raise _out_of_range(f"{exc} at x={x!r}") from None
         if gx <= 0.0:
-            return -math.inf
-        return fx * (math.log(gx) - math.log(fx))
+            if fx == inf:
+                raise _out_of_range(f"the density of F is infinite at x={x!r}")
+            vanishes = True
+            return -inf
+        return fx * (log(gx) - log(fx))
 
     outcome = integrate_adaptive(
         integrand, a, b, spec, breakpoints=_merged_breakpoints(F, G)
     )
+    if outcome.negative_infinity and not vanishes:
+        raise _out_of_range("a term f ln(g / f) overflowed to -inf")
     return _to_result(outcome)
 
 
@@ -152,12 +173,19 @@ def classical_entropy(
     """Differential entropy -integral of f * ln(f) over the support."""
     a, b = F.support
     f = F.density
+    log = math.log
 
     def integrand(x: float) -> float:
-        fx = f(x)
+        try:
+            fx = f(x)
+        except ArithmeticError as exc:
+            raise _out_of_range(f"{exc} at x={x!r}") from None
         if fx <= 0.0:
             return 0.0
-        return -fx * math.log(fx)
+        return -fx * log(fx)
 
     outcome = integrate_adaptive(integrand, a, b, spec, breakpoints=F.breakpoints())
+    # -f ln f is -inf only where f is infinite or the term overflowed
+    if outcome.negative_infinity:
+        raise _out_of_range("a term -f ln f overflowed to -inf")
     return _to_result(outcome)

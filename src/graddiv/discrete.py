@@ -118,26 +118,39 @@ def _result(value: float, terms: int, dropped: float, neg_inf: bool,
     )
 
 
+def _two_log_sum(pairs) -> float:
+    """Sum of f ln(g / f) over (f, g) pairs with the logs taken apart.
+
+    Accurate wherever each term is a double, even where the ratio g / f
+    is not; it costs a second log per term, so the kernels call it only
+    after a ratio has left double range.
+    """
+    total = 0.0
+    for fk, gk in pairs:
+        total += (math.log(gk) - math.log(fk)) * fk
+    return total
+
+
 def divergence_discrete(f: GradingSample, g: GradingSample) -> DivergenceResult:
     """Relative divergence of grading sample f from g on a shared ordered set.
 
     Both samples are strictly increasing, so every increment is positive and
-    the exact result is finite. Raises ComputationError when an increment
-    ratio leaves double range (it overflows, or underflows to 0) or the sum
-    overflows.
+    the exact result is finite. Raises ComputationError only when the value
+    itself leaves double range.
     """
     if len(f) != len(g):
         raise InvalidInputError(
             f"samples live on different ordered sets: {len(f)} vs {len(g)} grades"
         )
+    dfs, dgs = increments(f), increments(g)
     total = 0.0
     try:
-        for df, dg in zip(increments(f), increments(g)):
+        for df, dg in zip(dfs, dgs):
             total += math.log(dg / df) * df
-    except ValueError as exc:  # log(0): dg / df underflowed
-        raise ComputationError(
-            "an increment ratio underflowed to 0 in double precision"
-        ) from exc
+    except ValueError:  # log(0): dg / df underflowed
+        total = math.nan
+    if not math.isfinite(total):
+        total = _two_log_sum(zip(dfs, dgs))
     return _result(total, terms=len(f) - 1, dropped=0.0, neg_inf=False)
 
 
@@ -165,6 +178,10 @@ def relative_entropy(f: ProbabilityVector, g: ProbabilityVector) -> DivergenceRe
             continue
         total += fk * math.log(gk / fk)
         terms += 1
+    if not math.isfinite(total):
+        total = _two_log_sum(
+            (fk, gk) for fk, gk in zip(f.weights, g.weights) if fk > 0.0 and gk > 0.0
+        )
     return _result(total, terms, dropped, neg_inf)
 
 

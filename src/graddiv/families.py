@@ -27,6 +27,7 @@ __all__ = [
     "TruncatedNormal",
     "Power",
     "PiecewiseLinearCdf",
+    "FAMILIES",
     "bracketed_inverse",
     "invert_cdf",
     "PROBABILITY_TOL",
@@ -93,6 +94,11 @@ def _check_interval(a: float, b: float) -> tuple[float, float]:
         raise InvalidInputError(f"support endpoints must be finite, got [{a!r}, {b!r}]")
     if not a < b:
         raise InvalidInputError(f"support must satisfy a < b, got [{a!r}, {b!r}]")
+    # every density and cdf divides by the width, so it must be a double
+    if not math.isfinite(b - a):
+        raise InvalidInputError(
+            f"support [{a!r}, {b!r}] overflows: its width is not a finite double"
+        )
     return a, b
 
 
@@ -145,13 +151,20 @@ def bracketed_inverse(
 
 
 class ContinuousGrading(abc.ABC):
-    """A cdf/density pair acting as a grading function on [a, b]."""
+    """A cdf/density pair acting as a grading function on [a, b].
+
+    A parametric family is a frozen dataclass with fields a and b for its
+    support and one field for each name in ``params``, its shape
+    parameters in constructor order; PiecewiseLinearCdf, whose knots fix
+    its support, overrides ``support`` and ``shape_params``.
+    """
 
     family: ClassVar[str]
+    params: ClassVar[tuple[str, ...]] = ()
 
     @property
-    @abc.abstractmethod
-    def support(self) -> tuple[float, float]: ...
+    def support(self) -> tuple[float, float]:
+        return (self.a, self.b)
 
     @abc.abstractmethod
     def cdf(self, x: float) -> float: ...
@@ -159,8 +172,8 @@ class ContinuousGrading(abc.ABC):
     @abc.abstractmethod
     def density(self, x: float) -> float: ...
 
-    @abc.abstractmethod
-    def shape_params(self) -> dict: ...
+    def shape_params(self) -> dict:
+        return {name: getattr(self, name) for name in self.params}
 
     @cached_property
     def image(self) -> tuple[float, float]:
@@ -212,10 +225,6 @@ class Uniform(ContinuousGrading):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.b)
-
     def cdf(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
 
@@ -224,9 +233,6 @@ class Uniform(ContinuousGrading):
 
     def inverse(self, u: float) -> float:
         return self.a + u * (self.b - self.a)
-
-    def shape_params(self) -> dict:
-        return {}
 
 
 @dataclass(frozen=True)
@@ -238,6 +244,7 @@ class Triangular(ContinuousGrading):
     b: float
 
     family: ClassVar[str] = "triangular"
+    params: ClassVar[tuple[str, ...]] = ("c",)
 
     def __post_init__(self):
         a, b = _check_interval(self.a, self.b)
@@ -248,42 +255,39 @@ class Triangular(ContinuousGrading):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", b)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.b)
+    # Each expression scales ratios no larger than 1 by the width or divides
+    # them by it, and never multiplies two widths or squares one, so every
+    # support whose width is a finite double evaluates without overflow.
 
     def cdf(self, x: float) -> float:
         a, c, b = self.a, self.c, self.b
+        if x <= a:
+            return 0.0
+        if x >= b:
+            return 1.0
         if x <= c:
-            if c == a:
-                return 0.0 if x <= a else (x - a) / (b - a)  # unreachable x>c guard
-            return (x - a) ** 2 / ((b - a) * (c - a))
-        if c == b:
-            return 1.0 if x >= b else (x - a) / (b - a)
-        return 1.0 - (b - x) ** 2 / ((b - a) * (b - c))
+            return (x - a) / (b - a) * ((x - a) / (c - a))
+        return 1.0 - (b - x) / (b - a) * ((b - x) / (b - c))
 
     def density(self, x: float) -> float:
         a, c, b = self.a, self.c, self.b
         if x < c:
-            return 2.0 * (x - a) / ((b - a) * (c - a))
+            return 2.0 * ((x - a) / (c - a)) / (b - a)
         if x > c:
-            return 2.0 * (b - x) / ((b - a) * (b - c))
+            return 2.0 * ((b - x) / (b - c)) / (b - a)
         return 2.0 / (b - a)
 
     def inverse(self, u: float) -> float:
         a, c, b = self.a, self.c, self.b
         split = (c - a) / (b - a)
         if u <= split:
-            return a + math.sqrt(u * (b - a) * (c - a))
-        return b - math.sqrt((1.0 - u) * (b - a) * (b - c))
+            return a + math.sqrt(u * split) * (b - a)
+        return b - math.sqrt((1.0 - u) * ((b - c) / (b - a))) * (b - a)
 
     def breakpoints(self) -> tuple[float, ...]:
         if self.a < self.c < self.b:
             return (self.c,)
         return ()
-
-    def shape_params(self) -> dict:
-        return {"c": self.c}
 
 
 @dataclass(frozen=True)
@@ -296,6 +300,7 @@ class Beta(ContinuousGrading):
     b: float = 1.0
 
     family: ClassVar[str] = "beta"
+    params: ClassVar[tuple[str, ...]] = ("alpha", "beta")
 
     def __post_init__(self):
         a, b = _check_interval(self.a, self.b)
@@ -310,10 +315,6 @@ class Beta(ContinuousGrading):
         object.__setattr__(self, "b", b)
         # log of the normalizing beta function, kept outside the fields
         object.__setattr__(self, "_log_norm", _log_beta(alpha, beta))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.b)
 
     def _t(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -350,9 +351,6 @@ class Beta(ContinuousGrading):
         t = float(_betaincinv(self.alpha, self.beta, u))
         return self.a + t * (self.b - self.a)
 
-    def shape_params(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta}
-
 
 def _phi(z: float) -> float:
     """Standard normal cdf, via erfc for accuracy in the tails."""
@@ -369,6 +367,7 @@ class TruncatedNormal(ContinuousGrading):
     b: float
 
     family: ClassVar[str] = "truncated_normal"
+    params: ClassVar[tuple[str, ...]] = ("mu", "sigma")
 
     def __post_init__(self):
         a, b = _check_interval(self.a, self.b)
@@ -400,10 +399,6 @@ class TruncatedNormal(ContinuousGrading):
         object.__setattr__(self, "_mass", mass)
         object.__setattr__(self, "_scale", sigma * _SQRT_2PI * mass)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.b)
-
     def _z(self, x: float) -> float:
         return (x - self.mu) / self.sigma
 
@@ -421,9 +416,6 @@ class TruncatedNormal(ContinuousGrading):
         p = self._lower + side * u * self._mass
         return self.mu + self.sigma * (side * float(_ndtri(p)))
 
-    def shape_params(self) -> dict:
-        return {"mu": self.mu, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class Power(ContinuousGrading):
@@ -434,6 +426,7 @@ class Power(ContinuousGrading):
     b: float = 1.0
 
     family: ClassVar[str] = "power"
+    params: ClassVar[tuple[str, ...]] = ("p",)
 
     def __post_init__(self):
         a, b = _check_interval(self.a, self.b)
@@ -443,10 +436,6 @@ class Power(ContinuousGrading):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.b)
 
     def _t(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -466,9 +455,6 @@ class Power(ContinuousGrading):
     def inverse(self, u: float) -> float:
         return self.a + u ** (1.0 / self.p) * (self.b - self.a)
 
-    def shape_params(self) -> dict:
-        return {"p": self.p}
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearCdf(ContinuousGrading):
@@ -482,6 +468,7 @@ class PiecewiseLinearCdf(ContinuousGrading):
     knots: tuple[tuple[float, float], ...]
 
     family: ClassVar[str] = "piecewise_linear_cdf"
+    params: ClassVar[tuple[str, ...]] = ("knots",)
 
     def __post_init__(self):
         try:
@@ -499,6 +486,12 @@ class PiecewiseLinearCdf(ContinuousGrading):
                     "knots must be strictly increasing in both coordinates, "
                     f"got {knots[k - 1]!r} then {knots[k]!r}"
                 )
+        (x0, y0), (xn, yn) = knots[0], knots[-1]
+        _check_interval(x0, xn)
+        if not math.isfinite(yn - y0):
+            raise InvalidInputError(
+                f"grade span [{y0!r}, {yn!r}] overflows: its width is not a finite double"
+            )
         object.__setattr__(self, "knots", knots)
         # knot coordinates for bisection, kept outside the fields
         object.__setattr__(self, "_xs", tuple(x for x, _ in knots))
@@ -539,3 +532,10 @@ class PiecewiseLinearCdf(ContinuousGrading):
 
     def shape_params(self) -> dict:
         return {"knots": [[x, y] for x, y in self.knots]}
+
+
+# family name -> class: the catalog a continuous_grading document names
+FAMILIES: dict[str, type[ContinuousGrading]] = {
+    cls.family: cls
+    for cls in (Uniform, Triangular, Beta, TruncatedNormal, Power, PiecewiseLinearCdf)
+}

@@ -338,52 +338,25 @@ def capacity_to_doc(mu: Capacity) -> dict:
     }
 
 
-_FAMILY_PARAM_KEYS = {
-    "uniform": frozenset(),
-    "triangular": frozenset({"c"}),
-    "beta": frozenset({"alpha", "beta"}),
-    "truncated_normal": frozenset({"mu", "sigma"}),
-    "power": frozenset({"p"}),
-    "piecewise_linear_cdf": frozenset({"knots"}),
-}
-
-
 def continuous_grading_from_doc(doc: dict) -> ContinuousGrading:
-    from .families import Beta, PiecewiseLinearCdf, Power, Triangular, TruncatedNormal, Uniform
+    from .families import FAMILIES, PiecewiseLinearCdf
 
     _require_keys(
         doc, frozenset({"family", "params", "support"}), schema="continuous_grading"
     )
     family = doc["family"]
-    if family not in _FAMILY_PARAM_KEYS:
-        known = ", ".join(sorted(_FAMILY_PARAM_KEYS))
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        known = ", ".join(sorted(FAMILIES))
         raise InvalidInputError(f"unknown family {family!r} (known: {known})")
     support = _number_list(doc["support"], "support")
     if len(support) != 2:
         raise InvalidInputError("support must be an array [a, b]")
     a, b = support
     params = doc["params"]
-    _require_keys(params, _FAMILY_PARAM_KEYS[family], schema=f"{family} params")
-    if family == "uniform":
-        return Uniform(a, b)
-    if family == "triangular":
-        return Triangular(a, _number(params["c"], "params.c"), b)
-    if family == "beta":
-        return Beta(
-            _number(params["alpha"], "params.alpha"),
-            _number(params["beta"], "params.beta"),
-            a,
-            b,
-        )
-    if family == "truncated_normal":
-        return TruncatedNormal(
-            _number(params["mu"], "params.mu"),
-            _number(params["sigma"], "params.sigma"),
-            a,
-            b,
-        )
-    if family == "power":
-        return Power(_number(params["p"], "params.p"), a, b)
+    _require_keys(params, frozenset(cls.params), schema=f"{family} params")
+    if cls is not PiecewiseLinearCdf:
+        return cls(a=a, b=b, **{k: _number(params[k], f"params.{k}") for k in cls.params})
     raw_knots = params["knots"]
     if not isinstance(raw_knots, list):
         raise InvalidInputError("params.knots must be an array of [x, y] pairs")
@@ -406,31 +379,22 @@ def continuous_grading_to_doc(F: ContinuousGrading) -> dict:
     return {"family": F.family, "params": F.shape_params(), "support": [a, b]}
 
 
-_QUAD_KEYS = frozenset({"abs_tol", "rel_tol", "max_depth", "endpoint_margin"})
+# each quadrature_spec key and its reader, in the order they are checked
+_QUAD_READERS = {"abs_tol": _number, "rel_tol": _number, "max_depth": _integer}
+_QUAD_KEYS = frozenset(_QUAD_READERS)
 
 
 def quadrature_spec_from_doc(doc: dict) -> QuadratureSpec:
     from .quadrature import QuadratureSpec
 
     _require_keys(doc, frozenset(), _QUAD_KEYS, "quadrature_spec")
-    defaults = QuadratureSpec()
     return QuadratureSpec(
-        abs_tol=_number(doc["abs_tol"], "abs_tol") if "abs_tol" in doc else defaults.abs_tol,
-        rel_tol=_number(doc["rel_tol"], "rel_tol") if "rel_tol" in doc else defaults.rel_tol,
-        max_depth=_integer(doc["max_depth"], "max_depth") if "max_depth" in doc else defaults.max_depth,
-        endpoint_margin=_number(doc["endpoint_margin"], "endpoint_margin")
-        if "endpoint_margin" in doc
-        else defaults.endpoint_margin,
+        **{key: read(doc[key], key) for key, read in _QUAD_READERS.items() if key in doc}
     )
 
 
 def quadrature_spec_to_doc(spec: QuadratureSpec) -> dict:
-    return {
-        "abs_tol": spec.abs_tol,
-        "rel_tol": spec.rel_tol,
-        "max_depth": spec.max_depth,
-        "endpoint_margin": spec.endpoint_margin,
-    }
+    return {"abs_tol": spec.abs_tol, "rel_tol": spec.rel_tol, "max_depth": spec.max_depth}
 
 
 # ---------------------------------------------------------------- results

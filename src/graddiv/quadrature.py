@@ -8,18 +8,19 @@ nodes are interior to each cell, so integrands that blow up only at panel
 edges (endpoint singularities of beta or power densities, log terms from a
 vanishing density ratio) are sampled where they are finite; global greedy
 refinement is what lets their shrinking but never-smooth boundary cells
-converge, where a per-cell width-proportional budget would not. A sample
-of -inf means the integral itself diverges to -inf for the integrands used
-here (nonpositive terms), so the walk short-circuits instead of refining
-forever.
+converge, where a per-cell width-proportional budget would not. The
+divergence integrands return -inf only where the reference density
+vanishes under positive mass, which makes the integral itself -inf, so a
+sample of -inf short-circuits the walk instead of refining forever; a NaN
+or +inf sample is a ComputationError.
 
 Accuracy caveat: the defect sum reported as error_estimate is reliable for
 smooth integrands and for logarithmic endpoint singularities, but for an
 algebraic singularity x^(-s) with 0 < s < 1 dyadic bisection has a
 self-similar error floor (roughly 1e-7 at s = 1/2 for 15-point panels)
-that the defect sum understates. Budgets far below that floor fail loudly
-at max_depth rather than returning a silently wrong value; endpoint_margin
-is the escape hatch when that happens.
+that the defect sum understates. Budgets below that floor either fail at
+max_depth or return a value whose actual error exceeds error_estimate;
+most beta and power shapes below 1 reach it at the default budget.
 """
 
 import heapq
@@ -52,34 +53,22 @@ _GL_WEIGHTS = (
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and limits for the adaptive integrator.
-
-    endpoint_margin shrinks the integration interval by a relative amount
-    at each end. It defaults to 0 and exists only as an escape hatch for
-    integrands whose endpoint behavior defeats adaptive refinement.
-    """
+    """Tolerances and limits for the adaptive integrator."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_depth: int = 60
-    endpoint_margin: float = 0.0
 
     def __post_init__(self):
         abs_tol, rel_tol = float(self.abs_tol), float(self.rel_tol)
-        margin = float(self.endpoint_margin)
         if not (math.isfinite(abs_tol) and abs_tol > 0):
             raise InvalidInputError(f"abs_tol must be positive, got {abs_tol!r}")
         if not (math.isfinite(rel_tol) and rel_tol > 0):
             raise InvalidInputError(f"rel_tol must be positive, got {rel_tol!r}")
         if not isinstance(self.max_depth, int) or self.max_depth < 1:
             raise InvalidInputError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
-        if not (math.isfinite(margin) and 0.0 <= margin < 0.5):
-            raise InvalidInputError(
-                f"endpoint_margin must lie in [0, 0.5), got {margin!r}"
-            )
         object.__setattr__(self, "abs_tol", abs_tol)
         object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "endpoint_margin", margin)
 
 
 @dataclass(frozen=True)
@@ -159,7 +148,7 @@ class _Refiner:
             if defect > budget:
                 raise ComputationError(
                     f"integral did not converge near [{lo!r}, {hi!r}] at depth "
-                    f"{depth} (singular endpoint behavior; consider endpoint_margin)"
+                    f"{depth} (singular endpoint behavior)"
                 )
             self.frozen.append(left + right)
             self.frozen_err += defect
@@ -189,9 +178,6 @@ def integrate_adaptive(
     a, b = float(a), float(b)
     if not a < b:
         raise InvalidInputError(f"integration interval needs a < b, got [{a!r}, {b!r}]")
-    if spec.endpoint_margin > 0.0:
-        shift = spec.endpoint_margin * (b - a)
-        a, b = a + shift, b - shift
 
     refiner = _Refiner(fn)
     try:

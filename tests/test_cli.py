@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graddiv
@@ -530,9 +530,79 @@ _EXTREME = st.sampled_from(
 _SIGNED_EXTREME = st.one_of(_EXTREME, _EXTREME.map(lambda x: -x))
 
 
+# shape parameter names of each parametric family, in document order
+_FAMILY_PARAMS = {
+    "uniform": (),
+    "triangular": ("c",),
+    "beta": ("alpha", "beta"),
+    "truncated_normal": ("mu", "sigma"),
+    "power": ("p",),
+}
+
+
+@st.composite
+def _continuous_docs(draw):
+    """continuous_grading documents whose numbers sit at the edges of the
+    double range, each parameter sometimes equal to a support endpoint."""
+    family = draw(st.sampled_from([*_FAMILY_PARAMS, "piecewise_linear_cdf"]))
+    a, b = draw(st.lists(_SIGNED_EXTREME, min_size=2, max_size=2, unique=True).map(sorted))
+    if family == "piecewise_linear_cdf":
+        size = draw(st.integers(2, 4))
+        xs = draw(st.lists(_SIGNED_EXTREME, min_size=size, max_size=size, unique=True).map(sorted))
+        ys = draw(st.lists(_SIGNED_EXTREME, min_size=size, max_size=size, unique=True).map(sorted))
+        return {"family": family, "params": {"knots": [list(k) for k in zip(xs, ys)]},
+                "support": [xs[0], xs[-1]]}
+    number = st.one_of(_SIGNED_EXTREME, st.sampled_from([a, b]))
+    params = {name: draw(number) for name in _FAMILY_PARAMS[family]}
+    return {"family": family, "params": params, "support": [a, b]}
+
+
+def _capacity_docs():
+    """capacity documents of 1 to 4 elements with extreme values, and some
+    with a key missing or a ground_size out of range."""
+
+    def build(n, values, drop, ground_size):
+        keys = [",".join(str(e + 1) for e in range(n) if mask >> e & 1)
+                for mask in range(1 << n)]
+        doc = dict(zip(keys, values))
+        if drop is not None:
+            doc.pop(keys[drop % len(keys)])
+        return {"ground_size": n if ground_size is None else ground_size, "values": doc}
+
+    return st.integers(1, 4).flatmap(
+        lambda n: st.builds(
+            build,
+            st.just(n),
+            st.lists(_SIGNED_EXTREME, min_size=1 << n, max_size=1 << n),
+            st.one_of(st.none(), st.integers(0, 15)),
+            st.one_of(st.none(), st.sampled_from([0, -1, 5, 63, 2**70])),
+        )
+    )
+
+
+# any JSON value, with the keys of every input schema among the object keys
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(
+            st.one_of(
+                st.sampled_from(["grades", "labels", "weights", "masses", "ground_size",
+                                 "values", "family", "params", "support", "abs_tol",
+                                 "rel_tol", "max_depth", "knots", "alpha"]),
+                st.text(max_size=4),
+            ),
+            inner,
+            max_size=4,
+        ),
+    ),
+    max_leaves=12,
+)
+
+
 class TestTotalContract:
-    """Every schema-valid discrete document gives exactly one canonical
-    JSON line and exit 0, 1 or 2, with a result exactly on success."""
+    """Every document, valid or not, gives exactly one canonical JSON line
+    and exit 0, 1 or 2, with a result exactly on success."""
 
     @staticmethod
     def _check(argv):
@@ -575,13 +645,57 @@ class TestTotalContract:
             ):
                 self._check(argv)
 
+    @settings(max_examples=200)
+    @given(_continuous_docs())
+    @example({"family": "beta", "params": {"alpha": 1e300, "beta": 1e300}, "support": [0.0, 1.0]})
+    @example({"family": "triangular", "params": {"c": 1e300}, "support": [0.0, 1e300]})
+    @example({"family": "truncated_normal", "params": {"mu": 0.0, "sigma": 1e-300},
+              "support": [3e-299, 1.0]})
+    def test_extreme_continuous_documents(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            grading = write(tmp, "c.json", doc)
+            # a shallow refinement keeps every example fast; the contract
+            # does not depend on where the refiner gives up
+            quad = write(tmp, "q.json", {"max_depth": 6})
+            uniform = write(tmp, "u.json", {"family": "uniform", "params": {},
+                                            "support": doc["support"]})
+            self._check(["validate", "--input", grading])
+            self._check(["entropy", "corrected", "--grading", grading, "--quad", quad])
+            self._check(["divergence", "continuous", "--f", grading, "--g", uniform,
+                         "--quad", quad])
+
+    @settings(max_examples=100)
+    @given(_capacity_docs())
+    def test_extreme_capacity_documents(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            cap = write(Path(tmp), "k.json", doc)
+            self._check(["validate", "--input", cap])
+            for method in ("exhaustive", "greedy"):
+                self._check(["entropy", "capacity", "--capacity", cap, "--method", method])
+
+    @settings(max_examples=200)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        _JSON_VALUES.map(lambda v: json.dumps(v).encode("utf-8")),
+    ))
+    @example(b'{"family":["beta"],"params":{},"support":[0,1]}')
+    def test_arbitrary_bytes_to_validate(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "any.json"
+            path.write_bytes(data)
+            self._check(["validate", "--input", str(path)])
+
     @pytest.mark.parametrize(
         "f_grades, g_grades, code",
         [
+            # the span's width overflows
             ([-1e308, 1e308], [0.0, 1.0], EXIT_INVALID_INPUT),
-            ([0.0, 1e-300], [0.0, 1e300], EXIT_COMPUTATION),
-            ([0.0, 1e300], [0.0, 1e-300], EXIT_COMPUTATION),
-            ([0.0, 5e-324], [0.0, 1.0], EXIT_COMPUTATION),
+            # the value is beyond double range: through an underflowing
+            # ratio, a subnormal one, and a total of two finite terms
+            ([0.0, 1.7e308], [0.0, 1e-300], EXIT_COMPUTATION),
+            ([0.0, 1.7e308], [0.0, 1.0], EXIT_COMPUTATION),
+            ([0.0, 1e308, 1.7e308], [0.0, 1.8e307, 4.4e307], EXIT_COMPUTATION),
         ],
     )
     def test_overflowing_grades(self, tmp_path, f_grades, g_grades, code):
@@ -591,3 +705,19 @@ class TestTotalContract:
         assert got == code
         assert "error" in report_of(out)
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "f_grades, g_grades, value",
+        [
+            ([0.0, 1e-300], [0.0, 1e300], 1.3815510557964273e-297),
+            ([0.0, 1e300], [0.0, 1e-300], -1.3815510557964274e303),
+            ([0.0, 5e-324], [0.0, 1.0], 3.676e-321),
+        ],
+    )
+    def test_ratio_out_of_double_range(self, tmp_path, f_grades, g_grades, value):
+        # the ratio of increments is not a double, the divergence is
+        f = write(tmp_path, "f.json", {"grades": f_grades})
+        g = write(tmp_path, "g.json", {"grades": g_grades})
+        got, out, err = invoke(["divergence", "discrete", "--f", f, "--g", g])
+        assert got == EXIT_OK, err
+        assert report_of(out)["result"]["value"] == value

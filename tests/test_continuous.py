@@ -6,6 +6,7 @@ import pytest
 from graddiv import (
     NEGATIVE_INFINITY,
     Beta,
+    ComputationError,
     ContinuousGrading,
     InvalidInputError,
     PiecewiseLinearCdf,
@@ -156,6 +157,11 @@ class TestCorrectedEntropy:
         r = corrected_entropy(Beta(0.5, 0.5))
         assert r.value == pytest.approx(math.log(math.pi / 4.0), abs=1e-6)
 
+    def test_triangular_on_a_support_near_the_double_range(self):
+        # 1/2 - ln 2 for every triangular density
+        r = corrected_entropy(Triangular(1e300, 2e300, 4e300))
+        assert r.value == pytest.approx(0.5 - math.log(2.0), abs=1e-8)
+
     def test_rejects_non_probability_grading(self):
         with pytest.raises(InvalidInputError):
             corrected_entropy(PiecewiseLinearCdf(((0.0, 0.0), (1.0, 0.5))))
@@ -177,6 +183,43 @@ class TestCorrectedEntropy:
             hb = corrected_entropy(base).value
             hm = corrected_entropy(moved).value
             assert hm == pytest.approx(hb, abs=1e-8)
+
+
+@dataclass(frozen=True)
+class _InfiniteOnRightHalf(_HalfSupported):
+    """Test double whose density has overflowed to +inf on the right half
+    of [0, 1], where _HalfSupported's vanishes."""
+
+    family = "test_infinite_on_right_half"
+
+    def density(self, x):
+        return math.inf if x >= 0.5 else 0.0
+
+
+class TestDensityOutOfRange:
+    """A density that is infinite, overflows a term or raises a float
+    exception is a computation failure, never a -inf divergence."""
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            TruncatedNormal(0.0, 1e-310, -1.0, 1.0),  # density +inf
+            TruncatedNormal(0.0, 1e-306, -1.0, 1.0),  # density finite, term beyond range
+            Beta(1e300, 1e300),  # OverflowError in exp
+            TruncatedNormal(0.0, 1e-300, 3e-299, 1.0),  # ZeroDivisionError
+        ],
+    )
+    def test_corrected_and_classical_entropy(self, F):
+        with pytest.raises(ComputationError, match="left double range"):
+            corrected_entropy(F)
+        with pytest.raises(ComputationError, match="left double range"):
+            classical_entropy(F)
+
+    def test_infinite_density_against_a_vanishing_one(self):
+        with pytest.raises(ComputationError, match="density of F is infinite"):
+            divergence_continuous(_InfiniteOnRightHalf(), _HalfSupported())
+        with pytest.raises(ComputationError, match="left double range"):
+            divergence_continuous(_InfiniteOnRightHalf(), U01)
 
 
 class TestClassicalEntropy:

@@ -315,26 +315,57 @@ class TestPartitionEntropy:
 
 
 class TestOverflow:
-    """A sum that leaves double range is a computation failure, not the
-    user's input error."""
+    """A ratio that leaves double range does not stop a sum whose value is a
+    double; only a value beyond double range is a computation failure."""
 
     def test_ratio_overflows(self):
-        # the exact value, 1e-300 * ln(1e600), is about 1.4e-297
+        # 1e-300 * ln(1e600) and 5e-324 * ln(1 / 5e-324)
         f, g = GradingSample((0.0, 1e-300)), GradingSample((0.0, 1e300))
-        with pytest.raises(ComputationError, match="overflowed"):
-            divergence_discrete(f, g)
-        with pytest.raises(ComputationError, match="overflowed"):
-            divergence_discrete(GradingSample((0.0, 5e-324)), GradingSample((0.0, 1.0)))
+        r = divergence_discrete(f, g)
+        assert r.value == pytest.approx(600.0 * math.log(10.0) * 1e-300, rel=1e-14)
+        assert r.flags == frozenset()
+        r = divergence_discrete(GradingSample((0.0, 5e-324)), GradingSample((0.0, 1.0)))
+        # the value is subnormal: it is right to within one step of 5e-324
+        assert r.value == pytest.approx(-math.log(5e-324) * 5e-324, abs=5e-324)
+        assert r.value > 0.0
 
     def test_ratio_underflows(self):
+        # 1e300 * ln(1e-600)
         f, g = GradingSample((0.0, 1e300)), GradingSample((0.0, 1e-300))
-        with pytest.raises(ComputationError, match="underflowed"):
-            divergence_discrete(f, g)
+        r = divergence_discrete(f, g)
+        assert r.value == pytest.approx(-600.0 * math.log(10.0) * 1e300, rel=1e-14)
 
     def test_relative_entropy_ratio_overflows(self):
+        # 5e-324 * ln(0.5 / 5e-324) + ln 0.5, the first term below an ulp of the second
         f, g = ProbabilityVector((5e-324, 1.0)), ProbabilityVector((0.5, 0.5))
+        r = relative_entropy(f, g)
+        assert r.value == pytest.approx(math.log(0.5), rel=1e-15)
+        assert r.terms_used == 2
+
+    @pytest.mark.parametrize(
+        "f_grades, g_grades",
+        [
+            # one term, 1.7e308 * ln(5.9e-309), beyond double range
+            ((0.0, 1.7e308), (0.0, 1.0)),
+            # every term finite, about -1.7e308 and -0.7e308; the total is not
+            (
+                (0.0, 1e308, 1.7e308),
+                (0.0, 1e308 * math.exp(-1.7), 1e308 * math.exp(-1.7) + 0.7e308 * math.exp(-1.0)),
+            ),
+        ],
+    )
+    def test_value_beyond_double_range_fails(self, f_grades, g_grades):
         with pytest.raises(ComputationError, match="overflowed"):
-            relative_entropy(f, g)
+            divergence_discrete(GradingSample(f_grades), GradingSample(g_grades))
+
+    @given(grading_sample_pairs)
+    def test_two_log_fallback_agrees_with_the_fast_sum(self, pair):
+        from graddiv.discrete import _two_log_sum
+        from graddiv.ordered import increments
+
+        f, g = pair
+        fallback = _two_log_sum(zip(increments(f), increments(g)))
+        assert rel_close(fallback, divergence_discrete(f, g).value, 1e-9)
 
     def test_flagged_divergence_is_not_a_failure(self):
         f, g = ProbabilityVector((5e-324, 1.0)), ProbabilityVector((0.0, 1.0))

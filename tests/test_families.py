@@ -88,8 +88,47 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             PiecewiseLinearCdf(((0.0, 0.0), (math.inf, 1.0)))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a, b: Uniform(a, b),
+            lambda a, b: Triangular(a, 0.5, b),
+            lambda a, b: Beta(2.0, 2.0, a=a, b=b),
+            lambda a, b: TruncatedNormal(0.0, 1.0, a, b),
+            lambda a, b: Power(2.0, a=a, b=b),
+            lambda a, b: PiecewiseLinearCdf(((a, 0.0), (b, 1.0))),
+        ],
+    )
+    def test_support_width_must_be_a_double(self, make):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            make(-1e308, 1e308)
+        make(-1e308, 7e307)  # the widest a double holds stays valid
+
+    def test_piecewise_grade_span_must_be_a_double(self):
+        with pytest.raises(InvalidInputError, match="grade span"):
+            PiecewiseLinearCdf(((0.0, -1e308), (1.0, 1e308)))
+
 
 class TestClosedForms:
+    @pytest.mark.parametrize("c", [1e300, 2e300, 4e300])
+    def test_triangular_on_a_support_near_the_double_range(self, c):
+        # every value matches the same shape on [0, 3] rescaled; a product
+        # of two widths would overflow here
+        wide, unit = Triangular(1e300, c, 4e300), Triangular(0.0, c / 1e300 - 1.0, 3.0)
+        assert wide.image == (0.0, 1.0)
+        for t in (0.1, 0.5, 1.0, 1.7, 2.9):
+            x = 1e300 + t * 1e300
+            assert wide.cdf(x) == pytest.approx(unit.cdf(t), rel=1e-14)
+            assert wide.density(x) * 1e300 == pytest.approx(unit.density(t), rel=1e-14)
+        for u in (0.0, 0.2, 0.5, 0.9, 1.0):
+            assert wide.inverse(u) / 1e300 - 1.0 == pytest.approx(unit.inverse(u), rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_triangular_mode_at_an_end(self, c):
+        T = Triangular(0.0, c, 1.0)
+        assert T.image == (0.0, 1.0)
+        assert T.cdf(0.5) == (0.25 if c == 1.0 else 0.75)
+
     def test_uniform(self):
         u = Uniform(0.0, 1.0)
         assert u.cdf(0.25) == 0.25

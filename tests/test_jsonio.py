@@ -346,6 +346,100 @@ class TestContinuousGradingDocs:
             )
 
 
+_KNOWN = "(known: beta, piecewise_linear_cdf, power, triangular, truncated_normal, uniform)"
+_BETA = {"alpha": 2.0, "beta": 5.0}
+_KNOTS = "piecewise_linear_cdf"
+
+
+def _grading(family, params, support=(0, 1)):
+    return {"family": family, "params": params, "support": list(support)}
+
+
+# Every way a continuous_grading document can be refused, with its message
+# as the family-by-family reader worded it; the messages are part of the
+# CLI output and stay byte for byte.
+_REFUSALS = [
+    ([1, 2], "continuous_grading document must be a JSON object"),
+    ("beta", "continuous_grading document must be a JSON object"),
+    ({"family": "beta", "params": _BETA},
+     "continuous_grading document is missing keys ['support']"),
+    ({"params": {}, "support": [0, 1], "x": 1},
+     "continuous_grading document is missing keys ['family']"),
+    ({**_grading("beta", _BETA), "x": 1}, "continuous_grading document has unknown keys ['x']"),
+    (_grading("gamma", {}), f"unknown family 'gamma' {_KNOWN}"),
+    (_grading(3, {}), f"unknown family 3 {_KNOWN}"),
+    (_grading(None, {}), f"unknown family None {_KNOWN}"),
+    (_grading("beta", _BETA, (0, 1, 2)), "support must be an array [a, b]"),
+    ({**_grading("beta", _BETA), "support": "x"}, "support must be an array of numbers"),
+    (_grading("beta", _BETA, (0, True)), "support[1] must be a number, got True"),
+    (_grading("beta", _BETA, (0, "1")), "support[1] must be a number, got '1'"),
+    (_grading("beta", _BETA, (0, 10**400)), "support[1] is out of float range"),
+    (_grading("uniform", {}, (0, math.inf)), "support endpoints must be finite, got [0.0, inf]"),
+    (_grading("beta", [2, 5]), "beta params document must be a JSON object"),
+    (_grading("uniform", []), "uniform params document must be a JSON object"),
+    (_grading("beta", {"alpha": 2.0}), "beta params document is missing keys ['beta']"),
+    (_grading("beta", {**_BETA, "gamma": 1}), "beta params document has unknown keys ['gamma']"),
+    (_grading("beta", {"alpha": "2", "beta": 5.0}), "params.alpha must be a number, got '2'"),
+    (_grading("beta", {"alpha": 2, "beta": False}), "params.beta must be a number, got False"),
+    (_grading("beta", {"alpha": "x", "beta": "y"}), "params.alpha must be a number, got 'x'"),
+    (_grading("beta", {"alpha": 10**400, "beta": 1}), "params.alpha is out of float range"),
+    (_grading("beta", {"alpha": -1, "beta": 1}),
+     "shape parameters must be positive and finite, got (-1.0, 1.0)"),
+    (_grading("beta", {"alpha": 1, "beta": 1}, (1, 0)), "support must satisfy a < b, got [1.0, 0.0]"),
+    (_grading("beta", {"alpha": -1, "beta": 1}, (1, 0)),
+     "support must satisfy a < b, got [1.0, 0.0]"),
+    (_grading("uniform", {"a": 1}), "uniform params document has unknown keys ['a']"),
+    (_grading("uniform", {}, (0, 0)), "support must satisfy a < b, got [0.0, 0.0]"),
+    (_grading("triangular", {"c": 2}), "mode must satisfy a <= c <= b, got c=2.0"),
+    (_grading("triangular", {"c": 5}, (1, 0)), "support must satisfy a < b, got [1.0, 0.0]"),
+    (_grading("triangular", {"c": None}), "params.c must be a number, got None"),
+    (_grading("triangular", {}), "triangular params document is missing keys ['c']"),
+    (_grading("truncated_normal", {"mu": 0, "sigma": 0}),
+     "need finite mu and sigma > 0, got (0.0, 0.0)"),
+    (_grading("truncated_normal", {"mu": "a", "sigma": "b"}), "params.mu must be a number, got 'a'"),
+    (_grading("truncated_normal", {"mu": 0, "sigma": "s"}), "params.sigma must be a number, got 's'"),
+    (_grading("truncated_normal", {"mu": 0, "sigma": 1}, (60, 61)),
+     "the interval carries no normal mass at this mu/sigma (truncation window too deep in a tail)"),
+    (_grading("truncated_normal", {"sigma": 1}),
+     "truncated_normal params document is missing keys ['mu']"),
+    (_grading("power", {"p": 0}), "exponent must be positive and finite, got 0.0"),
+    (_grading("power", {"p": -1}, (0, 0)), "support must satisfy a < b, got [0.0, 0.0]"),
+    (_grading("power", {"p": [1]}), "params.p must be a number, got [1]"),
+    (_grading("power", {"q": 1}), "power params document is missing keys ['p']"),
+    (_grading(_KNOTS, {"knots": [[0, 0], [1, 1]]}, (0, 2)),
+     "support [0.0, 2.0] disagrees with knot endpoints (0.0, 1.0)"),
+    (_grading(_KNOTS, {"knots": "x"}), "params.knots must be an array of [x, y] pairs"),
+    (_grading(_KNOTS, {"knots": [[0, 0], [1]]}), "params.knots[1] must be a pair [x, y]"),
+    (_grading(_KNOTS, {"knots": [[0, 0], 1]}), "params.knots[1] must be an array of numbers"),
+    (_grading(_KNOTS, {"knots": [[0, 0]]}, (0, 0)), "need at least 2 knots"),
+    (_grading(_KNOTS, {"knots": []}), "need at least 2 knots"),
+    (_grading(_KNOTS, {"knots": [[0, 0], [0, 1]]}, (0, 0)),
+     "knots must be strictly increasing in both coordinates, got (0.0, 0.0) then (0.0, 1.0)"),
+    (_grading(_KNOTS, {"knots": [[0, 0], [1, math.inf]]}), "knots must be finite, got (1.0, inf)"),
+    (_grading(_KNOTS, {}), "piecewise_linear_cdf params document is missing keys ['knots']"),
+    (_grading(_KNOTS, {"knots": [[0, "a"], [1, 1]]}),
+     "params.knots[0][1] must be a number, got 'a'"),
+    # the family-by-family reader raised TypeError on these
+    (_grading(["beta"], {}), f"unknown family ['beta'] {_KNOWN}"),
+    (_grading({"a": 1}, {}), f"unknown family {{'a': 1}} {_KNOWN}"),
+    # a width beyond double range
+    (_grading("triangular", {"c": 0.5}, (-1e308, 1e308)),
+     "support [-1e+308, 1e+308] overflows: its width is not a finite double"),
+    (_grading(_KNOTS, {"knots": [[-1e308, 0], [1e308, 1]]}, (-1e308, 1e308)),
+     "support [-1e+308, 1e+308] overflows: its width is not a finite double"),
+    (_grading(_KNOTS, {"knots": [[0, -1e308], [1, 1e308]]}),
+     "grade span [-1e+308, 1e+308] overflows: its width is not a finite double"),
+]
+
+
+class TestContinuousGradingRefusals:
+    @pytest.mark.parametrize("doc, message", _REFUSALS)
+    def test_message(self, doc, message):
+        with pytest.raises(InvalidInputError) as info:
+            continuous_grading_from_doc(doc)
+        assert str(info.value) == message
+
+
 class TestQuadratureSpecDocs:
     def test_defaults_fill_in(self):
         assert quadrature_spec_from_doc({}) == QuadratureSpec()
@@ -358,6 +452,14 @@ class TestQuadratureSpecDocs:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError):
             quadrature_spec_from_doc({"abs_tol": 1e-9, "nodes": 7})
+        with pytest.raises(InvalidInputError, match=r"unknown keys \['endpoint_margin'\]"):
+            quadrature_spec_from_doc({"endpoint_margin": 0.1})
+
+    def test_first_bad_key_named_in_field_order(self):
+        with pytest.raises(InvalidInputError, match="^abs_tol must be a number"):
+            quadrature_spec_from_doc({"max_depth": 2.5, "rel_tol": "r", "abs_tol": "a"})
+        with pytest.raises(InvalidInputError, match="^rel_tol must be a number"):
+            quadrature_spec_from_doc({"max_depth": 2.5, "rel_tol": "r"})
 
 
 class TestResultDocs:

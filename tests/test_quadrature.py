@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -17,7 +18,7 @@ class TestQuadratureSpec:
         assert spec.abs_tol == 1e-10
         assert spec.rel_tol == 1e-8
         assert spec.max_depth == 60
-        assert spec.endpoint_margin == 0.0
+        assert len(dataclasses.fields(spec)) == 3
 
     def test_rejects_nonpositive_tolerances(self):
         with pytest.raises(InvalidInputError):
@@ -30,13 +31,6 @@ class TestQuadratureSpec:
             QuadratureSpec(max_depth=0)
         with pytest.raises(InvalidInputError):
             QuadratureSpec(max_depth=2.5)
-
-    def test_rejects_margin_outside_half_open_interval(self):
-        with pytest.raises(InvalidInputError):
-            QuadratureSpec(endpoint_margin=0.5)
-        with pytest.raises(InvalidInputError):
-            QuadratureSpec(endpoint_margin=-0.1)
-        QuadratureSpec(endpoint_margin=0.49)
 
 
 class TestIntegrateAdaptive:
@@ -100,11 +94,6 @@ class TestIntegrateAdaptive:
         spec = QuadratureSpec(max_depth=16)
         with pytest.raises(ComputationError):
             integrate_adaptive(lambda x: 1.0 / x, 0.0, 1.0, spec)
-
-    def test_endpoint_margin_shrinks_interval(self):
-        spec = QuadratureSpec(endpoint_margin=0.125)
-        out = integrate_adaptive(lambda x: 1.0, 0.0, 1.0, spec)
-        assert out.value == pytest.approx(0.75, abs=1e-12)
 
     def test_endpoint_samples_stay_interior(self):
         # The integrand is only finite on the open interval; interior
