@@ -5,10 +5,19 @@ increments of two grading samples. Taking F to be a cumulative distribution
 and G the position function k recovers Shannon entropy; taking both to be
 cumulative distributions recovers relative entropy with the sign convention
 sum f ln(g/f), which is nonpositive for probability vectors (Gibbs).
+
+Every sum is a left-to-right ``+=`` over the terms in input order, so a
+result is reproducible bit for bit; the builtin ``sum`` is avoided because
+it compensates from Python 3.12 on. Weights and masses are converted and
+checked in C-level builtin passes; the divergence kernel streams the
+increments of both samples instead of materializing them.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from operator import sub
 
 from .errors import ComputationError, InvalidInputError
 from .ordered import GradingSample, increments
@@ -26,6 +35,8 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-9
 
+_FLOAT_MIN = sys.float_info.min  # the smallest normal double
+
 NEGATIVE_INFINITY = "negative_infinity"
 EMPTY = "empty"
 _KNOWN_FLAGS = frozenset({NEGATIVE_INFINITY, EMPTY})
@@ -39,12 +50,11 @@ class ProbabilityVector:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+        w = tuple(map(float, self.weights))
         if not w:
             raise InvalidInputError("a probability vector cannot be empty")
-        for x in w:
-            if not math.isfinite(x) or x < 0:
-                raise InvalidInputError(f"weights must be finite and >= 0, got {x!r}")
+        if not (all(map(math.isfinite, w)) and min(w) >= 0):
+            _reject_nonnegative(w, "weights")
         try:
             total = math.fsum(w)
         except OverflowError:  # a partial sum left double range
@@ -57,6 +67,13 @@ class ProbabilityVector:
 
     def __len__(self) -> int:
         return len(self.weights)
+
+
+def _reject_nonnegative(values: tuple[float, ...], name: str) -> None:
+    """Raise for the first value that is not finite or is negative."""
+    for x in values:
+        if not math.isfinite(x) or x < 0:
+            raise InvalidInputError(f"{name} must be finite and >= 0, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +140,8 @@ def _two_log_sum(pairs) -> float:
 
     Accurate wherever each term is a double, even where the ratio g / f
     is not; it costs a second log per term, so the kernels call it only
-    after a ratio has left double range.
+    after a ratio has overflowed or fallen below the smallest normal
+    double, where it keeps too few bits for its log.
     """
     total = 0.0
     for fk, gk in pairs:
@@ -142,15 +160,20 @@ def divergence_discrete(f: GradingSample, g: GradingSample) -> DivergenceResult:
         raise InvalidInputError(
             f"samples live on different ordered sets: {len(f)} vs {len(g)} grades"
         )
-    dfs, dgs = increments(f), increments(g)
+    # the increments of both samples, streamed: no per-term list is built
+    fg, gg = f.grades, g.grades
+    dfs = map(sub, islice(fg, 1, None), fg)
+    dgs = map(sub, islice(gg, 1, None), gg)
+    log = math.log
     total = 0.0
-    try:
-        for df, dg in zip(dfs, dgs):
-            total += math.log(dg / df) * df
-    except ValueError:  # log(0): dg / df underflowed
-        total = math.nan
+    for df, dg in zip(dfs, dgs):
+        ratio = dg / df
+        if ratio < _FLOAT_MIN:  # zero or subnormal: the two-log sum takes over
+            total = math.nan
+            break
+        total += log(ratio) * df
     if not math.isfinite(total):
-        total = _two_log_sum(zip(dfs, dgs))
+        total = _two_log_sum(zip(increments(f), increments(g)))
     return _result(total, terms=len(f) - 1, dropped=0.0, neg_inf=False)
 
 
@@ -165,6 +188,7 @@ def relative_entropy(f: ProbabilityVector, g: ProbabilityVector) -> DivergenceRe
         raise InvalidInputError(
             f"vectors have different lengths: {len(f)} vs {len(g)}"
         )
+    log = math.log
     total = 0.0
     terms = 0
     dropped = 0.0
@@ -176,7 +200,11 @@ def relative_entropy(f: ProbabilityVector, g: ProbabilityVector) -> DivergenceRe
             neg_inf = True
             dropped += fk
             continue
-        total += fk * math.log(gk / fk)
+        ratio = gk / fk
+        if ratio < _FLOAT_MIN:  # subnormal: the two-log sum takes over
+            total = math.nan
+        else:
+            total += fk * log(ratio)
         terms += 1
     if not math.isfinite(total):
         total = _two_log_sum(
@@ -191,12 +219,13 @@ def shannon_entropy(f: ProbabilityVector) -> DivergenceResult:
     Equals the divergence of the running-sum grading of f from the position
     function, which is what makes it a special case of divergence_discrete.
     """
+    log = math.log
     total = 0.0
     terms = 0
     for fk in f.weights:
         if fk == 0.0:
             continue
-        total -= fk * math.log(fk)
+        total -= fk * log(fk)
         terms += 1
     return _result(total, terms, dropped=0.0, neg_inf=False)
 
@@ -207,16 +236,16 @@ def partition_entropy(masses) -> DivergenceResult:
     No normalization is required: masses above 1 contribute negative terms,
     so the total may be negative for non-normalized measures.
     """
-    ms = [float(m) for m in masses]
-    for m in ms:
-        if not math.isfinite(m) or m < 0:
-            raise InvalidInputError(f"masses must be finite and >= 0, got {m!r}")
+    ms = tuple(map(float, masses))
+    if not (all(map(math.isfinite, ms)) and min(ms, default=0.0) >= 0):
+        _reject_nonnegative(ms, "masses")
+    log = math.log
     total = 0.0
     terms = 0
     for m in ms:
         if m == 0.0:
             continue
-        total -= m * math.log(m)
+        total -= m * log(m)
         terms += 1
     return _result(total, terms, dropped=0.0, neg_inf=False, empty=not ms)
 
@@ -226,16 +255,11 @@ def cdf_grading(f: ProbabilityVector) -> GradingSample:
 
     Requires strictly positive weights, otherwise consecutive grades tie.
     """
-    grades = [0.0]
-    acc = 0.0
-    for fk in f.weights:
-        acc += fk
-        grades.append(acc)
-    return GradingSample(tuple(grades))
+    return GradingSample(tuple(accumulate(f.weights, initial=0.0)))
 
 
 def position_grading(n: int) -> GradingSample:
     """The position function 0, 1, ..., n on an enumerated set."""
     if n < 1:
         raise InvalidInputError(f"need at least one element, got n={n}")
-    return GradingSample(tuple(float(k) for k in range(n + 1)))
+    return GradingSample(tuple(map(float, range(n + 1))))

@@ -5,6 +5,10 @@ repr-faithful precision via format(x, ".17g"), negative infinity encoded
 as the string "-inf" (it only ever appears in result values). Two runs on
 the same inputs must produce byte-identical result documents, so nothing
 locale- or hash-order-dependent is allowed here.
+
+An array whose elements are all finite exact floats, such as a 1e5-element
+grade list, is rendered by one %-format call; any other array is written
+element by element.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import islice
+from itertools import islice, repeat
+from operator import add
 from typing import TYPE_CHECKING, Any
 
 from .discrete import DivergenceResult, ProbabilityVector
@@ -62,6 +67,9 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+_FLOAT_TYPE = frozenset({float})
+
+
 def canonical_dumps(obj: Any) -> str:
     """Serialize to the canonical byte form described in the module docstring."""
     out: list[str] = []
@@ -94,6 +102,15 @@ def _write(obj: Any, out: list[str]) -> None:
             _write(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
+        if _FLOAT_TYPE.issuperset(map(type, obj)):
+            # "%.17g" is format(x, ".17g"), and + 0.0 turns -0.0 into 0.0
+            # as _format_float does. It spells inf and nan with an "n",
+            # which no finite rendering holds; those fall through to the
+            # element loop, which names the first of them.
+            body = ("%.17g," * len(obj))[:-1] % tuple(map(add, obj, repeat(0.0)))
+            if "n" not in body:
+                out += ("[", body, "]")
+                return
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -195,7 +212,7 @@ def _integer(value: Any, where: str) -> int:
 
 def grading_sample_from_doc(doc: dict) -> GradingSample:
     _require_keys(doc, frozenset({"grades"}), frozenset({"labels"}), "grading_sample")
-    grades = tuple(_number_list(doc["grades"], "grades"))
+    grades = _number_list(doc["grades"], "grades")
     labels = None
     if "labels" in doc:
         raw = doc["labels"]
@@ -214,7 +231,7 @@ def grading_sample_to_doc(sample: GradingSample) -> dict:
 
 def weights_from_doc(doc: dict) -> ProbabilityVector:
     _require_keys(doc, frozenset({"weights"}), schema="weights")
-    return ProbabilityVector(tuple(_number_list(doc["weights"], "weights")))
+    return ProbabilityVector(_number_list(doc["weights"], "weights"))
 
 
 def weights_to_doc(vector: ProbabilityVector) -> dict:

@@ -5,10 +5,17 @@ of a linearly ordered set, so its values alone can reconstruct the order.
 This module holds the finite sampled form of such a function, its forward
 increments, and the log-ratio rate function that drives every divergence
 formula in the package.
+
+Construction converts and checks a sample in C-level builtin passes
+(``map``, ``all``) rather than a Python loop per grade; only a sample that
+fails a check is walked again, element by element, to name its first
+offender.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt, sub
 
 from .errors import InvalidInputError
 
@@ -28,26 +35,16 @@ class GradingSample:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        grades = tuple(float(g) for g in self.grades)
+        grades = tuple(map(float, self.grades))
         if len(grades) < 2:
             raise InvalidInputError(
                 f"a grading sample needs at least 2 grades, got {len(grades)}"
             )
-        for g in grades:
-            if not math.isfinite(g):
-                raise InvalidInputError(f"grades must be finite, got {g!r}")
-        for k in range(1, len(grades)):
-            if grades[k] <= grades[k - 1]:
-                raise InvalidInputError(
-                    "grades must be strictly increasing: "
-                    f"grades[{k}]={grades[k]!r} <= grades[{k - 1}]={grades[k - 1]!r}"
-                )
-        # every increment is at most the span, so one check keeps them finite
-        if not math.isfinite(grades[-1] - grades[0]):
-            raise InvalidInputError(
-                f"grade span [{grades[0]!r}, {grades[-1]!r}] overflows: its width "
-                "is not a finite double"
-            )
+        # A NaN fails every comparison, and between finite end grades every
+        # grade is finite, so one pass and one span check validate it all.
+        if not (all(map(lt, grades, islice(grades, 1, None)))
+                and math.isfinite(grades[-1] - grades[0])):
+            _reject_grades(grades)
         labels = self.labels
         if labels is not None:
             labels = tuple(str(s) for s in labels)
@@ -60,6 +57,24 @@ class GradingSample:
 
     def __len__(self) -> int:
         return len(self.grades)
+
+
+def _reject_grades(grades: tuple[float, ...]) -> None:
+    """Raise for the first fault of grades that failed the one-pass check."""
+    for g in grades:
+        if not math.isfinite(g):
+            raise InvalidInputError(f"grades must be finite, got {g!r}")
+    for k in range(1, len(grades)):
+        if grades[k] <= grades[k - 1]:
+            raise InvalidInputError(
+                "grades must be strictly increasing: "
+                f"grades[{k}]={grades[k]!r} <= grades[{k - 1}]={grades[k - 1]!r}"
+            )
+    # every increment is at most the span, so one check keeps them finite
+    raise InvalidInputError(
+        f"grade span [{grades[0]!r}, {grades[-1]!r}] overflows: its width "
+        "is not a finite double"
+    )
 
 
 @dataclass(frozen=True)
@@ -86,7 +101,7 @@ class IncrementPair:
 def increments(sample: GradingSample) -> list[float]:
     """Forward differences grades[k] - grades[k-1], all strictly positive."""
     g = sample.grades
-    return [g[k] - g[k - 1] for k in range(1, len(g))]
+    return list(map(sub, islice(g, 1, None), g))
 
 
 def rate_h(pair: IncrementPair) -> float:

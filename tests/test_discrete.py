@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -70,6 +71,41 @@ class TestProbabilityVector:
     def test_sum_beyond_float_range_rejected(self):
         with pytest.raises(InvalidInputError, match="sum to 1"):
             ProbabilityVector((1e308, 1e308))
+
+
+_NAN, _INF = math.nan, math.inf
+
+# (values, the value named) for weights and masses alike: NaN, inf and a
+# negative value, each found first in either order.
+_NONNEGATIVE_FAULTS = [
+    ((_NAN, -1.0, 2.0), "nan"),
+    ((-1.0, _NAN, 2.0), "-1.0"),
+    ((_INF, -0.5), "inf"),
+    ((-0.5, _INF), "-0.5"),
+    ((0.5, -_INF, 1.5), "-inf"),
+    ((-_INF, _NAN), "-inf"),
+    ((0.5, 0.5, _NAN), "nan"),
+    ((1.5, -0.5), "-0.5"),
+    ((0.5, 0.5, -1e-300), "-1e-300"),
+]
+
+
+class TestFirstFaultNamed:
+    @pytest.mark.parametrize("values, named", _NONNEGATIVE_FAULTS)
+    def test_weights(self, values, named):
+        with pytest.raises(InvalidInputError) as err:
+            ProbabilityVector(values)
+        assert str(err.value) == f"weights must be finite and >= 0, got {named}"
+
+    @pytest.mark.parametrize("values, named", _NONNEGATIVE_FAULTS)
+    def test_masses(self, values, named):
+        with pytest.raises(InvalidInputError) as err:
+            partition_entropy(values)
+        assert str(err.value) == f"masses must be finite and >= 0, got {named}"
+
+    def test_negative_zero_is_a_nonnegative_value(self):
+        assert ProbabilityVector((-0.0, 1.0)).weights == (0.0, 1.0)
+        assert partition_entropy((-0.0, 1.0)).terms_used == 1
 
 
 class TestDivergenceResult:
@@ -188,6 +224,20 @@ class TestDivergenceDiscrete:
             GradingSample(f.grades[cut:]), GradingSample(g.grades[cut:])
         ).value
         assert close_sum(whole, [left, right])
+
+    def test_streams_its_increments(self):
+        # Two 1e5-grade samples: lists of both increment sequences would
+        # take about 6 MB; the kernel keeps only a few floats alive.
+        n = 100_000
+        f = position_grading(n - 1)
+        g = GradingSample(tuple(1.5 * k + 0.25 * (k % 2) for k in range(n)))
+        tracemalloc.start()
+        try:
+            divergence_discrete(f, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestRelativeEntropy:
@@ -366,6 +416,21 @@ class TestOverflow:
         f, g = pair
         fallback = _two_log_sum(zip(increments(f), increments(g)))
         assert rel_close(fallback, divergence_discrete(f, g).value, 1e-9)
+
+    def test_subnormal_ratio_takes_the_two_log_sum(self):
+        # dg / df = 3.3e-323 keeps a few bits; the logs taken apart do not lose them
+        r = divergence_discrete(GradingSample((0.0, 3e22)), GradingSample((0.0, 1e-300)))
+        assert r.value == -2.2275930366982522e25
+        assert r.value == (math.log(1e-300) - math.log(3e22)) * 3e22
+
+    def test_relative_entropy_subnormal_ratio_takes_the_two_log_sum(self):
+        f, g = ProbabilityVector((0.7, 0.3)), ProbabilityVector((3e-323, 1.0))
+        r = relative_entropy(f, g)
+        assert r.value == -519.2429544144522
+        assert r.value == (
+            (math.log(3e-323) - math.log(0.7)) * 0.7 + (math.log(1.0) - math.log(0.3)) * 0.3
+        )
+        assert r.terms_used == 2
 
     def test_flagged_divergence_is_not_a_failure(self):
         f, g = ProbabilityVector((5e-324, 1.0)), ProbabilityVector((0.0, 1.0))

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 import sys
 
 import numpy as np
@@ -84,6 +86,91 @@ class TestCanonicalDumps:
     def test_deterministic_bytes(self):
         doc = {"z": [1.5, 2], "a": {"y": 0.25, "x": "s"}}
         assert canonical_dumps(doc) == canonical_dumps(doc)
+
+
+def _reference_dumps(obj) -> str:
+    """Canonical form written one element at a time, for the cases below."""
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise InvalidInputError(
+                f"non-finite number {obj!r} cannot be serialized as a JSON float"
+            )
+        return format(obj if obj else 0.0, ".17g")
+    if isinstance(obj, dict):
+        return "{" + ",".join(
+            f"{json.dumps(k)}:{_reference_dumps(obj[k])}" for k in sorted(obj)
+        ) + "}"
+    return "[" + ",".join(map(_reference_dumps, obj)) + "]"
+
+
+class _Float(float):
+    pass
+
+
+# Every finite double is equally likely to be drawn by its bit pattern, so
+# subnormals and huge exponents appear; the edges are added by name.
+_bit_floats = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+).filter(math.isfinite)
+_edge_floats = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.min,
+     1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, -2.0]
+)
+_finite_floats = st.one_of(_bit_floats, _edge_floats)
+_float_lists = st.lists(_finite_floats, max_size=40)
+
+
+class TestCanonicalArrays:
+    """Arrays of exact floats take a one-call path; everything else is
+    written element by element. Both must give the reference bytes."""
+
+    @given(_float_lists)
+    def test_float_lists_match_the_reference(self, values):
+        assert canonical_dumps(values) == _reference_dumps(values)
+        assert canonical_dumps(tuple(values)) == _reference_dumps(values)
+        assert canonical_dumps({"grades": values}) == _reference_dumps({"grades": values})
+
+    @given(st.lists(st.one_of(
+        _finite_floats,
+        st.integers(-10**30, 10**30),
+        st.booleans(),
+        _finite_floats.map(_Float),
+        _float_lists,
+    ), max_size=20))
+    def test_mixed_lists_match_the_reference(self, values):
+        assert canonical_dumps(values) == _reference_dumps(values)
+
+    @given(_float_lists, _float_lists, st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_first_non_finite_element_is_named(self, head, tail, bad):
+        values = head + [bad] + tail + [math.nan]
+        with pytest.raises(InvalidInputError) as err:
+            canonical_dumps(values)
+        assert str(err.value) == (
+            f"non-finite number {bad!r} cannot be serialized as a JSON float"
+        )
+
+    def test_non_finite_messages(self):
+        for values, message in [
+            ([1.0, math.inf, math.nan], "non-finite number inf cannot be serialized as a JSON float"),
+            ((math.nan,), "non-finite number nan cannot be serialized as a JSON float"),
+            ([0.5, -math.inf], "non-finite number -inf cannot be serialized as a JSON float"),
+        ]:
+            with pytest.raises(InvalidInputError) as err:
+                canonical_dumps(values)
+            assert str(err.value) == message
+
+    def test_extremes_and_signed_zero(self):
+        assert canonical_dumps([-0.0, 5e-324, 1.7976931348623157e308, -1.0]) == (
+            "[0,4.9406564584124654e-324,1.7976931348623157e+308,-1]"
+        )
+        assert canonical_dumps([]) == "[]"
+        assert canonical_dumps(()) == "[]"
 
 
 class TestLoadJson:

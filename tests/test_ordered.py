@@ -38,6 +38,35 @@ class TestGradingSample:
         with pytest.raises(InvalidInputError):
             GradingSample((math.nan, 1.0))
 
+    @pytest.mark.parametrize(
+        "grades, message",
+        [
+            ((0.0,), "a grading sample needs at least 2 grades, got 1"),
+            ((), "a grading sample needs at least 2 grades, got 0"),
+            # a non-finite grade is named before an earlier non-increasing pair
+            ((0.0, math.nan, -1.0), "grades must be finite, got nan"),
+            ((1.0, 0.0, math.inf), "grades must be finite, got inf"),
+            ((0.0, 1.0, 0.5, math.inf), "grades must be finite, got inf"),
+            ((1.0, 1.0, math.nan), "grades must be finite, got nan"),
+            ((math.nan, 1.0), "grades must be finite, got nan"),
+            ((0.0, 1.0, math.nan), "grades must be finite, got nan"),
+            ((-math.inf, 0.0), "grades must be finite, got -inf"),
+            ((0.0, math.inf), "grades must be finite, got inf"),
+            ((0.0, 1.0, 1.0), "grades must be strictly increasing: grades[2]=1.0 <= grades[1]=1.0"),
+            ((0.0, 2.0, 1.0, 3.0),
+             "grades must be strictly increasing: grades[2]=1.0 <= grades[1]=2.0"),
+            ((2.0, 1.0), "grades must be strictly increasing: grades[1]=1.0 <= grades[0]=2.0"),
+            ((-0.0, 0.0), "grades must be strictly increasing: grades[1]=0.0 <= grades[0]=-0.0"),
+            ((0.0, -0.0), "grades must be strictly increasing: grades[1]=-0.0 <= grades[0]=0.0"),
+            ((-1e308, 1e308),
+             "grade span [-1e+308, 1e+308] overflows: its width is not a finite double"),
+        ],
+    )
+    def test_first_fault_is_named(self, grades, message):
+        with pytest.raises(InvalidInputError) as err:
+            GradingSample(grades)
+        assert str(err.value) == message
+
     def test_label_count_mismatch(self):
         with pytest.raises(InvalidInputError):
             GradingSample((0.0, 1.0), labels=("a",))
