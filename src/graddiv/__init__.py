@@ -51,7 +51,6 @@ _EXPORTS = {
         "Power",
         "PiecewiseLinearCdf",
         "invert_cdf",
-        "bracketed_inverse",
     ),
     "quadrature": ("QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"),
     "continuous": (

@@ -36,7 +36,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .discrete import DivergenceResult
-from .errors import InvalidInputError
+from .errors import ComputationError, InvalidInputError
+from .ordered import as_floats
 
 __all__ = [
     "Capacity",
@@ -65,7 +66,7 @@ class Capacity:
         n = int(self.ground_size)
         if n < 1:
             raise InvalidInputError(f"ground_size must be >= 1, got {n}")
-        vals = tuple(map(float, self.values))
+        vals = as_floats(self.values, "values")
         if len(vals) != 2**n:
             raise InvalidInputError(
                 f"need {2**n} subset values for ground_size {n}, got {len(vals)}"
@@ -97,7 +98,7 @@ class Capacity:
     @classmethod
     def additive(cls, masses) -> "Capacity":
         """The additive capacity whose subset values are sums of masses."""
-        ms = [float(m) for m in masses]
+        ms = as_floats(masses, "masses")
         n = len(ms)
         if n < 1:
             raise InvalidInputError("need at least one mass")
@@ -163,16 +164,29 @@ def _edge_terms(inc: np.ndarray) -> np.ndarray:
     """-d ln d for each chain increment d, zero increments contributing 0.
 
     The one place edge terms are computed, so the lattice search, its
-    witness walk and the chain evaluator see identical bits.
+    witness walk and the chain evaluator see identical bits. A term beyond
+    double range is -inf; both callers run under np.errstate(over="ignore")
+    (entered once per search, not once per call) and refuse such a value.
     """
     positive = inc > 0.0
     safe = np.where(positive, inc, 1.0)
     return np.where(positive, -safe * np.log(safe), 0.0)
 
 
+def _beyond_range(value: float) -> ComputationError:
+    return ComputationError(
+        f"the chain entropy is {value!r}: a term or the running total "
+        "overflowed double precision"
+    )
+
+
+@np.errstate(over="ignore")
 def _chain_value(values: Sequence[float], order: Sequence[int]) -> tuple[float, int]:
     """The chain's entropy, folded left to right from 0.0, and its number
-    of positive increments: the evaluator shared by every reported value."""
+    of positive increments: the evaluator shared by every reported value.
+
+    Raises ComputationError when the fold is not finite.
+    """
     mu = []
     mask = 0
     for e in order:
@@ -182,6 +196,8 @@ def _chain_value(values: Sequence[float], order: Sequence[int]) -> tuple[float, 
     value = 0.0
     for term in _edge_terms(inc).tolist():
         value += term
+    if not math.isfinite(value):
+        raise _beyond_range(value)
     return value, int(np.count_nonzero(inc > 0.0))
 
 
@@ -298,6 +314,7 @@ def _bisect_prefix(term: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return _key_floats(lo)
 
 
+@np.errstate(over="ignore")
 def _exhaustive(mu: Capacity) -> CapacityEntropyReport:
     n = mu.ground_size
     vals = np.asarray(mu.values)
@@ -312,6 +329,9 @@ def _exhaustive(mu: Capacity) -> CapacityEntropyReport:
         came = into ^ _cover_bits(layers[k], 0, k)
         cand = best[came] + _edge_terms(vals[into] - vals[came])
         best[layers[k]] = cand.min(axis=1)
+    # the evaluator would refuse the minimizing chain's fold
+    if not math.isfinite(best[full]):
+        raise _beyond_range(float(best[full]))
 
     # Backward, overwriting best: theta[S] is the largest prefix value at S
     # from which some completion still folds to <= the minimum.

@@ -17,10 +17,10 @@ same code path.
 
 import math
 
-from .discrete import NEGATIVE_INFINITY, DivergenceResult
+from .discrete import NEGATIVE_INFINITY, DivergenceResult, _result
 from .errors import ComputationError, InvalidInputError
 from .families import ContinuousGrading, Uniform, invert_cdf
-from .quadrature import QuadratureOutcome, QuadratureSpec, integrate_adaptive
+from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = [
     "divergence_continuous",
@@ -45,20 +45,6 @@ def _merged_breakpoints(F: ContinuousGrading, G: ContinuousGrading) -> tuple[flo
 
 def _out_of_range(detail: str) -> ComputationError:
     return ComputationError(f"the integrand left double range: {detail}")
-
-
-def _to_result(outcome: QuadratureOutcome) -> DivergenceResult:
-    if outcome.negative_infinity:
-        return DivergenceResult(
-            value=-math.inf,
-            terms_used=outcome.panels,
-            flags=frozenset({NEGATIVE_INFINITY}),
-        )
-    return DivergenceResult(
-        value=outcome.value,
-        terms_used=outcome.panels,
-        error_estimate=outcome.error_estimate,
-    )
 
 
 def divergence_continuous(
@@ -99,7 +85,8 @@ def divergence_continuous(
     )
     if outcome.negative_infinity and not vanishes:
         raise _out_of_range("a term f ln(g / f) overflowed to -inf")
-    return _to_result(outcome)
+    return _result(outcome.value, outcome.panels, 0.0, outcome.negative_infinity,
+                   error_estimate=outcome.error_estimate)
 
 
 def riemann_divergence(F: ContinuousGrading, G: ContinuousGrading, n_points: int) -> float:
@@ -155,15 +142,19 @@ def symmetric_divergence(
     G: ContinuousGrading,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> DivergenceResult:
-    """Sum of the divergence in both directions; -inf if either side is."""
+    """Sum of the divergence in both directions; -inf if either side is.
+
+    Raises ComputationError when both sides are finite but their sum
+    leaves double range.
+    """
     d_fg = divergence_continuous(F, G, spec)
     d_gf = divergence_continuous(G, F, spec)
-    return DivergenceResult(
-        value=d_fg.value + d_gf.value,
-        terms_used=d_fg.terms_used + d_gf.terms_used,
-        dropped_mass=d_fg.dropped_mass + d_gf.dropped_mass,
+    return _result(
+        d_fg.value + d_gf.value,
+        d_fg.terms_used + d_gf.terms_used,
+        d_fg.dropped_mass + d_gf.dropped_mass,
+        NEGATIVE_INFINITY in d_fg.flags | d_gf.flags,
         error_estimate=d_fg.error_estimate + d_gf.error_estimate,
-        flags=d_fg.flags | d_gf.flags,
     )
 
 
@@ -188,4 +179,5 @@ def classical_entropy(
     # -f ln f is -inf only where f is infinite or the term overflowed
     if outcome.negative_infinity:
         raise _out_of_range("a term -f ln f overflowed to -inf")
-    return _to_result(outcome)
+    return _result(outcome.value, outcome.panels, 0.0, False,
+                   error_estimate=outcome.error_estimate)

@@ -8,9 +8,11 @@ sum f ln(g/f), which is nonpositive for probability vectors (Gibbs).
 
 Every sum is a left-to-right ``+=`` over the terms in input order, so a
 result is reproducible bit for bit; the builtin ``sum`` is avoided because
-it compensates from Python 3.12 on. Weights and masses are converted and
-checked in C-level builtin passes; the divergence kernel streams the
-increments of both samples instead of materializing them.
+it compensates from Python 3.12 on. Weights and masses are converted by
+``ordered.as_floats`` and checked in C-level builtin passes; the
+divergence kernel streams the increments of both samples instead of
+materializing them. Every result of this module and of ``continuous`` is
+built by ``_result``, which refuses a value that left double range.
 """
 
 import math
@@ -20,7 +22,7 @@ from itertools import accumulate, islice
 from operator import sub
 
 from .errors import ComputationError, InvalidInputError
-from .ordered import GradingSample, increments
+from .ordered import GradingSample, as_floats, increments
 
 __all__ = [
     "ProbabilityVector",
@@ -50,7 +52,7 @@ class ProbabilityVector:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        w = tuple(map(float, self.weights))
+        w = as_floats(self.weights, "weights")
         if not w:
             raise InvalidInputError("a probability vector cannot be empty")
         if not (all(map(math.isfinite, w)) and min(w) >= 0):
@@ -114,7 +116,7 @@ class DivergenceResult:
 
 
 def _result(value: float, terms: int, dropped: float, neg_inf: bool,
-            empty: bool = False) -> DivergenceResult:
+            empty: bool = False, error_estimate: float = 0.0) -> DivergenceResult:
     flags = set()
     if neg_inf:
         flags.add(NEGATIVE_INFINITY)
@@ -131,6 +133,7 @@ def _result(value: float, terms: int, dropped: float, neg_inf: bool,
         value=value + 0.0,
         terms_used=terms,
         dropped_mass=dropped,
+        error_estimate=error_estimate,
         flags=frozenset(flags),
     )
 
@@ -236,7 +239,7 @@ def partition_entropy(masses) -> DivergenceResult:
     No normalization is required: masses above 1 contribute negative terms,
     so the total may be negative for non-normalized measures.
     """
-    ms = tuple(map(float, masses))
+    ms = as_floats(masses, "masses")
     if not (all(map(math.isfinite, ms)) and min(ms, default=0.0) >= 0):
         _reject_nonnegative(ms, "masses")
     log = math.log

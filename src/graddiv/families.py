@@ -3,9 +3,9 @@
 Each family bundles a strictly increasing cdf with its density on a closed
 interval [a, b]. The catalog is deliberately closed (arbitrary user code is
 not a safe CLI input); piecewise_linear_cdf is the extensibility escape
-hatch. Families admitting a closed-form quantile use it; the generic
-fallback is a bracketed bisection/secant hybrid driven to a residual
-tolerance, which monotonicity of the cdf guarantees to converge.
+hatch. Every family defines its quantile in closed form (through
+scipy.special for Beta and TruncatedNormal), so there is no generic
+root-finding fallback: a new family must supply ``inverse`` itself.
 """
 
 import abc
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar
 
-from .errors import ComputationError, InvalidInputError
+from .errors import InvalidInputError
 
 __all__ = [
     "ContinuousGrading",
@@ -28,16 +28,11 @@ __all__ = [
     "Power",
     "PiecewiseLinearCdf",
     "FAMILIES",
-    "bracketed_inverse",
     "invert_cdf",
     "PROBABILITY_TOL",
-    "INVERSE_RESIDUAL_TOL",
 ]
 
 PROBABILITY_TOL = 1e-12
-
-# Residual target for cdf inversion, relative to the grade span.
-INVERSE_RESIDUAL_TOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -102,54 +97,6 @@ def _check_interval(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
-def bracketed_inverse(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float,
-    residual_tol: float,
-    max_iter: int = 200,
-) -> float:
-    """Solve fn(x) = target for increasing fn on [lo, hi].
-
-    Alternates secant proposals with bisection so the bracket provably
-    shrinks, and stops on the residual |fn(x) - target| rather than on x,
-    which is the tolerance the cdf-inversion contract is stated in.
-    """
-    flo = fn(lo) - target
-    fhi = fn(hi) - target
-    if flo > 0.0 or fhi < 0.0:
-        raise ComputationError(
-            f"target {target!r} is not bracketed by [{lo!r}, {hi!r}]"
-        )
-    if abs(flo) <= residual_tol:
-        return lo
-    if abs(fhi) <= residual_tol:
-        return hi
-    for step in range(max_iter):
-        x = None
-        if step % 2 == 0 and fhi > flo:
-            x = lo - flo * (hi - lo) / (fhi - flo)  # secant through the bracket
-        if x is None or not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        if not lo < x < hi:
-            # bracket narrowed to adjacent floats without meeting the
-            # residual: the function jumps across the target
-            raise ComputationError(
-                f"bracket exhausted at x={lo!r} with residual {flo!r}"
-            )
-        fx = fn(x) - target
-        if abs(fx) <= residual_tol:
-            return x
-        if fx < 0.0:
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-    raise ComputationError(
-        f"no solution to residual {residual_tol!r} within {max_iter} iterations"
-    )
-
-
 class ContinuousGrading(abc.ABC):
     """A cdf/density pair acting as a grading function on [a, b].
 
@@ -195,12 +142,9 @@ class ContinuousGrading(abc.ABC):
         """Interior points where the density is not smooth."""
         return ()
 
+    @abc.abstractmethod
     def inverse(self, u: float) -> float:
-        """Quantile at grade u; overridden wherever a closed form exists."""
-        a, b = self.support
-        return bracketed_inverse(
-            self.cdf, a, b, u, residual_tol=INVERSE_RESIDUAL_TOL * self.grade_span
-        )
+        """Quantile at grade u, in closed form."""
 
 
 def invert_cdf(F: ContinuousGrading, u: float) -> float:

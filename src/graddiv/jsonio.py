@@ -9,6 +9,11 @@ locale- or hash-order-dependent is allowed here.
 An array whose elements are all finite exact floats, such as a 1e5-element
 grade list, is rendered by one %-format call; any other array is written
 element by element.
+
+Reading judges numbers by ``ordered.as_float`` and ``ordered.as_floats``,
+the rule the constructors apply, and converts each element once: the
+grades and weights readers hand the decoded list to the constructor,
+which converts it; the other readers convert their arrays themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import TYPE_CHECKING, Any
 
 from .discrete import DivergenceResult, ProbabilityVector
 from .errors import InvalidInputError
-from .ordered import GradingSample
+from .ordered import GradingSample, as_float, as_floats
 
 # capacity (numpy), families and quadrature are imported by the readers
 # that build their objects, so parsing a discrete document loads none of
@@ -172,33 +177,16 @@ def _require_keys(
         raise InvalidInputError(f"{schema} document has unknown keys {extra}")
 
 
-def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidInputError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidInputError(f"{where} is out of float range") from None
-
-
-_PLAIN_NUMBER_TYPES = frozenset({int, float})
-
-
-def _number_list(value: Any, where: str) -> list[float]:
+def _number_list(value: Any, where: str) -> list:
+    """The decoded array itself; its elements are judged where they are
+    converted, by ``as_floats``."""
     if not isinstance(value, list):
         raise InvalidInputError(f"{where} must be an array of numbers")
-    # One pass over the element types. Only an element of another type (a
-    # bool, a non-number, or an accepted subclass of int or float) goes
-    # through _number, which raises on the first that is not a number.
-    if not _PLAIN_NUMBER_TYPES.issuperset(map(type, value)):
-        for i, v in enumerate(value):
-            if type(v) not in _PLAIN_NUMBER_TYPES:
-                _number(v, f"{where}[{i}]")
-    try:
-        return list(map(float, value))
-    except OverflowError:
-        # an integer beyond float range: convert one by one to name it
-        return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+def _floats(value: Any, where: str) -> tuple[float, ...]:
+    return as_floats(_number_list(value, where), where)
 
 
 def _integer(value: Any, where: str) -> int:
@@ -217,6 +205,7 @@ def grading_sample_from_doc(doc: dict) -> GradingSample:
     if "labels" in doc:
         raw = doc["labels"]
         if not isinstance(raw, list) or any(not isinstance(s, str) for s in raw):
+            as_floats(grades, "grades")  # a grade that is no number is named first
             raise InvalidInputError("labels must be an array of strings")
         labels = tuple(raw)
     return GradingSample(grades=grades, labels=labels)
@@ -240,7 +229,7 @@ def weights_to_doc(vector: ProbabilityVector) -> dict:
 
 def masses_from_doc(doc: dict) -> tuple[float, ...]:
     _require_keys(doc, frozenset({"masses"}), schema="masses")
-    return tuple(_number_list(doc["masses"], "masses"))
+    return _floats(doc["masses"], "masses")
 
 
 def masses_to_doc(masses: tuple[float, ...]) -> dict:
@@ -298,6 +287,8 @@ def _mask_key(mask: int) -> str:
     return ",".join(elements)
 
 
+_PLAIN_NUMBER_TYPES = frozenset({int, float})
+
 # No container holds 2^63 entries (len is at most sys.maxsize), so from
 # this ground size on a document always misses subsets.
 _UNHOLDABLE_GROUND_SIZE = sys.maxsize.bit_length()
@@ -333,7 +324,7 @@ def capacity_from_doc(doc: dict) -> Capacity:
         for key, value in raw.items():
             if key not in known:
                 _subset_mask(key, n)
-            _number(value, f"values[{key!r}]")
+            as_float(value, f"values[{key!r}]")
         missing = size - len(raw)
         if missing:
             absent = (key or '""' for key in map(_mask_key, range(size)) if key not in raw)
@@ -344,7 +335,7 @@ def capacity_from_doc(doc: dict) -> Capacity:
     try:
         values = tuple(map(float, ordered))
     except OverflowError:
-        values = tuple(_number(v, f"values[{key!r}]") for key, v in zip(keys, ordered))
+        values = tuple(as_float(v, f"values[{key!r}]") for key, v in zip(keys, ordered))
     return Capacity(ground_size=n, values=values)
 
 
@@ -366,27 +357,27 @@ def continuous_grading_from_doc(doc: dict) -> ContinuousGrading:
     if cls is None:
         known = ", ".join(sorted(FAMILIES))
         raise InvalidInputError(f"unknown family {family!r} (known: {known})")
-    support = _number_list(doc["support"], "support")
+    support = _floats(doc["support"], "support")
     if len(support) != 2:
         raise InvalidInputError("support must be an array [a, b]")
     a, b = support
     params = doc["params"]
     _require_keys(params, frozenset(cls.params), schema=f"{family} params")
     if cls is not PiecewiseLinearCdf:
-        return cls(a=a, b=b, **{k: _number(params[k], f"params.{k}") for k in cls.params})
+        return cls(a=a, b=b, **{k: as_float(params[k], f"params.{k}") for k in cls.params})
     raw_knots = params["knots"]
     if not isinstance(raw_knots, list):
         raise InvalidInputError("params.knots must be an array of [x, y] pairs")
     knots = []
     for i, pair in enumerate(raw_knots):
-        coords = _number_list(pair, f"params.knots[{i}]")
+        coords = _floats(pair, f"params.knots[{i}]")
         if len(coords) != 2:
             raise InvalidInputError(f"params.knots[{i}] must be a pair [x, y]")
-        knots.append((coords[0], coords[1]))
+        knots.append(coords)
     grading = PiecewiseLinearCdf(tuple(knots))
     if grading.support != (a, b):
         raise InvalidInputError(
-            f"support {support!r} disagrees with knot endpoints {grading.support!r}"
+            f"support [{a!r}, {b!r}] disagrees with knot endpoints {grading.support!r}"
         )
     return grading
 
@@ -397,7 +388,7 @@ def continuous_grading_to_doc(F: ContinuousGrading) -> dict:
 
 
 # each quadrature_spec key and its reader, in the order they are checked
-_QUAD_READERS = {"abs_tol": _number, "rel_tol": _number, "max_depth": _integer}
+_QUAD_READERS = {"abs_tol": as_float, "rel_tol": as_float, "max_depth": _integer}
 _QUAD_KEYS = frozenset(_QUAD_READERS)
 
 

@@ -6,20 +6,64 @@ This module holds the finite sampled form of such a function, its forward
 increments, and the log-ratio rate function that drives every divergence
 formula in the package.
 
-Construction converts and checks a sample in C-level builtin passes
-(``map``, ``all``) rather than a Python loop per grade; only a sample that
-fails a check is walked again, element by element, to name its first
-offender.
+It also holds the package's one rule for numeric input: ``as_float`` for
+a scalar and ``as_floats`` for an array of grades, weights, masses or
+capacity values. A number is an instance of ``numbers.Real`` other than a
+bool (so ints, floats and numpy scalars), and it must convert to a double;
+anything else is an InvalidInputError naming where it was found. Arrays
+are converted and checked in C-level builtin passes (``map``, ``all``)
+rather than a Python loop per element; only an array that fails a check is
+walked again, element by element, to name its first offender.
 """
 
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt, sub
+from typing import Any
 
 from .errors import InvalidInputError
 
 __all__ = ["GradingSample", "IncrementPair", "increments", "rate_h"]
+
+
+def _is_number_type(t: type) -> bool:
+    return t is not bool and issubclass(t, numbers.Real)
+
+
+def as_float(value: Any, where: str) -> float:
+    """``value`` as a float, or InvalidInputError naming ``where``."""
+    if not _is_number_type(type(value)):
+        raise InvalidInputError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{where} is out of float range") from None
+
+
+_FLOAT_TYPE = frozenset({float})
+
+
+def as_floats(values: Iterable, where: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, or InvalidInputError naming the
+    first offender as ``where[i]``.
+
+    A tuple of exact floats is returned as it is, without a copy. Other
+    numbers are converted by one ``map(float, ...)``; the element types are
+    judged once per distinct type, not once per element.
+    """
+    values = tuple(values)
+    types = set(map(type, values))
+    if types <= _FLOAT_TYPE:
+        return values
+    if all(map(_is_number_type, types)):
+        try:
+            return tuple(map(float, values))
+        except OverflowError:
+            pass  # the walk below names the integer beyond float range
+    return tuple(as_float(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -35,7 +79,7 @@ class GradingSample:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        grades = tuple(map(float, self.grades))
+        grades = as_floats(self.grades, "grades")
         if len(grades) < 2:
             raise InvalidInputError(
                 f"a grading sample needs at least 2 grades, got {len(grades)}"

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from graddiv import (
     Capacity,
     CapacityEntropyReport,
+    ComputationError,
     InvalidInputError,
     MaximalChain,
     capacity_entropy,
@@ -207,6 +209,18 @@ class TestCapacityEntropy:
         assert rep.entropy == pytest.approx(-0.25 * math.log(0.25), abs=1e-15)
         assert rep.argmin_chain.order == (1,)
         assert rep.chains_examined == 1
+
+    def test_entropy_beyond_double_range_raises(self):
+        # every chain has a term -d ln d below -1.8e308
+        mu = Capacity(2, (0.0, 1e308, 1.0, 1.7e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and numpy warns of no overflow
+            for method in ("exhaustive", "greedy"):
+                with pytest.raises(ComputationError, match="chain entropy is -inf"):
+                    capacity_entropy(mu, method=method)
+            for order in ((1, 2), (2, 1)):
+                with pytest.raises(ComputationError, match="chain entropy is -inf"):
+                    chain_divergence(mu, MaximalChain(order))
 
     def test_single_element_zero_mass(self):
         assert capacity_entropy(Capacity(1, (0.0, 0.0))).entropy == 0.0

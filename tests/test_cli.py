@@ -166,6 +166,29 @@ class TestExitCodes:
         assert code == EXIT_COMPUTATION
         assert "error" in report_of(out)
 
+    def test_symmetric_sum_beyond_double_range_is_computation_error(self, tmp_path):
+        # each direction is finite; their sum is not
+        f = write(tmp_path, "f.json", {
+            "family": "piecewise_linear_cdf",
+            "params": {"knots": [[0, -6.5e304], [4, 0], [8, 1e-300]]},
+            "support": [0, 8],
+        })
+        g = write(tmp_path, "g.json", {
+            "family": "piecewise_linear_cdf",
+            "params": {"knots": [[0, 0], [4, 1e-300], [8, 6.5e304]]},
+            "support": [0, 8],
+        })
+        for one, other in ((f, g), (g, f)):
+            code, out, _ = invoke(["divergence", "continuous", "--f", one, "--g", other])
+            assert code == EXIT_OK
+            assert report_of(out)["result"]["value"] == -9.0521157892444831e307
+        code, out, err = invoke(["divergence", "symmetric", "--f", f, "--g", g])
+        assert code == EXIT_COMPUTATION
+        assert report_of(out)["error"] == (
+            "the sum is -inf: a term or the running total overflowed double precision"
+        )
+        assert err.count("\n") == 1
+
     def test_usage_no_arguments(self):
         code, _, _ = invoke([])
         assert code == EXIT_USAGE
@@ -667,6 +690,8 @@ class TestTotalContract:
 
     @settings(max_examples=100)
     @given(_capacity_docs())
+    # both chains' entropies are below -1.8e308
+    @example({"ground_size": 2, "values": {"": 0.0, "1": 1e308, "2": 1.0, "1,2": 1.7e308}})
     def test_extreme_capacity_documents(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             cap = write(Path(tmp), "k.json", doc)

@@ -59,6 +59,9 @@ class _HalfSupported(ContinuousGrading):
     def density(self, x):
         return 2.0 if x < 0.5 else 0.0
 
+    def inverse(self, u):
+        return 0.5 * u
+
     def shape_params(self):
         return {}
 

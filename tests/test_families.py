@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from graddiv import (
     Beta,
-    ComputationError,
     InvalidInputError,
     PiecewiseLinearCdf,
     Power,
     Triangular,
     TruncatedNormal,
     Uniform,
-    bracketed_inverse,
     QuadratureSpec,
     corrected_entropy,
     invert_cdf,
@@ -263,14 +261,6 @@ class TestInversion:
         assert a <= x <= b
         assert abs(F.cdf(x) - u) <= 1e-12 * F.grade_span
 
-    @given(st.sampled_from(CATALOG), st.floats(0.001, 0.999))
-    def test_generic_bracket_solver_agrees_with_closed_forms(self, F, frac):
-        lo, hi = F.image
-        u = lo + (hi - lo) * frac
-        a, b = F.support
-        x = bracketed_inverse(F.cdf, a, b, u, 1e-12 * F.grade_span)
-        assert abs(F.cdf(x) - u) <= 1e-12 * F.grade_span
-
     def test_invert_rejects_grade_outside_image(self):
         pw = PiecewiseLinearCdf(((0.0, 0.2), (1.0, 0.9)))
         with pytest.raises(InvalidInputError):
@@ -282,10 +272,6 @@ class TestInversion:
         u = Uniform(2.0, 5.0)
         assert invert_cdf(u, 0.0) == 2.0
         assert invert_cdf(u, 1.0) == 5.0
-
-    def test_unbracketable_target_raises(self):
-        with pytest.raises(ComputationError):
-            bracketed_inverse(math.sin, 0.0, 1.0, 5.0, 1e-12)
 
 
 class TestDensityConsistency:

@@ -228,6 +228,21 @@ class TestGradingSampleDocs:
             grading_sample_from_doc({"grades": grades})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "grades, message",
+        [
+            # a grade that is no number is named before the labels
+            ([0, "x", 2], "grades[1] must be a number, got 'x'"),
+            ([0, 1, 10**400], "grades[2] is out of float range"),
+            # the labels before the order of the grades
+            ([0, 2, 1], "labels must be an array of strings"),
+        ],
+    )
+    def test_grades_and_labels_faults_in_order(self, grades, message):
+        with pytest.raises(InvalidInputError) as exc:
+            grading_sample_from_doc({"grades": grades, "labels": [1, 2, 3]})
+        assert str(exc.value) == message
+
     def test_integer_beyond_float_range_is_named(self):
         huge = 10**400
         with pytest.raises(InvalidInputError) as exc:

@@ -1,10 +1,24 @@
+import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graddiv import GradingSample, IncrementPair, InvalidInputError, increments, rate_h
+from graddiv import (
+    Capacity,
+    GradingSample,
+    IncrementPair,
+    InvalidInputError,
+    ProbabilityVector,
+    discrete,
+    increments,
+    partition_entropy,
+    rate_h,
+)
+from graddiv.jsonio import masses_from_doc
+from graddiv.ordered import as_floats
 
 from conftest import grading_samples
 
@@ -75,6 +89,74 @@ class TestGradingSample:
         with pytest.raises(InvalidInputError, match="overflows"):
             GradingSample((-1e308, 0.0, 1e308))
         assert increments(GradingSample((-1e308, 0.0, 7e307))) == [1e308, 7e307]
+
+
+# each constructor that takes an input array, with the array's name, a valid
+# array of floats exact in float32 and a valid array of integers
+_CONSTRUCTORS = [
+    pytest.param(GradingSample, "grades", [0.0, 0.5, 2.0], [0, 1, 3], id="GradingSample"),
+    pytest.param(ProbabilityVector, "weights", [0.25, 0.25, 0.5], [0, 1, 0],
+                 id="ProbabilityVector"),
+    pytest.param(partition_entropy, "masses", [0.25, 0.5, 2.0], [0, 1, 3],
+                 id="partition_entropy"),
+    pytest.param(functools.partial(Capacity, 2), "values", [0.0, 0.5, 0.75, 1.0],
+                 [0, 1, 2, 3], id="Capacity"),
+]
+
+
+class TestIntake:
+    """Every input array goes through as_floats: one rule for what a
+    number is, and InvalidInputError naming the first element that is not."""
+
+    @pytest.mark.parametrize("build, name, floats, ints", _CONSTRUCTORS)
+    @pytest.mark.parametrize(
+        "bad, fault",
+        [
+            pytest.param(True, "must be a number, got True", id="bool"),
+            pytest.param("1.5", "must be a number, got '1.5'", id="str"),
+            pytest.param(None, "must be a number, got None", id="None"),
+            pytest.param(10**400, "is out of float range", id="10**400"),
+        ],
+    )
+    def test_bad_element_is_named(self, build, name, floats, ints, bad, fault):
+        values = [*floats[:1], bad, *floats[2:]]
+        with pytest.raises(InvalidInputError) as exc:
+            build(values)
+        assert str(exc.value) == f"{name}[1] {fault}"
+
+    @pytest.mark.parametrize("build, name, floats, ints", _CONSTRUCTORS)
+    def test_numpy_scalars_are_numbers(self, build, name, floats, ints):
+        for values, scalar in ((floats, np.float32), (ints, np.int64)):
+            got = build([scalar(v) for v in values])
+            assert got == build(values)
+            stored = getattr(got, name, None)  # partition_entropy keeps no array
+            assert stored is None or all(type(x) is float for x in stored)
+
+    # partition_entropy keeps no array to compare
+    @pytest.mark.parametrize(
+        "build, name, floats, ints", [p for p in _CONSTRUCTORS if p.id != "partition_entropy"]
+    )
+    def test_tuple_of_floats_is_kept_without_a_copy(self, build, name, floats, ints):
+        values = tuple(floats)
+        assert getattr(build(values), name) is values
+
+    def test_partition_entropy_keeps_the_readers_tuple(self, monkeypatch):
+        kept = []
+
+        def spy(values, where):
+            out = as_floats(values, where)
+            kept.append(out is values)
+            return out
+
+        monkeypatch.setattr(discrete, "as_floats", spy)
+        partition_entropy(masses_from_doc({"masses": [0, 0.5, 1.5]}))
+        assert kept == [True]
+
+    def test_a_tuple_of_exact_floats_is_returned_as_is(self):
+        values = (0.0, -0.0, 5e-324, 1.7976931348623157e308)
+        assert as_floats(values, "v") is values
+        assert as_floats([], "v") == ()
+        assert as_floats(iter([1, 2.5]), "v") == (1.0, 2.5)
 
 
 class TestIncrements:
