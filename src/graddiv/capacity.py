@@ -37,7 +37,7 @@ import numpy as np
 
 from .discrete import DivergenceResult
 from .errors import ComputationError, InvalidInputError
-from .ordered import as_floats
+from .ordered import as_floats, as_int
 
 __all__ = [
     "Capacity",
@@ -63,7 +63,7 @@ class Capacity:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        n = int(self.ground_size)
+        n = as_int(self.ground_size, "ground_size")
         if n < 1:
             raise InvalidInputError(f"ground_size must be >= 1, got {n}")
         vals = as_floats(self.values, "values")
@@ -130,7 +130,7 @@ class MaximalChain:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(int(e) for e in self.order)
+        order = tuple(as_int(e, f"order[{i}]") for i, e in enumerate(self.order))
         n = len(order)
         if n < 1:
             raise InvalidInputError("a maximal chain needs at least one element")
@@ -154,6 +154,7 @@ def enumerate_chains(n: int, limit: int = 10) -> Iterator[MaximalChain]:
     A brute-force oracle for small n; limit guards against asking for an
     astronomically long enumeration by accident.
     """
+    n = as_int(n, "n")
     if not 1 <= n <= limit:
         raise InvalidInputError(f"n must be in 1..{limit}, got {n}")
     for perm in itertools.permutations(range(1, n + 1)):

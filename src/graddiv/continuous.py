@@ -20,6 +20,7 @@ import math
 from .discrete import NEGATIVE_INFINITY, DivergenceResult, _result
 from .errors import ComputationError, InvalidInputError
 from .families import ContinuousGrading, Uniform, invert_cdf
+from .ordered import as_int
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = [
@@ -97,7 +98,8 @@ def riemann_divergence(F: ContinuousGrading, G: ContinuousGrading, n_points: int
     the cells. Shares no code with the quadrature route; converges at
     first order in 1/n.
     """
-    if not isinstance(n_points, int) or n_points < 2:
+    n_points = as_int(n_points, "n_points")
+    if n_points < 2:
         raise InvalidInputError(f"need an integer n_points >= 2, got {n_points!r}")
     _require_same_support(F, G)
     lo, hi = F.image

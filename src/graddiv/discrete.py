@@ -22,7 +22,7 @@ from itertools import accumulate, islice
 from operator import sub
 
 from .errors import ComputationError, InvalidInputError
-from .ordered import GradingSample, as_floats, increments
+from .ordered import GradingSample, as_floats, as_int, increments
 
 __all__ = [
     "ProbabilityVector",
@@ -263,6 +263,7 @@ def cdf_grading(f: ProbabilityVector) -> GradingSample:
 
 def position_grading(n: int) -> GradingSample:
     """The position function 0, 1, ..., n on an enumerated set."""
+    n = as_int(n, "n")
     if n < 1:
         raise InvalidInputError(f"need at least one element, got n={n}")
     return GradingSample(tuple(map(float, range(n + 1))))

@@ -9,6 +9,7 @@ root-finding fallback: a new family must supply ``inverse`` itself.
 """
 
 import abc
+import dataclasses
 import importlib
 import math
 import sys
@@ -18,6 +19,7 @@ from functools import cached_property
 from typing import Callable, ClassVar
 
 from .errors import InvalidInputError
+from .ordered import as_float, as_floats
 
 __all__ = [
     "ContinuousGrading",
@@ -83,8 +85,7 @@ def _log_beta(alpha: float, beta: float) -> float:
     return math.log(g_big / g_total * g_small)
 
 
-def _check_interval(a: float, b: float) -> tuple[float, float]:
-    a, b = float(a), float(b)
+def _check_interval(a: float, b: float) -> None:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidInputError(f"support endpoints must be finite, got [{a!r}, {b!r}]")
     if not a < b:
@@ -94,7 +95,6 @@ def _check_interval(a: float, b: float) -> tuple[float, float]:
         raise InvalidInputError(
             f"support [{a!r}, {b!r}] overflows: its width is not a finite double"
         )
-    return a, b
 
 
 class ContinuousGrading(abc.ABC):
@@ -102,12 +102,24 @@ class ContinuousGrading(abc.ABC):
 
     A parametric family is a frozen dataclass with fields a and b for its
     support and one field for each name in ``params``, its shape
-    parameters in constructor order; PiecewiseLinearCdf, whose knots fix
-    its support, overrides ``support`` and ``shape_params``.
+    parameters in constructor order. Construction converts every field by
+    ``ordered.as_float``, in field order, checks the support, and then runs
+    the family's ``_validate``. PiecewiseLinearCdf, whose knots fix its
+    support, overrides ``__post_init__``, ``support`` and ``shape_params``.
     """
 
     family: ClassVar[str]
     params: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            name = field.name
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
+        _check_interval(*self.support)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Check the family's own parameters and keep its constants."""
 
     @property
     def support(self) -> tuple[float, float]:
@@ -149,7 +161,7 @@ class ContinuousGrading(abc.ABC):
 
 def invert_cdf(F: ContinuousGrading, u: float) -> float:
     """Quantile of F at u, validated against im(F) and clamped to support."""
-    u = float(u)
+    u = as_float(u, "u")
     lo, hi = F.image
     if not lo <= u <= hi:
         raise InvalidInputError(f"u={u!r} is outside the grade image [{lo!r}, {hi!r}]")
@@ -163,11 +175,6 @@ class Uniform(ContinuousGrading):
     b: float
 
     family: ClassVar[str] = "uniform"
-
-    def __post_init__(self):
-        a, b = _check_interval(self.a, self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
     def cdf(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -190,14 +197,9 @@ class Triangular(ContinuousGrading):
     family: ClassVar[str] = "triangular"
     params: ClassVar[tuple[str, ...]] = ("c",)
 
-    def __post_init__(self):
-        a, b = _check_interval(self.a, self.b)
-        c = float(self.c)
-        if not a <= c <= b:
-            raise InvalidInputError(f"mode must satisfy a <= c <= b, got c={c!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", b)
+    def _validate(self) -> None:
+        if not self.a <= self.c <= self.b:
+            raise InvalidInputError(f"mode must satisfy a <= c <= b, got c={self.c!r}")
 
     # Each expression scales ratios no larger than 1 by the width or divides
     # them by it, and never multiplies two widths or squares one, so every
@@ -246,17 +248,12 @@ class Beta(ContinuousGrading):
     family: ClassVar[str] = "beta"
     params: ClassVar[tuple[str, ...]] = ("alpha", "beta")
 
-    def __post_init__(self):
-        a, b = _check_interval(self.a, self.b)
-        alpha, beta = float(self.alpha), float(self.beta)
+    def _validate(self) -> None:
+        alpha, beta = self.alpha, self.beta
         if not (alpha > 0 and beta > 0 and math.isfinite(alpha) and math.isfinite(beta)):
             raise InvalidInputError(
                 f"shape parameters must be positive and finite, got ({alpha!r}, {beta!r})"
             )
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         # log of the normalizing beta function, kept outside the fields
         object.__setattr__(self, "_log_norm", _log_beta(alpha, beta))
 
@@ -313,9 +310,8 @@ class TruncatedNormal(ContinuousGrading):
     family: ClassVar[str] = "truncated_normal"
     params: ClassVar[tuple[str, ...]] = ("mu", "sigma")
 
-    def __post_init__(self):
-        a, b = _check_interval(self.a, self.b)
-        mu, sigma = float(self.mu), float(self.sigma)
+    def _validate(self) -> None:
+        mu, sigma, a, b = self.mu, self.sigma, self.a, self.b
         if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
             raise InvalidInputError(
                 f"need finite mu and sigma > 0, got ({mu!r}, {sigma!r})"
@@ -332,10 +328,6 @@ class TruncatedNormal(ContinuousGrading):
                 "the interval carries no normal mass at this mu/sigma "
                 "(truncation window too deep in a tail)"
             )
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         # the tail side, its normal cdf at a, the window's mass and the
         # density's divisor, kept outside the fields
         object.__setattr__(self, "_side", side)
@@ -372,14 +364,9 @@ class Power(ContinuousGrading):
     family: ClassVar[str] = "power"
     params: ClassVar[tuple[str, ...]] = ("p",)
 
-    def __post_init__(self):
-        a, b = _check_interval(self.a, self.b)
-        p = float(self.p)
-        if not (math.isfinite(p) and p > 0):
-            raise InvalidInputError(f"exponent must be positive and finite, got {p!r}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def _validate(self) -> None:
+        if not (math.isfinite(self.p) and self.p > 0):
+            raise InvalidInputError(f"exponent must be positive and finite, got {self.p!r}")
 
     def _t(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -416,14 +403,16 @@ class PiecewiseLinearCdf(ContinuousGrading):
 
     def __post_init__(self):
         try:
-            knots = tuple((float(x), float(y)) for x, y in self.knots)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"knots must be (x, y) pairs: {exc}") from exc
+            knots = tuple(as_floats(k, f"knots[{i}]") for i, k in enumerate(self.knots))
+        except TypeError:
+            raise InvalidInputError("knots must be an array of (x, y) pairs") from None
         if len(knots) < 2:
             raise InvalidInputError("need at least 2 knots")
-        for x, y in knots:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise InvalidInputError(f"knots must be finite, got ({x!r}, {y!r})")
+        for i, knot in enumerate(knots):
+            if len(knot) != 2:
+                raise InvalidInputError(f"knots[{i}] must be a pair (x, y), got {knot!r}")
+            if not all(map(math.isfinite, knot)):
+                raise InvalidInputError(f"knots must be finite, got {knot!r}")
         for k in range(1, len(knots)):
             if knots[k][0] <= knots[k - 1][0] or knots[k][1] <= knots[k - 1][1]:
                 raise InvalidInputError(

@@ -10,10 +10,11 @@ An array whose elements are all finite exact floats, such as a 1e5-element
 grade list, is rendered by one %-format call; any other array is written
 element by element.
 
-Reading judges numbers by ``ordered.as_float`` and ``ordered.as_floats``,
-the rule the constructors apply, and converts each element once: the
-grades and weights readers hand the decoded list to the constructor,
-which converts it; the other readers convert their arrays themselves.
+Reading judges numbers by the rule the constructors apply
+(``ordered.as_float``, ``as_floats`` and ``as_int``) and converts each
+element once: the grades and weights readers hand the decoded list to the
+constructor, which converts it; the other readers convert their arrays
+themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 
 from .discrete import DivergenceResult, ProbabilityVector
 from .errors import InvalidInputError
-from .ordered import GradingSample, as_float, as_floats
+from .ordered import GradingSample, as_float, as_floats, as_int
 
 # capacity (numpy), families and quadrature are imported by the readers
 # that build their objects, so parsing a discrete document loads none of
@@ -189,12 +190,6 @@ def _floats(value: Any, where: str) -> tuple[float, ...]:
     return as_floats(_number_list(value, where), where)
 
 
-def _integer(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------- schemas
 
 
@@ -287,8 +282,6 @@ def _mask_key(mask: int) -> str:
     return ",".join(elements)
 
 
-_PLAIN_NUMBER_TYPES = frozenset({int, float})
-
 # No container holds 2^63 entries (len is at most sys.maxsize), so from
 # this ground size on a document always misses subsets.
 _UNHOLDABLE_GROUND_SIZE = sys.maxsize.bit_length()
@@ -298,7 +291,7 @@ def capacity_from_doc(doc: dict) -> Capacity:
     from .capacity import Capacity
 
     _require_keys(doc, frozenset({"ground_size", "values"}), schema="capacity")
-    n = _integer(doc["ground_size"], "ground_size")
+    n = as_int(doc["ground_size"], "ground_size")
     if n < 1:
         raise InvalidInputError(f"ground_size must be >= 1, got {n}")
     if n >= _UNHOLDABLE_GROUND_SIZE:
@@ -315,10 +308,10 @@ def capacity_from_doc(doc: dict) -> Capacity:
     # canonical, so no two keys name the same subset.
     keys = _subset_keys(n) if len(raw) == size else []
     try:
-        ordered = list(map(raw.__getitem__, keys))
-    except KeyError:
-        ordered = []
-    if len(ordered) != size or not _PLAIN_NUMBER_TYPES.issuperset(map(type, ordered)):
+        values = as_floats(map(raw.__getitem__, keys), "values")
+    except (KeyError, InvalidInputError):
+        values = ()
+    if len(values) != size:
         # name the first bad key or value in document order
         known = frozenset(keys)
         for key, value in raw.items():
@@ -332,10 +325,6 @@ def capacity_from_doc(doc: dict) -> Capacity:
             raise InvalidInputError(
                 f"values must cover every subset; {missing} missing ({shown})"
             )
-    try:
-        values = tuple(map(float, ordered))
-    except OverflowError:
-        values = tuple(as_float(v, f"values[{key!r}]") for key, v in zip(keys, ordered))
     return Capacity(ground_size=n, values=values)
 
 
@@ -387,18 +376,14 @@ def continuous_grading_to_doc(F: ContinuousGrading) -> dict:
     return {"family": F.family, "params": F.shape_params(), "support": [a, b]}
 
 
-# each quadrature_spec key and its reader, in the order they are checked
-_QUAD_READERS = {"abs_tol": as_float, "rel_tol": as_float, "max_depth": _integer}
-_QUAD_KEYS = frozenset(_QUAD_READERS)
+_QUAD_KEYS = frozenset({"abs_tol", "rel_tol", "max_depth"})
 
 
 def quadrature_spec_from_doc(doc: dict) -> QuadratureSpec:
     from .quadrature import QuadratureSpec
 
     _require_keys(doc, frozenset(), _QUAD_KEYS, "quadrature_spec")
-    return QuadratureSpec(
-        **{key: read(doc[key], key) for key, read in _QUAD_READERS.items() if key in doc}
-    )
+    return QuadratureSpec(**doc)
 
 
 def quadrature_spec_to_doc(spec: QuadratureSpec) -> dict:

@@ -6,14 +6,15 @@ This module holds the finite sampled form of such a function, its forward
 increments, and the log-ratio rate function that drives every divergence
 formula in the package.
 
-It also holds the package's one rule for numeric input: ``as_float`` for
-a scalar and ``as_floats`` for an array of grades, weights, masses or
-capacity values. A number is an instance of ``numbers.Real`` other than a
-bool (so ints, floats and numpy scalars), and it must convert to a double;
-anything else is an InvalidInputError naming where it was found. Arrays
-are converted and checked in C-level builtin passes (``map``, ``all``)
-rather than a Python loop per element; only an array that fails a check is
-walked again, element by element, to name its first offender.
+It also holds the package's one rule for numeric input, which every
+constructor and reader applies: ``as_float`` for a real, ``as_floats`` for
+an array of reals and ``as_int`` for a count. A real is a ``numbers.Real``
+other than a bool (so ints, floats and numpy scalars) that converts to a
+double; a count is a ``numbers.Integral`` other than a bool. Anything else
+is an InvalidInputError naming where it was found. Arrays are converted
+and checked in C-level builtin passes (``map``, ``all``) rather than a
+Python loop per element; only an array that fails a check is walked again,
+element by element, to name its first offender.
 """
 
 import math
@@ -35,12 +36,23 @@ def _is_number_type(t: type) -> bool:
 
 def as_float(value: Any, where: str) -> float:
     """``value`` as a float, or InvalidInputError naming ``where``."""
+    if type(value) is float:
+        return value
     if not _is_number_type(type(value)):
         raise InvalidInputError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         raise InvalidInputError(f"{where} is out of float range") from None
+
+
+def as_int(value: Any, where: str) -> int:
+    """``value`` as an int, or InvalidInputError naming ``where``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 _FLOAT_TYPE = frozenset({float})
@@ -54,7 +66,10 @@ def as_floats(values: Iterable, where: str) -> tuple[float, ...]:
     numbers are converted by one ``map(float, ...)``; the element types are
     judged once per distinct type, not once per element.
     """
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvalidInputError(f"{where} must be an array of numbers") from None
     types = set(map(type, values))
     if types <= _FLOAT_TYPE:
         return values
@@ -133,8 +148,8 @@ class IncrementPair:
     delta_f: float
 
     def __post_init__(self):
-        object.__setattr__(self, "delta_g", float(self.delta_g))
-        object.__setattr__(self, "delta_f", float(self.delta_f))
+        for name in ("delta_g", "delta_f"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         for name, v in (("delta_g", self.delta_g), ("delta_f", self.delta_f)):
             if not math.isfinite(v):
                 raise InvalidInputError(f"{name} must be finite, got {v!r}")

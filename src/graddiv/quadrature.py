@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ComputationError, InvalidInputError
+from .ordered import as_float, as_floats, as_int
 
 __all__ = ["QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"]
 
@@ -60,15 +61,18 @@ class QuadratureSpec:
     max_depth: int = 60
 
     def __post_init__(self):
-        abs_tol, rel_tol = float(self.abs_tol), float(self.rel_tol)
+        abs_tol = as_float(self.abs_tol, "abs_tol")
+        rel_tol = as_float(self.rel_tol, "rel_tol")
+        max_depth = as_int(self.max_depth, "max_depth")
         if not (math.isfinite(abs_tol) and abs_tol > 0):
             raise InvalidInputError(f"abs_tol must be positive, got {abs_tol!r}")
         if not (math.isfinite(rel_tol) and rel_tol > 0):
             raise InvalidInputError(f"rel_tol must be positive, got {rel_tol!r}")
-        if not isinstance(self.max_depth, int) or self.max_depth < 1:
-            raise InvalidInputError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
+        if max_depth < 1:
+            raise InvalidInputError(f"max_depth must be an integer >= 1, got {max_depth!r}")
         object.__setattr__(self, "abs_tol", abs_tol)
         object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "max_depth", max_depth)
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ def _panel(fn: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def _segment_bounds(a: float, b: float, breakpoints: Sequence[float]) -> list[float]:
-    cuts = sorted({float(c) for c in breakpoints if a < float(c) < b})
+    cuts = sorted({c for c in as_floats(breakpoints, "breakpoints") if a < c < b})
     return [a, *cuts, b]
 
 
@@ -175,7 +179,7 @@ def integrate_adaptive(
     budget at max_depth or once bisection runs out of representable
     midpoints.
     """
-    a, b = float(a), float(b)
+    a, b = as_float(a, "a"), as_float(b, "b")
     if not a < b:
         raise InvalidInputError(f"integration interval needs a < b, got [{a!r}, {b!r}]")
 

@@ -7,15 +7,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graddiv import (
+    Beta,
     Capacity,
     GradingSample,
     IncrementPair,
     InvalidInputError,
+    MaximalChain,
+    PiecewiseLinearCdf,
+    Power,
     ProbabilityVector,
+    QuadratureSpec,
+    Triangular,
+    TruncatedNormal,
+    Uniform,
     discrete,
+    enumerate_chains,
     increments,
+    integrate_adaptive,
+    invert_cdf,
     partition_entropy,
+    position_grading,
     rate_h,
+    riemann_divergence,
 )
 from graddiv.jsonio import masses_from_doc
 from graddiv.ordered import as_floats
@@ -157,6 +170,87 @@ class TestIntake:
         assert as_floats(values, "v") is values
         assert as_floats([], "v") == ()
         assert as_floats(iter([1, 2.5]), "v") == (1.0, 2.5)
+
+
+# each argument judged by as_float (a real) or as_int (a count): a call
+# that puts a value in that argument, and the name the error gives it
+_U = Uniform(0.0, 1.0)
+_REALS = [
+    ("Uniform", lambda v: Uniform(0.0, v), "b"),
+    ("Triangular", lambda v: Triangular(0.0, v, 1.0), "c"),
+    ("Beta", lambda v: Beta(v, 2.0), "alpha"),
+    ("TruncatedNormal", lambda v: TruncatedNormal(0.0, v, -1.0, 1.0), "sigma"),
+    ("Power", lambda v: Power(v), "p"),
+    ("PiecewiseLinearCdf", lambda v: PiecewiseLinearCdf(((0.0, 0.0), (1.0, v))), "knots[1][1]"),
+    ("QuadratureSpec.abs_tol", lambda v: QuadratureSpec(abs_tol=v), "abs_tol"),
+    ("QuadratureSpec.rel_tol", lambda v: QuadratureSpec(rel_tol=v), "rel_tol"),
+    ("IncrementPair", lambda v: IncrementPair(1.0, v), "delta_f"),
+    ("invert_cdf", lambda v: invert_cdf(_U, v), "u"),
+    ("integrate_adaptive", lambda v: integrate_adaptive(abs, 0.0, v, QuadratureSpec()), "b"),
+    ("integrate_adaptive.breakpoints",
+     lambda v: integrate_adaptive(abs, -1.0, 1.0, QuadratureSpec(), (v,)), "breakpoints[0]"),
+]
+_COUNTS = [
+    ("QuadratureSpec.max_depth", lambda v: QuadratureSpec(max_depth=v), "max_depth"),
+    ("Capacity", lambda v: Capacity(v, (0.0, 1.0, 1.0, 2.0)), "ground_size"),
+    ("MaximalChain", lambda v: MaximalChain((1, v)), "order[1]"),
+    ("position_grading", position_grading, "n"),
+    ("enumerate_chains", lambda v: list(enumerate_chains(v)), "n"),
+    ("riemann_divergence", lambda v: riemann_divergence(_U, _U, v), "n_points"),
+]
+_NOT_A_NUMBER = [
+    pytest.param(build, bad, f"{name} must be a number, got {bad!r}", id=f"{label}-{bad!r}")
+    for label, build, name in _REALS
+    for bad in (True, "1", None)
+] + [
+    pytest.param(build, bad, f"{name} must be an integer, got {bad!r}", id=f"{label}-{bad!r}")
+    for label, build, name in _COUNTS
+    for bad in (True, "2", None, 2.5)
+] + [
+    pytest.param(build, 5, f"{name} must be an array of {what}", id=f"{build.__name__}-5")
+    for build, name, what in (
+        (GradingSample, "grades", "numbers"),
+        (ProbabilityVector, "weights", "numbers"),
+        (Capacity.additive, "masses", "numbers"),
+        (partition_entropy, "masses", "numbers"),
+        (PiecewiseLinearCdf, "knots", "(x, y) pairs"),
+    )
+]
+
+
+class TestScalarIntake:
+    """Every real argument goes through as_float and every count through
+    as_int: InvalidInputError naming the argument, never a silent
+    conversion or a raw TypeError."""
+
+    @pytest.mark.parametrize("build, bad, message", _NOT_A_NUMBER)
+    def test_bad_argument_is_named(self, build, bad, message):
+        with pytest.raises(InvalidInputError) as exc:
+            build(bad)
+        assert str(exc.value) == message
+
+    def test_numpy_scalars_are_numbers(self):
+        built = [
+            (Beta(np.float32(2.0), np.int64(3)), Beta(2.0, 3.0)),
+            (Triangular(np.int64(0), np.float64(0.5), np.int32(1)), Triangular(0.0, 0.5, 1.0)),
+            (PiecewiseLinearCdf(((np.int64(0), np.float32(0)), (1, np.float64(1)))),
+             PiecewiseLinearCdf(((0.0, 0.0), (1.0, 1.0)))),
+            (QuadratureSpec(np.float32(0.5), np.int64(1), np.int64(5)), QuadratureSpec(0.5, 1.0, 5)),
+            (IncrementPair(np.int64(2), np.float32(0.5)), IncrementPair(2.0, 0.5)),
+            (Capacity(np.int64(1), (0.0, 1.0)), Capacity(1, (0.0, 1.0))),
+            (MaximalChain((np.int64(2), np.int8(1))), MaximalChain((2, 1))),
+            (position_grading(np.int64(3)), position_grading(3)),
+        ]
+        for got, want in built:
+            # a numpy scalar kept in a field would show in the repr
+            assert got == want and repr(got) == repr(want)
+        assert invert_cdf(_U, np.float32(0.25)) == 0.25
+        assert integrate_adaptive(abs, np.int64(-1), np.float32(1.0), QuadratureSpec(),
+                                  (np.float64(0.0),)) == integrate_adaptive(
+            abs, -1.0, 1.0, QuadratureSpec(), (0.0,))
+        P2 = Power(2.0)
+        assert riemann_divergence(P2, _U, np.int64(10)) == riemann_divergence(P2, _U, 10)
+        assert [c.order for c in enumerate_chains(np.int64(2))] == [(1, 2), (2, 1)]
 
 
 class TestIncrements:
