@@ -10,10 +10,9 @@ Every maximal chain is a path from the empty set to the ground set in the
 Boolean lattice, and each of its terms depends only on one cover edge
 (A, A + {e}). The exhaustive method therefore finds the minimum over all
 n! chains as a shortest path over the 2^n subsets (the subset dynamic
-program of Bellman and of Held and Karp), one popcount layer at a time:
-O(n 2^n) work, about n times the size of the capacity itself. The greedy
-method builds one chain by always taking the cheapest next edge, an
-O(n^2) upper bound.
+program of Bellman and of Held and Karp): O(n 2^n) work, about n times
+the size of the capacity itself. The greedy method builds one chain by
+always taking the cheapest next edge, an O(n^2) upper bound.
 
 Exactness. All chain values, including the reported entropy of either
 method, come from one shared evaluator that folds the edge terms left to
@@ -26,14 +25,22 @@ read off by backtracking: a backward pass computes, for every subset S,
 the largest prefix value theta(S) from which some completion still folds
 to at most the minimum, and a forward walk from the empty set takes at
 each step the smallest element whose rounded prefix stays within theta.
+
+Two implementations. Below _NUMPY_FROM elements a capacity is validated,
+searched and evaluated on Python floats with math.log, subset by subset,
+and never loads numpy; from there on whole popcount layers go through
+numpy (module _capacity_numpy, imported on first use). The ground size
+alone selects the side. numpy's log may differ from math.log in the last
+bit, and the argument above needs the search and the evaluator to see the
+same terms, so for one ground size every step takes the same side.
 """
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
+from operator import le
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .discrete import DivergenceResult
 from .errors import ComputationError, InvalidInputError
@@ -47,6 +54,17 @@ __all__ = [
     "chain_divergence",
     "capacity_entropy",
 ]
+
+# The smallest ground size computed with numpy. Below it the Python loops
+# are faster than numpy's per-call overhead, and a process spares the
+# import of numpy itself.
+_NUMPY_FROM = 9
+
+
+def _numpy_path():
+    from . import _capacity_numpy
+
+    return _capacity_numpy
 
 
 @dataclass(frozen=True)
@@ -71,27 +89,20 @@ class Capacity:
             raise InvalidInputError(
                 f"need {2**n} subset values for ground_size {n}, got {len(vals)}"
             )
-        arr = np.asarray(vals)
-        bad = np.flatnonzero(~(np.isfinite(arr) & (arr >= 0)))
-        if bad.size:
+        faults = _faults if n < _NUMPY_FROM else _numpy_path().faults
+        bad, pair = faults(vals, n)
+        if bad is not None:
             raise InvalidInputError(
-                f"subset values must be finite and >= 0, got {vals[bad[0]]!r}"
+                f"subset values must be finite and >= 0, got {vals[bad]!r}"
             )
         if vals[0] != 0.0:
             raise InvalidInputError(f"the empty set must have value 0, got {vals[0]!r}")
-        for e in range(n):
-            bit = 1 << e
-            # rows of the view run over the masks above bit e, [:, 0] holds
-            # the subsets without e and [:, 1] the same subsets with it
-            pairs = arr.reshape(-1, 2, bit)
-            bad = np.flatnonzero(pairs[:, 0] > pairs[:, 1])
-            if bad.size:
-                row, low = divmod(int(bad[0]), bit)
-                m = row * 2 * bit + low
-                raise InvalidInputError(
-                    f"capacity is not monotone: value({_mask_name(m)})="
-                    f"{vals[m]!r} > value({_mask_name(m | bit)})={vals[m | bit]!r}"
-                )
+        if pair is not None:
+            low, high = pair
+            raise InvalidInputError(
+                f"capacity is not monotone: value({_mask_name(low)})="
+                f"{vals[low]!r} > value({_mask_name(high)})={vals[high]!r}"
+            )
         object.__setattr__(self, "ground_size", n)
         object.__setattr__(self, "values", vals)
 
@@ -119,6 +130,32 @@ def _mask_name(mask: int) -> str:
     return "{" + ",".join(els) + "}"
 
 
+def _faults(vals: Sequence[float], n: int) -> tuple[int | None, tuple[int, int] | None]:
+    """The index of the first value that is not finite and >= 0, or, when
+    every value is, the first cover pair (A, A + {e}) with value(A) >
+    value(A + {e}) as two masks, elements in order, then subsets A in
+    index order. None stands for no such fault."""
+    if not (all(map(math.isfinite, vals)) and min(vals) >= 0):
+        bad = next(i for i, v in enumerate(vals) if not (math.isfinite(v) and v >= 0))
+        return bad, None
+    size = len(vals)
+    for e in range(n):
+        bit = 1 << e
+        step = 2 * bit
+        # The subsets without e against the same subsets with it, compared
+        # in C-level passes: over strided slices while bit is small, over
+        # contiguous blocks once it is large, at most sqrt(size / 2) of
+        # either. Only a failing element is walked again to name the pair.
+        if 2 * bit * bit <= size:
+            pieces = ((vals[j::step], vals[j + bit::step]) for j in range(bit))
+        else:
+            pieces = ((vals[b:b + bit], vals[b + bit:b + step]) for b in range(0, size, step))
+        if not all(all(map(le, without, with_e)) for without, with_e in pieces):
+            m = next(m for m in range(size) if not m & bit and vals[m] > vals[m | bit])
+            return None, (m, m | bit)
+    return None, None
+
+
 @dataclass(frozen=True)
 class MaximalChain:
     """A maximal chain of the Boolean lattice, as an element insertion order.
@@ -130,7 +167,11 @@ class MaximalChain:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(as_int(e, f"order[{i}]") for i, e in enumerate(self.order))
+        try:
+            raw = tuple(self.order)
+        except TypeError:
+            raise InvalidInputError("order must be an array of integers") from None
+        order = tuple(as_int(e, f"order[{i}]") for i, e in enumerate(raw))
         n = len(order)
         if n < 1:
             raise InvalidInputError("a maximal chain needs at least one element")
@@ -161,17 +202,14 @@ def enumerate_chains(n: int, limit: int = 10) -> Iterator[MaximalChain]:
         yield MaximalChain(perm)
 
 
-def _edge_terms(inc: np.ndarray) -> np.ndarray:
-    """-d ln d for each chain increment d, zero increments contributing 0.
+def _edge_term(d: float) -> float:
+    """-d ln d for a chain increment d, a zero increment contributing 0.
 
-    The one place edge terms are computed, so the lattice search, its
-    witness walk and the chain evaluator see identical bits. A term beyond
-    double range is -inf; both callers run under np.errstate(over="ignore")
-    (entered once per search, not once per call) and refuse such a value.
+    The one place the Python side computes an edge term, so the lattice
+    search, its witness walk, greedy and the chain evaluator see identical
+    bits. A term beyond double range is -inf, which the callers refuse.
     """
-    positive = inc > 0.0
-    safe = np.where(positive, inc, 1.0)
-    return np.where(positive, -safe * np.log(safe), 0.0)
+    return -d * math.log(d) if d > 0.0 else 0.0
 
 
 def _beyond_range(value: float) -> ComputationError:
@@ -181,25 +219,33 @@ def _beyond_range(value: float) -> ComputationError:
     )
 
 
-@np.errstate(over="ignore")
+def _fold(values: Sequence[float], order: Sequence[int]) -> tuple[float, int]:
+    value = 0.0
+    terms = 0
+    mask = 0
+    prev = 0.0
+    for e in order:
+        mask |= 1 << (e - 1)
+        d = values[mask] - prev
+        prev = values[mask]
+        if d > 0.0:
+            value += _edge_term(d)
+            terms += 1
+    return value, terms
+
+
 def _chain_value(values: Sequence[float], order: Sequence[int]) -> tuple[float, int]:
     """The chain's entropy, folded left to right from 0.0, and its number
     of positive increments: the evaluator shared by every reported value.
+    It takes the same side as the lattice search for the chain's length.
 
     Raises ComputationError when the fold is not finite.
     """
-    mu = []
-    mask = 0
-    for e in order:
-        mask |= 1 << (e - 1)
-        mu.append(values[mask])
-    inc = np.diff(np.asarray(mu), prepend=0.0)
-    value = 0.0
-    for term in _edge_terms(inc).tolist():
-        value += term
+    fold = _fold if len(order) < _NUMPY_FROM else _numpy_path().fold
+    value, terms = fold(values, order)
     if not math.isfinite(value):
         raise _beyond_range(value)
-    return value, int(np.count_nonzero(inc > 0.0))
+    return value, terms
 
 
 def chain_divergence(mu: Capacity, chain: MaximalChain) -> DivergenceResult:
@@ -239,125 +285,137 @@ class CapacityEntropyReport:
             raise InvalidInputError("greedy search builds exactly one chain")
 
 
-def _layers(n: int) -> list[np.ndarray]:
-    """The subset masks of {1..n} grouped by size, ascending within each."""
-    popcount = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        popcount = np.concatenate((popcount, popcount + 1))
-    order = np.argsort(popcount, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(popcount))[:-1])
+_DOUBLE = struct.Struct("<d")
+_WORD = struct.Struct("<Q")
+_SIGN = 1 << 63
+_ALL_BITS = (1 << 64) - 1
 
 
-def _cover_bits(layer: np.ndarray, flip: int, k: int) -> np.ndarray:
-    """The (len(layer), k) grid of the bits set in layer ^ flip, lowest
-    first: each mask's own elements (flip = 0) or its missing ones (flip =
-    the full mask), k per row."""
-    rest = layer ^ flip
-    out = np.empty((layer.size, k), dtype=np.int64)
-    for j in range(k):
-        low = rest & -rest
-        out[:, j] = low
-        rest = rest ^ low
-    return out
+def _float_key(x: float) -> int:
+    """An unsigned integer ordered as the floats are (NaN aside)."""
+    (raw,) = _WORD.unpack(_DOUBLE.pack(x))
+    return raw ^ _ALL_BITS if raw & _SIGN else raw | _SIGN
 
 
-_SIGN = np.uint64(1 << 63)
+def _key_float(key: int) -> float:
+    raw = key ^ _SIGN if key & _SIGN else key ^ _ALL_BITS
+    return _DOUBLE.unpack(_WORD.pack(raw))[0]
 
 
-def _float_keys(x: np.ndarray) -> np.ndarray:
-    """Unsigned integers ordered as the floats are (NaN aside)."""
-    raw = x.view(np.uint64)
-    return np.where(raw & _SIGN, ~raw, raw | _SIGN)
-
-
-def _key_floats(key: np.ndarray) -> np.ndarray:
-    return np.where(key & _SIGN, key ^ _SIGN, ~key).view(np.float64)
-
-
-def _largest_prefix(term: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """The largest float p with fl(p + term) <= bound, elementwise.
+def _largest_prefix(term: float, bound: float) -> float:
+    """The largest float p with fl(p + term) <= bound.
 
     fl(p + term) is nondecreasing in p, so the answer is where the real sum
     crosses the rounding midpoint above bound, bound - term + ulp(bound)/2.
     That point is formed with an error-free subtraction, so the estimate
-    is within an ulp of the answer even when |p| is far below |term|;
-    every element is then checked exactly, and the rare misses (infinite
-    terms or bounds, for instance) fall back to bisection over the floats'
-    bit patterns.
+    is within an ulp of the answer even when |p| is far below |term|; it
+    is then checked exactly, and the rare misses (infinite terms or
+    bounds, for instance) fall back to bisection over the floats' bit
+    patterns.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        diff = bound - term
-        back = diff - bound
-        err = (bound - (diff - back)) - (term + back)  # diff + err == bound - term
-        half_ulp = (np.nextafter(bound, np.inf) - bound) * 0.5
-        p = diff + (err + half_ulp)
-        # Step down once if p overshoots, then probe the neighbour that must
-        # not fit (above p) or must fit (p itself, after a step down).
-        fits = p + term <= bound
-        p = np.where(fits, p, np.nextafter(p, -np.inf))
-        probe = np.where(fits, np.nextafter(p, np.inf), p)
-        miss = (probe + term <= bound) == fits
-        if miss.any():
-            p[miss] = _bisect_prefix(term[miss], bound[miss])
+    diff = bound - term
+    back = diff - bound
+    err = (bound - (diff - back)) - (term + back)  # diff + err == bound - term
+    half_ulp = (math.nextafter(bound, math.inf) - bound) * 0.5
+    p = diff + (err + half_ulp)
+    # Step down once if p overshoots, then probe the neighbour that must
+    # not fit (above p) or must fit (p itself, after a step down).
+    fits = p + term <= bound
+    if not fits:
+        p = math.nextafter(p, -math.inf)
+    probe = math.nextafter(p, math.inf) if fits else p
+    if (probe + term <= bound) == fits:
+        return _bisect_prefix(term, bound)
     return p
 
 
-def _bisect_prefix(term: np.ndarray, bound: np.ndarray) -> np.ndarray:
+def _bisect_prefix(term: float, bound: float) -> float:
     # fl(-inf + term) = -inf always fits; fl(+inf + term) never does, since
     # terms are below +inf and bounds never reach it.
-    lo = np.full(term.shape, _float_keys(np.array(-np.inf))[()])
-    hi = np.full(term.shape, _float_keys(np.array(np.inf))[()])
-    while (hi - lo > 1).any():
-        mid = lo + (hi - lo) // np.uint64(2)
-        fits = _key_floats(mid) + term <= bound
-        lo = np.where(fits, mid, lo)
-        hi = np.where(fits, hi, mid)
-    return _key_floats(lo)
+    lo = _float_key(-math.inf)
+    hi = _float_key(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _key_float(mid) + term <= bound:
+            lo = mid
+        else:
+            hi = mid
+    return _key_float(lo)
 
 
-@np.errstate(over="ignore")
-def _exhaustive(mu: Capacity) -> CapacityEntropyReport:
-    n = mu.ground_size
-    vals = np.asarray(mu.values)
+def _lattice_order(values: Sequence[float], n: int) -> list[int]:
+    """The first chain, in insertion order, whose fold is the minimum over
+    all chains; raises ComputationError when that minimum is not finite."""
     full = (1 << n) - 1
-    layers = _layers(n)
 
     # Forward: best[S] is the smallest left-to-right fold over chains to S.
-    best = np.empty(vals.size)
-    best[0] = 0.0
-    for k in range(1, n + 1):
-        into = layers[k][:, None]
-        came = into ^ _cover_bits(layers[k], 0, k)
-        cand = best[came] + _edge_terms(vals[into] - vals[came])
-        best[layers[k]] = cand.min(axis=1)
+    # Each S - {e} has a smaller mask than S, so ascending masks see it first.
+    best = [0.0] * (full + 1)
+    for s in range(1, full + 1):
+        v = values[s]
+        low = math.inf
+        rest = s
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            came = s ^ bit
+            cand = best[came] + _edge_term(v - values[came])
+            if cand < low:
+                low = cand
+        best[s] = low
     # the evaluator would refuse the minimizing chain's fold
     if not math.isfinite(best[full]):
-        raise _beyond_range(float(best[full]))
+        raise _beyond_range(best[full])
 
-    # Backward, overwriting best: theta[S] is the largest prefix value at S
-    # from which some completion still folds to <= the minimum.
-    theta = best
-    for k in range(n - 1, -1, -1):
-        came = layers[k][:, None]
-        into = came | _cover_bits(layers[k], full, n - k)
-        fit = _largest_prefix(_edge_terms(vals[into] - vals[came]), theta[into])
-        theta[layers[k]] = fit.max(axis=1)
+    # Backward: theta[S] is the largest prefix value at S from which some
+    # completion still folds to <= the minimum, the largest value that any
+    # superset S + {e} allows through _largest_prefix. Some chain through S
+    # reaches the minimum exactly when best[S] <= theta[S]. A subset T where
+    # none does is skipped: what it would allow a parent S stays below
+    # best[S], since fl(best[S] + term) >= best[T] > theta[T], so it never
+    # sets the value of a parent on a minimizing chain, and the walk, whose
+    # prefix at T is at least best[T], refuses T all the same. Without
+    # ties, only the subsets on the minimizing chain push to their parents.
+    theta = [-math.inf] * full + [best[full]]
+    for into in range(full, 0, -1):
+        bound = theta[into]
+        if bound < best[into]:
+            continue
+        v = values[into]
+        rest = into
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            came = into ^ bit
+            fit = _largest_prefix(_edge_term(v - values[came]), bound)
+            if fit > theta[came]:
+                theta[came] = fit
 
     # Forward walk: the smallest element that keeps the prefix feasible.
     order = []
     mask = 0
     acc = 0.0
     for _ in range(n):
-        free = [e for e in range(n) if not mask >> e & 1]
-        nxt = mask | np.left_shift(1, free)
-        prefix = acc + _edge_terms(vals[nxt] - vals[mask])
-        i = int(np.argmax(prefix <= theta[nxt]))
-        acc = float(prefix[i])
-        mask = int(nxt[i])
-        order.append(free[i] + 1)
+        v = values[mask]
+        for e in range(n):
+            if mask >> e & 1:
+                continue
+            nxt = mask | 1 << e
+            prefix = acc + _edge_term(values[nxt] - v)
+            if prefix <= theta[nxt]:
+                break
+        acc = prefix
+        mask = nxt
+        order.append(e + 1)
+    return order
 
+
+def _exhaustive(mu: Capacity) -> CapacityEntropyReport:
+    n = mu.ground_size
+    search = _lattice_order if n < _NUMPY_FROM else _numpy_path().lattice_order
+    order = search(mu.values, n)
     return CapacityEntropyReport(
-        entropy=_chain_value(vals, order)[0],
+        entropy=_chain_value(mu.values, order)[0],
         argmin_chain=MaximalChain(tuple(order)),
         chains_examined=math.factorial(n),
         method="exhaustive",
@@ -373,8 +431,7 @@ def _greedy(mu: Capacity) -> CapacityEntropyReport:
         best_e = None
         best_term = math.inf
         for e in remaining:  # ascending: ties go to the smallest element
-            inc = mu.values[mask | 1 << (e - 1)] - mu.values[mask]
-            term = -inc * math.log(inc) if inc > 0.0 else 0.0
+            term = _edge_term(mu.values[mask | 1 << (e - 1)] - mu.values[mask])
             if term < best_term:
                 best_term = term
                 best_e = e

@@ -43,12 +43,13 @@ from .jsonio import (
     weights_from_doc,
 )
 
-# capacity loads numpy, and continuous and quadrature load neither numpy
-# nor scipy (families imports scipy.special only for a Beta or truncated
-# normal quantile, an interior Beta cdf value or ln B at extreme shapes).
-# The handlers import these modules when called, so the discrete commands
-# and validate start without them, and no command but entropy capacity
-# loads numpy.
+# capacity loads numpy only for a capacity of 9 or more elements, and
+# continuous and quadrature load neither numpy nor scipy (families imports
+# scipy.special only for a Beta or truncated normal quantile, an interior
+# Beta cdf value or ln B at extreme shapes). The handlers import these
+# modules when called, so the discrete commands start without them, and
+# numpy is loaded only by entropy capacity and by validate on a capacity
+# document, each from 9 elements on.
 if TYPE_CHECKING:
     from .quadrature import QuadratureSpec
 

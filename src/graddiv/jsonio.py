@@ -30,9 +30,9 @@ from .discrete import DivergenceResult, ProbabilityVector
 from .errors import InvalidInputError
 from .ordered import GradingSample, as_float, as_floats, as_int
 
-# capacity (numpy), families and quadrature are imported by the readers
-# that build their objects, so parsing a discrete document loads none of
-# them; only a capacity document loads numpy, and none loads scipy.
+# capacity, families and quadrature are imported by the readers that build
+# their objects, so parsing a discrete document loads none of them; only a
+# capacity document of 9 or more elements loads numpy, and none loads scipy.
 if TYPE_CHECKING:
     from .capacity import Capacity, CapacityEntropyReport
     from .families import ContinuousGrading

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import time
 import warnings
@@ -19,7 +20,8 @@ from graddiv import (
     partition_entropy,
 )
 
-from graddiv.capacity import _largest_prefix
+import graddiv._capacity_numpy as capacity_numpy
+import graddiv.capacity as capacity
 
 from conftest import (
     additive_capacities,
@@ -29,6 +31,18 @@ from conftest import (
 )
 
 WORKED = Capacity(2, (0.0, 0.6, 0.7, 1.0))
+
+# A capacity is computed on Python floats below capacity._NUMPY_FROM
+# elements and with numpy from there on. The contract tests run each input
+# through both sides by moving the threshold.
+SIDES = {"python": 64, "numpy": 1}
+
+
+@contextlib.contextmanager
+def computed_on(side):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_NUMPY_FROM", SIDES[side])
+        yield
 
 
 def rel_close(a: float, b: float, tol: float = 1e-12) -> bool:
@@ -54,8 +68,10 @@ class TestCapacity:
             Capacity(2, (0.0, 0.5, 1.0))
 
     def test_empty_set_must_have_zero_value(self):
-        with pytest.raises(InvalidInputError):
-            Capacity(1, (0.5, 1.0))
+        for side in SIDES:
+            with computed_on(side), pytest.raises(InvalidInputError) as exc:
+                Capacity(1, (0.5, 1.0))
+            assert str(exc.value) == "the empty set must have value 0, got 0.5", side
 
     def test_monotonicity_enforced(self):
         with pytest.raises(InvalidInputError) as exc:
@@ -68,12 +84,15 @@ class TestCapacity:
 
     def test_first_bad_value_in_index_order_is_named(self):
         values = [float(bin(m).count("1")) for m in range(1 << 6)]
-        values[50], values[60] = math.nan, -0.5
-        with pytest.raises(InvalidInputError, match=r"got nan$"):
-            Capacity(6, tuple(values))
-        values[50], values[60] = -0.5, math.nan
-        with pytest.raises(InvalidInputError, match=r"got -0\.5$"):
-            Capacity(6, tuple(values))
+        for first, second, shown in ((math.nan, -0.5, "nan"), (-0.5, math.nan, "-0.5"),
+                                     (math.inf, -math.inf, "inf"), (-0.5, -1.0, "-0.5")):
+            values[50], values[60] = first, second
+            for side in SIDES:
+                with computed_on(side), pytest.raises(InvalidInputError) as exc:
+                    Capacity(6, tuple(values))
+                assert str(exc.value) == (
+                    f"subset values must be finite and >= 0, got {shown}"
+                ), side
 
     def test_values_are_stored_as_python_floats(self):
         mu = Capacity(2, (0, np.float64(0.5), 1, np.float32(1.5)))
@@ -93,15 +112,17 @@ class TestCapacity:
         # then subsets without the element in index order
         pairs = ((m, m | 1 << e) for e in range(n) for m in range(1 << n) if not m >> e & 1)
         low, high = next(((m, w) for m, w in pairs if values[m] > values[w]), (None, None))
-        if low is None:
-            assert Capacity(n, values).values == values
-            return
-        with pytest.raises(InvalidInputError) as exc:
-            Capacity(n, values)
-        assert str(exc.value) == (
-            f"capacity is not monotone: value({name(low)})={values[low]!r} > "
-            f"value({name(high)})={values[high]!r}"
-        )
+        for side in SIDES:
+            with computed_on(side):
+                if low is None:
+                    assert Capacity(n, values).values == values
+                    continue
+                with pytest.raises(InvalidInputError) as exc:
+                    Capacity(n, values)
+            assert str(exc.value) == (
+                f"capacity is not monotone: value({name(low)})={values[low]!r} > "
+                f"value({name(high)})={values[high]!r}"
+            ), side
 
     def test_ground_size_must_be_positive(self):
         with pytest.raises(InvalidInputError):
@@ -125,6 +146,8 @@ class TestMaximalChain:
             MaximalChain((0, 1))
         with pytest.raises(InvalidInputError):
             MaximalChain(())
+        with pytest.raises(InvalidInputError, match="^order must be an array of integers$"):
+            MaximalChain(5)
 
     def test_rejects_gap(self):
         with pytest.raises(InvalidInputError):
@@ -213,25 +236,28 @@ class TestCapacityEntropy:
     def test_entropy_beyond_double_range_raises(self):
         # every chain has a term -d ln d below -1.8e308
         mu = Capacity(2, (0.0, 1e308, 1.0, 1.7e308))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # and numpy warns of no overflow
-            for method in ("exhaustive", "greedy"):
-                with pytest.raises(ComputationError, match="chain entropy is -inf"):
-                    capacity_entropy(mu, method=method)
-            for order in ((1, 2), (2, 1)):
-                with pytest.raises(ComputationError, match="chain entropy is -inf"):
-                    chain_divergence(mu, MaximalChain(order))
+        for side in SIDES:
+            with computed_on(side), warnings.catch_warnings():
+                warnings.simplefilter("error")  # and numpy warns of no overflow
+                for method in ("exhaustive", "greedy"):
+                    with pytest.raises(ComputationError, match="chain entropy is -inf"):
+                        capacity_entropy(mu, method=method)
+                for order in ((1, 2), (2, 1)):
+                    with pytest.raises(ComputationError, match="chain entropy is -inf"):
+                        chain_divergence(mu, MaximalChain(order))
 
     def test_single_element_zero_mass(self):
         assert capacity_entropy(Capacity(1, (0.0, 0.0))).entropy == 0.0
 
     def test_tie_breaks_to_first_chain_in_order(self):
-        rep2 = capacity_entropy(Capacity.additive((0.5, 0.5)), method="exhaustive")
-        assert rep2.argmin_chain.order == (1, 2)
-        rep3 = capacity_entropy(
-            Capacity.additive((1 / 3, 1 / 3, 1 / 3)), method="exhaustive"
-        )
-        assert rep3.argmin_chain.order == (1, 2, 3)
+        for side in SIDES:
+            with computed_on(side):
+                rep2 = capacity_entropy(Capacity.additive((0.5, 0.5)), method="exhaustive")
+                rep3 = capacity_entropy(
+                    Capacity.additive((1 / 3, 1 / 3, 1 / 3)), method="exhaustive"
+                )
+            assert rep2.argmin_chain.order == (1, 2), side
+            assert rep3.argmin_chain.order == (1, 2, 3), side
 
     def test_deterministic_across_runs(self):
         a = capacity_entropy(WORKED, method="exhaustive")
@@ -265,15 +291,20 @@ class TestCapacityEntropy:
 
     @given(capacities(max_n=5))
     def test_greedy_never_beats_exhaustive(self, mu):
-        exhaustive = capacity_entropy(mu, method="exhaustive")
-        greedy = capacity_entropy(mu, method="greedy")
-        assert greedy.entropy >= exhaustive.entropy
+        for side in SIDES:
+            with computed_on(side):
+                exhaustive = capacity_entropy(mu, method="exhaustive")
+                greedy = capacity_entropy(mu, method="greedy")
+            assert greedy.entropy >= exhaustive.entropy, side
 
     @given(capacities(max_n=4))
     def test_entropy_matches_argmin_chain(self, mu):
-        for method in ("exhaustive", "greedy"):
-            rep = capacity_entropy(mu, method=method)
-            assert rep.entropy == chain_divergence(mu, rep.argmin_chain).value
+        for side in SIDES:
+            with computed_on(side):
+                for method in ("exhaustive", "greedy"):
+                    rep = capacity_entropy(mu, method=method)
+                    witness = chain_divergence(mu, rep.argmin_chain).value
+                    assert rep.entropy == witness, (side, method)
 
     @settings(max_examples=25)
     @given(st.one_of(capacities(max_n=7), all_tie_capacities(max_n=7)))
@@ -281,14 +312,16 @@ class TestCapacityEntropy:
         # The lattice search against the n! scan, bit for bit: the value is
         # the smallest chain divergence and the witness the first chain, in
         # enumerate_chains order, that reaches it.
-        rep = capacity_entropy(mu, method="exhaustive")
-        scan = [
-            (chain_divergence(mu, ch).value, ch)
-            for ch in enumerate_chains(mu.ground_size)
-        ]
-        lowest = min(v for v, _ in scan)
-        assert rep.entropy == lowest
-        assert rep.argmin_chain == next(ch for v, ch in scan if v == lowest)
+        for side in SIDES:
+            with computed_on(side):
+                rep = capacity_entropy(mu, method="exhaustive")
+                scan = [
+                    (chain_divergence(mu, ch).value, ch)
+                    for ch in enumerate_chains(mu.ground_size)
+                ]
+            lowest = min(v for v, _ in scan)
+            assert rep.entropy == lowest, side
+            assert rep.argmin_chain == next(ch for v, ch in scan if v == lowest), side
 
     def test_prefix_one_ulp_worse_can_still_win(self):
         # Entering {1, 2} by (1, 2) costs one ulp more than by (2, 1), yet
@@ -297,13 +330,15 @@ class TestCapacityEntropy:
         # start with 2.
         mu = Capacity.additive((0.1, 0.7, 0.2))
         sub = Capacity(2, mu.values[:4])
-        assert (
-            chain_divergence(sub, MaximalChain((1, 2))).value
-            > chain_divergence(sub, MaximalChain((2, 1))).value
-        )
-        rep = capacity_entropy(mu, method="exhaustive")
-        assert rep.argmin_chain.order == (1, 2, 3)
-        assert rep.entropy == chain_divergence(mu, MaximalChain((2, 1, 3))).value
+        for side in SIDES:
+            with computed_on(side):
+                assert (
+                    chain_divergence(sub, MaximalChain((1, 2))).value
+                    > chain_divergence(sub, MaximalChain((2, 1))).value
+                ), side
+                rep = capacity_entropy(mu, method="exhaustive")
+                assert rep.argmin_chain.order == (1, 2, 3), side
+                assert rep.entropy == chain_divergence(mu, MaximalChain((2, 1, 3))).value
 
     def test_additive_sixteen_elements_match_partition_entropy(self):
         masses = [0.5 + 0.37 * k % 1.9 for k in range(16)]
@@ -325,6 +360,19 @@ class TestCapacityEntropy:
 search_floats = st.floats(allow_nan=False).filter(lambda x: x != math.inf)
 
 
+def elementwise_largest_prefix(term, bound):
+    """The Python side's scalar routine over arrays."""
+    return np.array(
+        [capacity._largest_prefix(t, b) for t, b in zip(term.tolist(), bound.tolist())]
+    )
+
+
+PREFIX_ROUTINES = {
+    "numpy": capacity_numpy._largest_prefix,
+    "python": elementwise_largest_prefix,
+}
+
+
 class TestLargestPrefix:
     @given(
         st.lists(st.tuples(search_floats, search_floats), min_size=1, max_size=8),
@@ -338,20 +386,22 @@ class TestLargestPrefix:
             [b if k % 2 or not math.isfinite(t) else t + nudges[k]
              for k, (t, b) in enumerate(pairs)]
         )
-        p = _largest_prefix(term, bound)
-        with np.errstate(invalid="ignore", over="ignore"):
-            assert np.all(p + term <= bound)
-            assert not np.any(np.nextafter(p, np.inf) + term <= bound)
+        for side, largest_prefix in PREFIX_ROUTINES.items():
+            p = largest_prefix(term, bound)
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert np.all(p + term <= bound), side
+                assert not np.any(np.nextafter(p, np.inf) + term <= bound), side
 
     def test_special_values(self):
         term = np.array([-np.inf, -np.inf, 0.0, 1.0, 5e-324, 0.25])
         bound = np.array([-np.inf, 1.0, -np.inf, 1.0, 0.0, 0.25])
-        p = _largest_prefix(term, bound)
-        assert p[0] == p[1] == np.finfo(float).max  # -inf absorbs any finite p
-        assert p[2] == -np.inf
-        assert p[3] + 1.0 == 1.0 and np.nextafter(p[3], np.inf) + 1.0 > 1.0
-        assert p[4] == -5e-324
-        assert p[5] == 2.0**-55  # half an ulp of 0.25: the tie rounds to 0.25
+        for side, largest_prefix in PREFIX_ROUTINES.items():
+            p = largest_prefix(term, bound)
+            assert p[0] == p[1] == np.finfo(float).max, side  # -inf absorbs any finite p
+            assert p[2] == -np.inf, side
+            assert p[3] + 1.0 == 1.0 and np.nextafter(p[3], np.inf) + 1.0 > 1.0, side
+            assert p[4] == -5e-324, side
+            assert p[5] == 2.0**-55, side  # half an ulp of 0.25: the tie rounds to 0.25
 
 
 class TestCapacityEntropyReport:

@@ -414,6 +414,10 @@ class TestModuleEntryPoint:
         )
 
 
+_PRINT_LOADED = """
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
+"""
+
 # Run in a fresh interpreter: with no arguments, import graddiv; otherwise
 # run the CLI on them (it must exit 0). Prints the numpy and scipy modules
 # loaded by then.
@@ -425,16 +429,33 @@ if len(sys.argv) > 1:
     assert code == 0, code
 else:
     import graddiv
-print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
-"""
+""" + _PRINT_LOADED
 
 
 def numeric_modules_after(argv):
+    return numeric_modules_running(_LOADED_AFTER, *argv)
+
+
+def numeric_modules_running(script, *args):
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER, *argv], capture_output=True, text=True
+        [sys.executable, "-c", script, *args], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def capacity_file(tmp_path, n):
+    """A capacity document with n elements, on either side of
+    capacity._NUMPY_FROM."""
+    mu = monotone_capacity(n, [0.3, 0.0, 1.7, 0.05])
+    return write(tmp_path, f"cap{n}.json", capacity_to_doc(mu))
+
+
+_CAPACITY_COMMANDS = [
+    ["entropy", "capacity", "--method", "exhaustive", "--capacity"],
+    ["entropy", "capacity", "--method", "greedy", "--capacity"],
+    ["validate", "--input"],
+]
 
 
 class TestImportCost:
@@ -478,17 +499,42 @@ class TestImportCost:
     def test_continuous_commands_load_neither(self, sample_files, argv):
         assert numeric_modules_after([sample_files.get(a, a) for a in argv]) == []
 
-    def test_capacity_entropy_loads_numpy_but_not_scipy(self, sample_files):
-        loaded = numeric_modules_after(
-            ["entropy", "capacity", "--capacity", sample_files["cap"]]
-        )
-        assert "numpy" in loaded
-        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    @pytest.mark.parametrize("argv", _CAPACITY_COMMANDS, ids=lambda argv: " ".join(argv[:-1]))
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_capacity_commands_below_nine_elements_load_neither(self, tmp_path, argv, n):
+        assert numeric_modules_after([*argv, capacity_file(tmp_path, n)]) == []
+
+    def test_capacity_on_infinite_terms_loads_neither(self):
+        # Terms beyond double range, and the infinite terms that send the
+        # prefix step to its bisection over float bit patterns, stay on
+        # Python floats too.
+        script = """
+import math, sys
+from graddiv import Capacity, ComputationError, capacity_entropy
+from graddiv.capacity import _largest_prefix
+mu = Capacity(2, (0.0, 1e308, 1.0, 1.7e308))
+for method in ("exhaustive", "greedy"):
+    try:
+        capacity_entropy(mu, method)
+        raise AssertionError(method)
+    except ComputationError:
+        pass
+assert _largest_prefix(-math.inf, 1.0) == sys.float_info.max
+""" + _PRINT_LOADED
+        assert numeric_modules_running(script) == []
+
+    def test_capacity_entropy_loads_numpy_but_not_scipy(self, tmp_path):
+        # from nine elements on; validate loads the same
+        path = capacity_file(tmp_path, 9)
+        for argv in _CAPACITY_COMMANDS:
+            loaded = numeric_modules_after([*argv, path])
+            assert "numpy" in loaded, argv
+            assert not [m for m in loaded if m.split(".")[0] == "scipy"], argv
 
     def test_only_capacity_imports_numpy_or_scipy_at_module_level(self):
         offenders = []
         for path in sorted(Path(graddiv.__file__).parent.glob("*.py")):
-            if path.name == "capacity.py":
+            if path.name == "_capacity_numpy.py":
                 continue
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             for name in _module_level_imports(tree.body):
