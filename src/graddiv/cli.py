@@ -5,6 +5,14 @@ human-oriented to stderr. Exit statuses: 0 success, 1 invalid input,
 2 computation failure (including a -inf divergence under --strict),
 64 usage errors. Reports carry a digest of the input files so runs can be
 matched to their inputs; elapsed_ms is the only non-deterministic field.
+
+Each command is declared once, in ``_COMMANDS``: its help line, its input
+files with their schemas, the function that computes it and its options.
+``build_parser`` builds every subparser from that table, and ``_execute``
+runs every command the same way. It reads one file and parses it with its
+schema's reader before it reads the next, so the first faulty file is the
+one reported. The quadrature spec is read last, then the function computes
+and its result is serialized.
 """
 
 from __future__ import annotations
@@ -15,41 +23,14 @@ import dataclasses
 import hashlib
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, TextIO
+from typing import TYPE_CHECKING, Any, NamedTuple, TextIO
 
-from . import __version__
-from .discrete import (
-    NEGATIVE_INFINITY,
-    DivergenceResult,
-    divergence_discrete,
-    partition_entropy,
-    relative_entropy,
-    shannon_entropy,
-)
+from . import __version__, jsonio
+from .discrete import NEGATIVE_INFINITY
 from .errors import ComputationError, InvalidInputError
-from .jsonio import (
-    canonical_dumps,
-    capacity_from_doc,
-    capacity_report_to_doc,
-    continuous_grading_from_doc,
-    divergence_result_to_doc,
-    document_for,
-    grading_sample_from_doc,
-    load_json,
-    masses_from_doc,
-    parse_document,
-    quadrature_spec_from_doc,
-    weights_from_doc,
-)
 
-# capacity loads numpy only for a capacity of 9 or more elements, and
-# continuous and quadrature load neither numpy nor scipy (families imports
-# scipy.special only for a Beta or truncated normal quantile, an interior
-# Beta cdf value or ln B at extreme shapes). The handlers import these
-# modules when called, so the discrete commands start without them, and
-# numpy is loaded only by entropy capacity and by validate on a capacity
-# document, each from 9 elements on.
 if TYPE_CHECKING:
     from .quadrature import QuadratureSpec
 
@@ -77,7 +58,7 @@ class _Inputs:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InvalidInputError(f"--{name} file {path!r} is not UTF-8: {exc}") from exc
-        return load_json(text)
+        return jsonio.load_json(text)
 
     def digest(self) -> str:
         outer = hashlib.sha256()
@@ -89,24 +70,88 @@ class _Inputs:
         return outer.hexdigest()
 
 
-def _add_strict(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat a -inf result as a computation failure (exit 2)",
-    )
+class _Command(NamedTuple):
+    help: str
+    # (flag, schema, help) of each input file, in the order the function
+    # takes them; the schema None accepts a document of any schema
+    files: tuple[tuple[str, str | None, str], ...]
+    # (module, function name), or None to echo the parsed document
+    compute: tuple[str, str] | None
+    # "method" for --method, "quad" for --quad and --tol; every command
+    # that computes takes --strict
+    options: str = ""
 
 
-def _add_quad_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--quad", metavar="FILE", help="quadrature_spec JSON document"
-    )
-    parser.add_argument(
-        "--tol",
-        type=float,
-        metavar="X",
-        help="override the absolute integration tolerance",
-    )
+# A computing module is imported by name when its command runs. capacity
+# loads numpy only for a capacity of 9 or more elements; continuous and
+# quadrature load neither numpy nor scipy (families imports scipy.special
+# only for a Beta or truncated normal quantile, an interior Beta cdf value
+# or ln B at extreme shapes). So the discrete commands start without any of
+# them, and numpy is loaded only by entropy capacity and by validate on a
+# capacity document, each from 9 elements on. Readers and functions are
+# looked up when called, never held here, so a wrapper installed on a
+# module's binding sees every call.
+_COMMANDS: dict[str, _Command] = {
+    "divergence discrete": _Command(
+        "between two finite grading samples",
+        (("f", "grading_sample", "grading_sample JSON (graded side)"),
+         ("g", "grading_sample", "grading_sample JSON (reference side)")),
+        ("discrete", "divergence_discrete"),
+    ),
+    "divergence continuous": _Command(
+        "between two continuous gradings",
+        (("f", "continuous_grading", "continuous_grading JSON (graded side)"),
+         ("g", "continuous_grading", "continuous_grading JSON (reference side)")),
+        ("continuous", "divergence_continuous"),
+        "quad",
+    ),
+    "divergence symmetric": _Command(
+        "sum of both divergence directions",
+        (("f", "continuous_grading", "continuous_grading JSON"),
+         ("g", "continuous_grading", "continuous_grading JSON")),
+        ("continuous", "symmetric_divergence"),
+        "quad",
+    ),
+    "entropy shannon": _Command(
+        "of a probability vector",
+        (("dist", "weights", "weights JSON"),),
+        ("discrete", "shannon_entropy"),
+    ),
+    "entropy relative": _Command(
+        "of one probability vector against another",
+        (("f", "weights", "weights JSON (graded side)"),
+         ("g", "weights", "weights JSON (reference side)")),
+        ("discrete", "relative_entropy"),
+    ),
+    "entropy partition": _Command(
+        "of nonnegative cell masses",
+        (("masses", "masses", "masses JSON"),),
+        ("discrete", "partition_entropy"),
+    ),
+    "entropy capacity": _Command(
+        "of a monotone set function",
+        (("capacity", "capacity", "capacity JSON"),),
+        ("capacity", "capacity_entropy"),
+        "method",
+    ),
+    "entropy corrected": _Command(
+        "of a continuous probability grading",
+        (("grading", "continuous_grading", "continuous_grading JSON"),),
+        ("continuous", "corrected_entropy"),
+        "quad",
+    ),
+    "validate": _Command(
+        "parse a document and echo its canonical form",
+        (("input", None, "JSON document in any input schema"),),
+        None,
+    ),
+}
+
+# help lines of the commands that group two-word commands
+_GROUPS = {
+    "divergence": "divergence of one grading from another",
+    "entropy": "entropy of a single grading or capacity",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,61 +161,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    div = sub.add_parser("divergence", help="divergence of one grading from another")
-    div_sub = div.add_subparsers(dest="action", required=True)
-
-    p = div_sub.add_parser("discrete", help="between two finite grading samples")
-    p.add_argument("--f", required=True, metavar="FILE", help="grading_sample JSON (graded side)")
-    p.add_argument("--g", required=True, metavar="FILE", help="grading_sample JSON (reference side)")
-    _add_strict(p)
-
-    p = div_sub.add_parser("continuous", help="between two continuous gradings")
-    p.add_argument("--f", required=True, metavar="FILE", help="continuous_grading JSON (graded side)")
-    p.add_argument("--g", required=True, metavar="FILE", help="continuous_grading JSON (reference side)")
-    _add_quad_options(p)
-    _add_strict(p)
-
-    p = div_sub.add_parser("symmetric", help="sum of both divergence directions")
-    p.add_argument("--f", required=True, metavar="FILE", help="continuous_grading JSON")
-    p.add_argument("--g", required=True, metavar="FILE", help="continuous_grading JSON")
-    _add_quad_options(p)
-    _add_strict(p)
-
-    ent = sub.add_parser("entropy", help="entropy of a single grading or capacity")
-    ent_sub = ent.add_subparsers(dest="action", required=True)
-
-    p = ent_sub.add_parser("shannon", help="of a probability vector")
-    p.add_argument("--dist", required=True, metavar="FILE", help="weights JSON")
-    _add_strict(p)
-
-    p = ent_sub.add_parser("relative", help="of one probability vector against another")
-    p.add_argument("--f", required=True, metavar="FILE", help="weights JSON (graded side)")
-    p.add_argument("--g", required=True, metavar="FILE", help="weights JSON (reference side)")
-    _add_strict(p)
-
-    p = ent_sub.add_parser("partition", help="of nonnegative cell masses")
-    p.add_argument("--masses", required=True, metavar="FILE", help="masses JSON")
-    _add_strict(p)
-
-    p = ent_sub.add_parser("capacity", help="of a monotone set function")
-    p.add_argument("--capacity", required=True, metavar="FILE", help="capacity JSON")
-    p.add_argument(
-        "--method",
-        choices=("exhaustive", "greedy"),
-        default="exhaustive",
-        help="chain search strategy (default: exhaustive)",
-    )
-    _add_strict(p)
-
-    p = ent_sub.add_parser("corrected", help="of a continuous probability grading")
-    p.add_argument("--grading", required=True, metavar="FILE", help="continuous_grading JSON")
-    _add_quad_options(p)
-    _add_strict(p)
-
-    p = sub.add_parser("validate", help="parse a document and echo its canonical form")
-    p.add_argument("--input", required=True, metavar="FILE", help="JSON document in any input schema")
-
+    groups: dict[str, Any] = {}
+    for name, command in _COMMANDS.items():
+        group, _, action = name.partition(" ")
+        if action:
+            if group not in groups:
+                group_parser = sub.add_parser(group, help=_GROUPS[group])
+                groups[group] = group_parser.add_subparsers(dest="action", required=True)
+            p = groups[group].add_parser(action, help=command.help)
+        else:
+            p = sub.add_parser(name, help=command.help)
+        for flag, _, text in command.files:
+            p.add_argument(f"--{flag}", required=True, metavar="FILE", help=text)
+        if command.options == "method":
+            p.add_argument("--method", choices=("exhaustive", "greedy"), default="exhaustive",
+                           help="chain search strategy (default: exhaustive)")
+        if command.options == "quad":
+            p.add_argument("--quad", metavar="FILE", help="quadrature_spec JSON document")
+            p.add_argument("--tol", type=float, metavar="X",
+                           help="override the absolute integration tolerance")
+        if command.compute is not None:
+            p.add_argument("--strict", action="store_true",
+                           help="treat a -inf result as a computation failure (exit 2)")
     return parser
 
 
@@ -179,87 +191,31 @@ def _quad_spec(args: argparse.Namespace, inputs: _Inputs) -> QuadratureSpec:
 
     spec = QuadratureSpec()
     if args.quad is not None:
-        spec = quadrature_spec_from_doc(inputs.load("quad", args.quad))
+        spec = jsonio.quadrature_spec_from_doc(inputs.load("quad", args.quad))
     if args.tol is not None:
         spec = dataclasses.replace(spec, abs_tol=args.tol)
     return spec
 
 
-def _checked(result: DivergenceResult, args: argparse.Namespace) -> dict:
-    if getattr(args, "strict", False) and NEGATIVE_INFINITY in result.flags:
+def _execute(name: str, args: argparse.Namespace, inputs: _Inputs) -> dict:
+    command = _COMMANDS[name]
+    operands = []
+    for flag, schema, _ in command.files:
+        read = jsonio.parse_document if schema is None else getattr(jsonio, f"{schema}_from_doc")
+        operands.append(read(inputs.load(flag, getattr(args, flag))))
+    if command.compute is None:
+        schema, parsed = operands[0]
+        return {"schema": schema, "document": jsonio.document_for(schema, parsed)}
+    if command.options == "quad":
+        operands.append(_quad_spec(args, inputs))
+    module, function = command.compute
+    compute = getattr(import_module(f".{module}", __package__), function)
+    if command.options == "method":
+        return jsonio.capacity_report_to_doc(compute(*operands, method=args.method))
+    result = compute(*operands)
+    if args.strict and NEGATIVE_INFINITY in result.flags:
         raise ComputationError("divergence diverged to -inf (strict mode)")
-    return divergence_result_to_doc(result)
-
-
-def _cmd_divergence_discrete(args, inputs: _Inputs) -> dict:
-    f = grading_sample_from_doc(inputs.load("f", args.f))
-    g = grading_sample_from_doc(inputs.load("g", args.g))
-    return _checked(divergence_discrete(f, g), args)
-
-
-def _cmd_divergence_continuous(args, inputs: _Inputs) -> dict:
-    from .continuous import divergence_continuous
-
-    f = continuous_grading_from_doc(inputs.load("f", args.f))
-    g = continuous_grading_from_doc(inputs.load("g", args.g))
-    return _checked(divergence_continuous(f, g, _quad_spec(args, inputs)), args)
-
-
-def _cmd_divergence_symmetric(args, inputs: _Inputs) -> dict:
-    from .continuous import symmetric_divergence
-
-    f = continuous_grading_from_doc(inputs.load("f", args.f))
-    g = continuous_grading_from_doc(inputs.load("g", args.g))
-    return _checked(symmetric_divergence(f, g, _quad_spec(args, inputs)), args)
-
-
-def _cmd_entropy_shannon(args, inputs: _Inputs) -> dict:
-    dist = weights_from_doc(inputs.load("dist", args.dist))
-    return _checked(shannon_entropy(dist), args)
-
-
-def _cmd_entropy_relative(args, inputs: _Inputs) -> dict:
-    f = weights_from_doc(inputs.load("f", args.f))
-    g = weights_from_doc(inputs.load("g", args.g))
-    return _checked(relative_entropy(f, g), args)
-
-
-def _cmd_entropy_partition(args, inputs: _Inputs) -> dict:
-    masses = masses_from_doc(inputs.load("masses", args.masses))
-    return _checked(partition_entropy(masses), args)
-
-
-def _cmd_entropy_capacity(args, inputs: _Inputs) -> dict:
-    from .capacity import capacity_entropy
-
-    mu = capacity_from_doc(inputs.load("capacity", args.capacity))
-    report = capacity_entropy(mu, method=args.method)
-    return capacity_report_to_doc(report)
-
-
-def _cmd_entropy_corrected(args, inputs: _Inputs) -> dict:
-    from .continuous import corrected_entropy
-
-    grading = continuous_grading_from_doc(inputs.load("grading", args.grading))
-    return _checked(corrected_entropy(grading, _quad_spec(args, inputs)), args)
-
-
-def _cmd_validate(args, inputs: _Inputs) -> dict:
-    schema, parsed = parse_document(inputs.load("input", args.input))
-    return {"schema": schema, "document": document_for(schema, parsed)}
-
-
-_HANDLERS: dict[str, Callable[[argparse.Namespace, _Inputs], dict]] = {
-    "divergence discrete": _cmd_divergence_discrete,
-    "divergence continuous": _cmd_divergence_continuous,
-    "divergence symmetric": _cmd_divergence_symmetric,
-    "entropy shannon": _cmd_entropy_shannon,
-    "entropy relative": _cmd_entropy_relative,
-    "entropy partition": _cmd_entropy_partition,
-    "entropy capacity": _cmd_entropy_capacity,
-    "entropy corrected": _cmd_entropy_corrected,
-    "validate": _cmd_validate,
-}
+    return jsonio.divergence_result_to_doc(result)
 
 
 def _emit(
@@ -279,7 +235,7 @@ def _emit(
         report["result"] = result
     else:
         report["error"] = error
-    stdout.write(canonical_dumps(report) + "\n")
+    stdout.write(jsonio.canonical_dumps(report) + "\n")
 
 
 def run(argv: list[str] | None = None, stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
@@ -299,7 +255,7 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None, stderr: Tex
     inputs = _Inputs()
     started = time.perf_counter()
     try:
-        result = _HANDLERS[command](args, inputs)
+        result = _execute(command, args, inputs)
     except InvalidInputError as exc:
         _emit(stdout, command, inputs, started, error=str(exc))
         print(f"graddiv: invalid input: {exc}", file=stderr)

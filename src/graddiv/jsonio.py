@@ -196,14 +196,12 @@ def _floats(value: Any, where: str) -> tuple[float, ...]:
 def grading_sample_from_doc(doc: dict) -> GradingSample:
     _require_keys(doc, frozenset({"grades"}), frozenset({"labels"}), "grading_sample")
     grades = _number_list(doc["grades"], "grades")
-    labels = None
-    if "labels" in doc:
-        raw = doc["labels"]
-        if not isinstance(raw, list) or any(not isinstance(s, str) for s in raw):
-            as_floats(grades, "grades")  # a grade that is no number is named first
-            raise InvalidInputError("labels must be an array of strings")
-        labels = tuple(raw)
-    return GradingSample(grades=grades, labels=labels)
+    if "labels" not in doc:
+        return GradingSample(grades)
+    # The constructor judges the labels. To it None means no labels, so a
+    # JSON null is handed over as the non-string it is.
+    labels = doc["labels"]
+    return GradingSample(grades, labels=(None,) if labels is None else labels)
 
 
 def grading_sample_to_doc(sample: GradingSample) -> dict:

@@ -88,6 +88,8 @@ class GradingSample:
     ``grades[k]`` is the grade of the k-th element. Strict monotonicity is
     the defining property of a grading function and is enforced eagerly:
     a repeated grade would make downstream increment ratios undefined.
+    ``labels``, when given, is a list or tuple of one string per grade; a
+    label that is no string is refused, not converted.
     """
 
     grades: tuple[float, ...]
@@ -95,6 +97,12 @@ class GradingSample:
 
     def __post_init__(self):
         grades = as_floats(self.grades, "grades")
+        labels = self.labels
+        if labels is not None:
+            if not (isinstance(labels, (list, tuple))
+                    and all(isinstance(s, str) for s in labels)):
+                raise InvalidInputError("labels must be an array of strings")
+            labels = tuple(labels)
         if len(grades) < 2:
             raise InvalidInputError(
                 f"a grading sample needs at least 2 grades, got {len(grades)}"
@@ -104,13 +112,8 @@ class GradingSample:
         if not (all(map(lt, grades, islice(grades, 1, None)))
                 and math.isfinite(grades[-1] - grades[0])):
             _reject_grades(grades)
-        labels = self.labels
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != len(grades):
-                raise InvalidInputError(
-                    f"{len(labels)} labels for {len(grades)} grades"
-                )
+        if labels is not None and len(labels) != len(grades):
+            raise InvalidInputError(f"{len(labels)} labels for {len(grades)} grades")
         object.__setattr__(self, "grades", grades)
         object.__setattr__(self, "labels", labels)
 

@@ -1,7 +1,9 @@
+import argparse
 import ast
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,6 +20,7 @@ from graddiv.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     run,
 )
 from graddiv.jsonio import canonical_dumps, capacity_to_doc
@@ -99,6 +102,19 @@ def sample_files(tmp_path):
         ),
         "quad": write(tmp_path, "quad.json", {"abs_tol": 1e-9}),
     }
+
+
+# the schema of each input file of each computing command
+_FILE_SCHEMAS = {
+    "divergence discrete": {"--f": "grading_sample", "--g": "grading_sample"},
+    "divergence continuous": {"--f": "continuous_grading", "--g": "continuous_grading"},
+    "divergence symmetric": {"--f": "continuous_grading", "--g": "continuous_grading"},
+    "entropy shannon": {"--dist": "weights"},
+    "entropy relative": {"--f": "weights", "--g": "weights"},
+    "entropy partition": {"--masses": "masses"},
+    "entropy capacity": {"--capacity": "capacity"},
+    "entropy corrected": {"--grading": "continuous_grading"},
+}
 
 
 class TestExitCodes:
@@ -194,9 +210,37 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
     def test_usage_unknown_subcommand(self):
-        code, _, err = invoke(["frobnicate"])
+        code, out, err = invoke(["frobnicate"])
         assert code == EXIT_USAGE
-        assert err != ""
+        assert out == ""
+        assert err.startswith("usage: graddiv")
+
+    def test_first_faulty_file_is_reported(self, tmp_path, sample_files):
+        # --f is read and parsed before --g is read
+        code, out, err = invoke(
+            ["divergence", "discrete", "--f", sample_files["u4"], "--g",
+             str(tmp_path / "absent.json")]
+        )
+        assert code == EXIT_INVALID_INPUT
+        error = "grading_sample document is missing keys ['grades']"
+        assert report_of(out)["error"] == error
+        assert err == f"graddiv: invalid input: {error}\n"
+
+    @pytest.mark.parametrize("command", _FILE_SCHEMAS)
+    def test_document_of_another_schema_names_the_expected_one(self, sample_files, command):
+        files = _FILE_SCHEMAS[command]
+        valid = {"grading_sample": "f_grades", "weights": "u4", "masses": "masses",
+                 "capacity": "cap", "continuous_grading": "beta25"}
+        for wrong_flag, schema in files.items():
+            other = "u4" if schema == "masses" else "masses"
+            argv = command.split()
+            for flag, flag_schema in files.items():
+                doc = other if flag == wrong_flag else valid[flag_schema]
+                argv += [flag, sample_files[doc]]
+            code, out, err = invoke(argv)
+            assert code == EXIT_INVALID_INPUT, argv
+            assert report_of(out)["error"].startswith(f"{schema} document is missing keys")
+            assert err.count("\n") == 1
 
     def test_version_exits_zero(self):
         code, out, err = invoke(["--version"])
@@ -418,10 +462,14 @@ _PRINT_LOADED = """
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
 """
 
+_PRINT_COMPUTING = """
+print(" ".join(sorted(m for m in sys.modules if m in (
+    "graddiv.capacity", "graddiv.continuous", "graddiv.families", "graddiv.quadrature"))))
+"""
+
 # Run in a fresh interpreter: with no arguments, import graddiv; otherwise
-# run the CLI on them (it must exit 0). Prints the numpy and scipy modules
-# loaded by then.
-_LOADED_AFTER = """
+# run the CLI on them (it must exit 0).
+_RUN_ARGV = """
 import io, sys
 if len(sys.argv) > 1:
     from graddiv.cli import run
@@ -429,7 +477,10 @@ if len(sys.argv) > 1:
     assert code == 0, code
 else:
     import graddiv
-""" + _PRINT_LOADED
+"""
+
+# The same, printing the numpy and scipy modules loaded by then.
+_LOADED_AFTER = _RUN_ARGV + _PRINT_LOADED
 
 
 def numeric_modules_after(argv):
@@ -451,6 +502,16 @@ def capacity_file(tmp_path, n):
     return write(tmp_path, f"cap{n}.json", capacity_to_doc(mu))
 
 
+_DISCRETE_COMMANDS = [
+    ["divergence", "discrete", "--f", "f_grades", "--g", "g_grades"],
+    ["entropy", "shannon", "--dist", "u4"],
+    ["entropy", "relative", "--f", "u4", "--g", "u4"],
+    ["entropy", "partition", "--masses", "masses"],
+    ["validate", "--input", "f_grades"],
+    ["validate", "--input", "u4"],
+    ["validate", "--input", "masses"],
+]
+
 _CAPACITY_COMMANDS = [
     ["entropy", "capacity", "--method", "exhaustive", "--capacity"],
     ["entropy", "capacity", "--method", "greedy", "--capacity"],
@@ -464,21 +525,15 @@ class TestImportCost:
     def test_import_graddiv_loads_neither_numpy_nor_scipy(self):
         assert numeric_modules_after([]) == []
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["divergence", "discrete", "--f", "f_grades", "--g", "g_grades"],
-            ["entropy", "shannon", "--dist", "u4"],
-            ["entropy", "relative", "--f", "u4", "--g", "u4"],
-            ["entropy", "partition", "--masses", "masses"],
-            ["validate", "--input", "f_grades"],
-            ["validate", "--input", "u4"],
-            ["validate", "--input", "masses"],
-        ],
-        ids=lambda argv: " ".join(argv),
-    )
+    @pytest.mark.parametrize("argv", _DISCRETE_COMMANDS, ids=lambda argv: " ".join(argv))
     def test_discrete_commands_load_neither(self, sample_files, argv):
         assert numeric_modules_after([sample_files.get(a, a) for a in argv]) == []
+
+    @pytest.mark.parametrize("argv", _DISCRETE_COMMANDS, ids=lambda argv: " ".join(argv))
+    def test_discrete_commands_load_no_other_computing_module(self, sample_files, argv):
+        # each would cost every discrete call its import
+        argv = [sample_files.get(a, a) for a in argv]
+        assert numeric_modules_running(_RUN_ARGV + _PRINT_COMPUTING, *argv) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -562,6 +617,29 @@ def _module_level_imports(body):
                 yield from _module_level_imports(getattr(node, block, []))
             for handler in getattr(node, "handlers", []):
                 yield from _module_level_imports(handler.body)
+
+
+def _parser_options(parser, words=()):
+    """(command, options) for each command of the parser, its options
+    without those every command of a kind shares."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parser_options(sub, (*words, name))
+            return
+    options = {o for action in parser._actions for o in action.option_strings}
+    yield " ".join(words), options - {"-h", "--help", "--quad", "--tol", "--strict"}
+
+
+class TestReadme:
+    def test_subcommand_table_matches_the_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("\nSubcommands:\n\n", 1)[1].split("\n\n", 1)[0]
+        rows = {}
+        for line in table.splitlines()[2:]:
+            cell = line.split("`")[1]
+            rows[cell.split(" --")[0]] = set(re.findall(r"--\w+", cell))
+        assert rows == dict(_parser_options(build_parser()))
 
 
 class TestPublicNames:

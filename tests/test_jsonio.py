@@ -243,6 +243,12 @@ class TestGradingSampleDocs:
             grading_sample_from_doc({"grades": grades, "labels": [1, 2, 3]})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("labels", [None, "ab", {"a": 0, "b": 1}, ["a", 2]])
+    def test_labels_not_an_array_of_strings(self, labels):
+        with pytest.raises(InvalidInputError) as exc:
+            grading_sample_from_doc({"grades": [0, 1], "labels": labels})
+        assert str(exc.value) == "labels must be an array of strings"
+
     def test_integer_beyond_float_range_is_named(self):
         huge = 10**400
         with pytest.raises(InvalidInputError) as exc:

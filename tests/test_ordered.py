@@ -48,6 +48,14 @@ class TestGradingSample:
     def test_labels_kept(self):
         s = GradingSample((0.0, 1.0, 2.0), labels=("a", "b", "c"))
         assert s.labels == ("a", "b", "c")
+        assert GradingSample((0.0, 1.0), labels=["a", "b"]).labels == ("a", "b")
+
+    @pytest.mark.parametrize("labels", [5, "ab", [1, 2], ("a", None), {"a": 0, "b": 1}])
+    def test_labels_not_an_array_of_strings(self, labels):
+        # neither split, converted nor read as keys
+        with pytest.raises(InvalidInputError) as err:
+            GradingSample((0.0, 1.0), labels=labels)
+        assert str(err.value) == "labels must be an array of strings"
 
     def test_too_few_grades(self):
         with pytest.raises(InvalidInputError):
