@@ -53,10 +53,14 @@ def divergence_continuous(
     G: ContinuousGrading,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> DivergenceResult:
-    """Divergence of G from F: integral of f * ln(g/f) over the support."""
+    """Divergence of G from F: integral of f * ln(g/f) over the support.
+
+    The integrand is exp(lf) * (lg - lf) from the two log-densities, and
+    F's density must integrate to its grade span on the same nodes.
+    """
     a, b = _require_same_support(F, G)
-    f, g = F.density, G.density
-    inf, log = math.inf, math.log
+    log_f, log_g = F.log_density, G.log_density
+    inf, exp = math.inf, math.exp
     vanishes = False
 
     # The value is -inf only where g vanishes under positive, finite f. An
@@ -65,24 +69,25 @@ def divergence_continuous(
     # divergence. No sample pays for a test: a term beyond double range is
     # -inf, which stops the quadrature walk, and is told from a vanishing g
     # afterwards; a NaN or +inf term fails in integrate_adaptive.
-    def integrand(x: float) -> float:
+    def integrand(x: float, da: float, db: float) -> tuple[float, float]:
         nonlocal vanishes
         try:
-            fx = f(x)
-            if fx <= 0.0:
-                return 0.0
-            gx = g(x)
+            lf = log_f(x, da, db)
+            fx = exp(lf)
+            if fx == 0.0:
+                return 0.0, 0.0
+            lg = log_g(x, da, db)
         except ArithmeticError as exc:
             raise _out_of_range(f"{exc} at x={x!r}") from None
-        if gx <= 0.0:
+        if lg == -inf:
             if fx == inf:
                 raise _out_of_range(f"the density of F is infinite at x={x!r}")
             vanishes = True
-            return -inf
-        return fx * (log(gx) - log(fx))
+            return -inf, fx
+        return fx * (lg - lf), fx
 
     outcome = integrate_adaptive(
-        integrand, a, b, spec, breakpoints=_merged_breakpoints(F, G)
+        integrand, a, b, spec, breakpoints=_merged_breakpoints(F, G), mass=F.grade_span
     )
     if outcome.negative_infinity and not vanishes:
         raise _out_of_range("a term f ln(g / f) overflowed to -inf")
@@ -146,10 +151,15 @@ def symmetric_divergence(
 ) -> DivergenceResult:
     """Sum of the divergence in both directions; -inf if either side is.
 
-    Raises ComputationError when both sides are finite but their sum
-    leaves double range.
+    When the first direction is -inf the second is not computed: the sum
+    is -inf whatever it is, and a density with an undeclared jump (a
+    support that ends inside [a, b]) would make its quadrature converge
+    only at first order. Raises ComputationError when both sides are
+    finite but their sum leaves double range.
     """
     d_fg = divergence_continuous(F, G, spec)
+    if NEGATIVE_INFINITY in d_fg.flags:
+        return d_fg
     d_gf = divergence_continuous(G, F, spec)
     return _result(
         d_fg.value + d_gf.value,
@@ -165,19 +175,22 @@ def classical_entropy(
 ) -> DivergenceResult:
     """Differential entropy -integral of f * ln(f) over the support."""
     a, b = F.support
-    f = F.density
-    log = math.log
+    log_f = F.log_density
+    exp = math.exp
 
-    def integrand(x: float) -> float:
+    def integrand(x: float, da: float, db: float) -> tuple[float, float]:
         try:
-            fx = f(x)
+            lf = log_f(x, da, db)
+            fx = exp(lf)
         except ArithmeticError as exc:
             raise _out_of_range(f"{exc} at x={x!r}") from None
-        if fx <= 0.0:
-            return 0.0
-        return -fx * log(fx)
+        if fx == 0.0:
+            return 0.0, 0.0
+        return -fx * lf, fx
 
-    outcome = integrate_adaptive(integrand, a, b, spec, breakpoints=F.breakpoints())
+    outcome = integrate_adaptive(
+        integrand, a, b, spec, breakpoints=F.breakpoints(), mass=F.grade_span
+    )
     # -f ln f is -inf only where f is infinite or the term overflowed
     if outcome.negative_infinity:
         raise _out_of_range("a term -f ln f overflowed to -inf")

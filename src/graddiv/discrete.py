@@ -82,8 +82,8 @@ def _reject_nonnegative(values: tuple[float, ...], name: str) -> None:
 class DivergenceResult:
     """A divergence value in nats plus convergence diagnostics.
 
-    terms_used counts the terms (or quadrature panels) that entered the
-    finite accumulation. dropped_mass is the total forward-grading mass
+    terms_used counts the terms that entered the finite accumulation; for
+    a continuous result, the integrand evaluations. dropped_mass is the total forward-grading mass
     attached to terms that could not enter it: zero-mass terms contribute
     nothing, and terms whose reference increment is zero force the value
     to -inf, recorded by the ``negative_infinity`` flag. error_estimate

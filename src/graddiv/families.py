@@ -38,6 +38,7 @@ PROBABILITY_TOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # math.gamma is finite for every argument in [float_info.min, 171)
 _GAMMA_MAX = 171.0
@@ -131,6 +132,14 @@ class ContinuousGrading(abc.ABC):
     @abc.abstractmethod
     def density(self, x: float) -> float: ...
 
+    def log_density(self, x: float, da: float, db: float) -> float:
+        """ln of the density at x, whose distances from a and b are da and
+        db (both positive, and exact where x has rounded onto an end);
+        -inf where the density vanishes. A family whose density is
+        singular or vanishes at an end computes it from da and db."""
+        fx = self.density(x)
+        return math.log(fx) if fx > 0.0 else -math.inf
+
     def shape_params(self) -> dict:
         return {name: getattr(self, name) for name in self.params}
 
@@ -200,6 +209,8 @@ class Triangular(ContinuousGrading):
     def _validate(self) -> None:
         if not self.a <= self.c <= self.b:
             raise InvalidInputError(f"mode must satisfy a <= c <= b, got c={self.c!r}")
+        # ln of the density at the mode, kept outside the fields
+        object.__setattr__(self, "_log_peak", math.log(2.0) - math.log(self.b - self.a))
 
     # Each expression scales ratios no larger than 1 by the width or divides
     # them by it, and never multiplies two widths or squares one, so every
@@ -222,6 +233,16 @@ class Triangular(ContinuousGrading):
         if x > c:
             return 2.0 * ((b - x) / (b - c)) / (b - a)
         return 2.0 / (b - a)
+
+    def log_density(self, x: float, da: float, db: float) -> float:
+        # the density vanishes at a and b, so each side reads its own
+        # distance, not x, which may have rounded onto the end
+        c = self.c
+        if x < c:
+            return self._log_peak + math.log(da / (c - self.a))
+        if x > c:
+            return self._log_peak + math.log(db / (self.b - c))
+        return self._log_peak
 
     def inverse(self, u: float) -> float:
         a, c, b = self.a, self.c, self.b
@@ -254,8 +275,11 @@ class Beta(ContinuousGrading):
             raise InvalidInputError(
                 f"shape parameters must be positive and finite, got ({alpha!r}, {beta!r})"
             )
-        # log of the normalizing beta function, kept outside the fields
-        object.__setattr__(self, "_log_norm", _log_beta(alpha, beta))
+        # log of the normalizing beta function, and that plus the log of
+        # the width, kept outside the fields
+        log_norm = _log_beta(alpha, beta)
+        object.__setattr__(self, "_log_norm", log_norm)
+        object.__setattr__(self, "_log_divisor", log_norm + math.log(self.b - self.a))
 
     def _t(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -280,6 +304,14 @@ class Beta(ContinuousGrading):
             - self._log_norm
         )
         return math.exp(log_pdf) / width
+
+    def log_density(self, x: float, da: float, db: float) -> float:
+        width = self.b - self.a
+        return (
+            (self.alpha - 1.0) * math.log(da / width)
+            + (self.beta - 1.0) * math.log(db / width)
+            - self._log_divisor
+        )
 
     def _edge_density(self, shape: float, width: float) -> float:
         if shape > 1.0:
@@ -328,12 +360,14 @@ class TruncatedNormal(ContinuousGrading):
                 "the interval carries no normal mass at this mu/sigma "
                 "(truncation window too deep in a tail)"
             )
-        # the tail side, its normal cdf at a, the window's mass and the
-        # density's divisor, kept outside the fields
+        # the tail side, its normal cdf at a, the window's mass, and the
+        # density's divisor and its log, kept outside the fields; the log
+        # is a sum of logs, finite where the divisor itself underflows
         object.__setattr__(self, "_side", side)
         object.__setattr__(self, "_lower", lower)
         object.__setattr__(self, "_mass", mass)
         object.__setattr__(self, "_scale", sigma * _SQRT_2PI * mass)
+        object.__setattr__(self, "_log_scale", math.log(sigma) + _LOG_SQRT_2PI + math.log(mass))
 
     def _z(self, x: float) -> float:
         return (x - self.mu) / self.sigma
@@ -346,6 +380,10 @@ class TruncatedNormal(ContinuousGrading):
     def density(self, x: float) -> float:
         z = self._z(x)
         return math.exp(-0.5 * z * z) / self._scale
+
+    def log_density(self, x: float, da: float, db: float) -> float:
+        z = self._z(x)
+        return -0.5 * z * z - self._log_scale
 
     def inverse(self, u: float) -> float:
         side = self._side
@@ -367,6 +405,8 @@ class Power(ContinuousGrading):
     def _validate(self) -> None:
         if not (math.isfinite(self.p) and self.p > 0):
             raise InvalidInputError(f"exponent must be positive and finite, got {self.p!r}")
+        # ln(p / width), kept outside the fields
+        object.__setattr__(self, "_log_factor", math.log(self.p) - math.log(self.b - self.a))
 
     def _t(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -382,6 +422,9 @@ class Power(ContinuousGrading):
                 return 0.0
             return 1.0 / width if self.p == 1.0 else math.inf
         return self.p * min(t, 1.0) ** (self.p - 1.0) / width
+
+    def log_density(self, x: float, da: float, db: float) -> float:
+        return self._log_factor + (self.p - 1.0) * math.log(da / (self.b - self.a))
 
     def inverse(self, u: float) -> float:
         return self.a + u ** (1.0 / self.p) * (self.b - self.a)

@@ -1,30 +1,51 @@
-"""Adaptive integration for divergence integrands.
+"""Tanh-sinh quadrature for divergence integrands.
 
-The engine is 15-point Gauss-Legendre under global greedy refinement: every
-cell carries an error estimate (the defect between its panel value and the
-sum over its halves), and the cell with the largest estimate is split until
-the total meets the budget max(abs_tol, rel_tol * |first estimate|). GL
-nodes are interior to each cell, so integrands that blow up only at panel
-edges (endpoint singularities of beta or power densities, log terms from a
-vanishing density ratio) are sampled where they are finite; global greedy
-refinement is what lets their shrinking but never-smooth boundary cells
-converge, where a per-cell width-proportional budget would not. The
-divergence integrands return -inf only where the reference density
-vanishes under positive mass, which makes the integral itself -inf, so a
-sample of -inf short-circuits the walk instead of refining forever; a NaN
+The rule is the double-exponential substitution of Takahasi and Mori
+(Publ. RIMS 9, 1974; Mori and Sugihara, J. Comput. Appl. Math. 127, 2001):
+on a segment [lo, hi] of width w the node at t lies at distance
+w / (1 + e^(2|u|)) from the nearer end, u = (pi/2) sinh(t), and the
+trapezoidal rule in t with step h integrates analytic integrands with an
+error that falls like exp(-c / h), endpoint singularities included.
+
+The integrand is called as fn(x, da, db), where da and db are the distances
+of x from the ends a and b of the whole interval. Near an end they come
+from the transform, never as a difference of x and the end, so a density
+singular at an end is evaluated at every node, down to 2^-1050 of the
+width, even where x itself has rounded onto the end (the "complement"
+interface of Boost.Math's tanh_sinh). The integrand at a node never sees
+da or db equal to 0.
+
+Level 0 samples t = 0, +-1/2, +-1, ... out to _T_MAX on every segment
+between breakpoints; each further level halves the step for all segments
+together, adding the nodes halfway between. The error estimate of level
+k >= 1 is the sum of
+
+  - |I_k - I_(k-1)|, which bounds the error of I_(k-1) and so, since the
+    rule converges quadratically in the number of levels, that of I_k;
+  - a rounding floor n * eps * sum |w_i f_i| over the n nodes;
+  - the tail beyond the outermost nodes: on each side of each segment the
+    two outermost new terms give a decay rate in t, and the integral of
+    that decay from where the trapezoidal sum ends is added. An integrand
+    whose terms do not decay toward an end (1/x at 0, or a density with
+    its mass nearer the end than the last node) gets an infinite tail.
+
+The integral is returned once the estimate meets
+max(abs_tol, rel_tol * |I_k|). A tail that alone exceeds the budget and
+shrinks by less than half from one level to the next fails at once, since
+refining does not move the last node. A sample of -inf short-circuits the walk:
+the divergence integrands return -inf only where the reference density
+vanishes under positive mass, which makes the integral itself -inf. A NaN
 or +inf sample is a ComputationError.
 
-Accuracy caveat: the defect sum reported as error_estimate is reliable for
-smooth integrands and for logarithmic endpoint singularities, but for an
-algebraic singularity x^(-s) with 0 < s < 1 dyadic bisection has a
-self-similar error floor (roughly 1e-7 at s = 1/2 for 15-point panels)
-that the defect sum understates. Budgets below that floor either fail at
-max_depth or return a value whose actual error exceeds error_estimate;
-most beta and power shapes below 1 reach it at the default budget.
+With ``mass`` given, fn returns a pair (term, density) and the density's
+integral on the same nodes must also come within the budget of ``mass``:
+a density whose mass the nodes have not found, such as a spike narrower
+than the coarse levels' spacing, keeps the rule refining, and one that
+holds mass beyond the last node fails instead of returning a value.
 """
 
-import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,28 +54,24 @@ from .ordered import as_float, as_floats, as_int
 
 __all__ = ["QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"]
 
-# 15-point Gauss-Legendre rule on [-1, 1]: the repr of numpy's
-# polynomial.legendre.leggauss(15), kept as Python floats so importing this
-# module needs no numpy and the panel loop runs in float arithmetic
-_GL_NODES = (
-    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
-    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
-    -0.20119409399743451, 0.0, 0.20119409399743451,
-    0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
-    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
-)
-_GL_WEIGHTS = (
-    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
-    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
-    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
-    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
-    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
-)
+_EPS = sys.float_info.epsilon
+# The nodes reach out to where the nearer end's distance, e^(-2u) of the
+# width, is 2^-1050: a subnormal that still holds 24 significant bits.
+# Nearer still, a density such as Beta(0.05, 0.05)'s times its log term
+# leaves double range.
+_T_MAX = math.asinh(1050.0 * math.log(2.0) / math.pi)
+# Level L has step 2^-(L+1) and about 25 * 2^L nodes per segment; the rule
+# never runs past this level whatever max_depth says.
+_LEVELS = 12
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and limits for the adaptive integrator."""
+    """Tolerances and limits for the tanh-sinh rule.
+
+    max_depth is the most levels (halvings of the step) the rule may run
+    past its first; at most _LEVELS are ever run.
+    """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
@@ -65,9 +82,9 @@ class QuadratureSpec:
         rel_tol = as_float(self.rel_tol, "rel_tol")
         max_depth = as_int(self.max_depth, "max_depth")
         if not (math.isfinite(abs_tol) and abs_tol > 0):
-            raise InvalidInputError(f"abs_tol must be positive, got {abs_tol!r}")
+            raise InvalidInputError(f"abs_tol must be finite and positive, got {abs_tol!r}")
         if not (math.isfinite(rel_tol) and rel_tol > 0):
-            raise InvalidInputError(f"rel_tol must be positive, got {rel_tol!r}")
+            raise InvalidInputError(f"rel_tol must be finite and positive, got {rel_tol!r}")
         if max_depth < 1:
             raise InvalidInputError(f"max_depth must be an integer >= 1, got {max_depth!r}")
         object.__setattr__(self, "abs_tol", abs_tol)
@@ -77,136 +94,171 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureOutcome:
+    """The integral, its error estimate, and the integrand evaluations
+    (``panels``) it took."""
+
     value: float
     error_estimate: float
     panels: int
     negative_infinity: bool = False
 
 
+def _level_nodes(level: int) -> tuple[float, int, list[tuple[float, float, float, float]]]:
+    """The step h of a level, the spacing of its new nodes in steps, and
+    for each new t >= 0 in increasing order (t, weight, near, far) per unit
+    width: h times the weight pi cosh(t) e / (1 + e)^2, and the distances
+    e / (1 + e) and 1 / (1 + e) of the node from the nearer and the farther
+    end, e = e^(-2u). Level 0 holds t = 0, h, 2h, ...; level k >= 1 the
+    odd multiples of its h."""
+    h = 0.5 ** (level + 1)
+    first, spacing = (0.0, 1) if level == 0 else (h, 2)
+    nodes = []
+    for j in range(int((_T_MAX - first) / (spacing * h)) + 1):
+        t = first + j * spacing * h
+        e = math.exp(-math.pi * math.sinh(t))
+        far = 1.0 / (1.0 + e)
+        near = e * far
+        nodes.append((t, h * math.pi * math.cosh(t) * near * far, near, far))
+    return h, spacing, nodes
+
+
+def _tail(prev: float, last: float, spacing: int, gap: float) -> float:
+    """The sum from gap steps past the last of two terms spacing steps
+    apart on, read as an integral that decays at their rate; infinite if
+    they do not decay."""
+    if last == 0.0:
+        return 0.0
+    if prev <= last:
+        return math.inf
+    rate = math.log(prev / last) / spacing
+    if rate == math.inf:
+        return 0.0
+    return last / rate * math.exp(-rate * gap)
+
+
 class _DivergesToNegInf(Exception):
     pass
 
 
-def _panel(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    total = 0.0
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        x = mid + half * node
-        # GL abscissas are strictly interior; if float rounding lands one
-        # on a cell edge (dense spacing near 1.0), pull it back inside so
-        # edge singularities are never sampled
-        if x <= lo:
-            x = math.nextafter(lo, hi)
-        elif x >= hi:
-            x = math.nextafter(hi, lo)
-        fx = fn(x)
-        if fx == -math.inf:
-            raise _DivergesToNegInf
-        if not math.isfinite(fx):
-            raise ComputationError(f"integrand returned {fx!r} near x={x!r}")
-        total += weight * fx
-    return total * half
-
-
-def _segment_bounds(a: float, b: float, breakpoints: Sequence[float]) -> list[float]:
-    cuts = sorted({c for c in as_floats(breakpoints, "breakpoints") if a < c < b})
-    return [a, *cuts, b]
-
-
-class _Refiner:
-    """Max-heap of cells ordered by the defect of their midpoint split."""
-
-    def __init__(self, fn: Callable[[float], float]):
-        self.fn = fn
-        self.heap: list = []
-        self.heap_err = 0.0
-        self.frozen: list[float] = []
-        self.frozen_err = 0.0
-        self.panels = 0
-        self._seq = 0
-
-    def push(self, lo: float, hi: float, whole: float, depth: int) -> None:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # cell narrowed to adjacent floats; its own estimate must stand
-            self.frozen.append(whole)
-            self.frozen_err += abs(whole)
-            return
-        left = _panel(self.fn, lo, mid)
-        right = _panel(self.fn, mid, hi)
-        self.panels += 2
-        defect = abs(left + right - whole)
-        heapq.heappush(self.heap, (-defect, self._seq, lo, mid, hi, left, right, depth))
-        self.heap_err += defect
-        self._seq += 1
-
-    def total_error(self) -> float:
-        return self.heap_err + self.frozen_err
-
-    def split_worst(self, max_depth: int, budget: float) -> None:
-        neg_defect, _, lo, mid, hi, left, right, depth = heapq.heappop(self.heap)
-        defect = -neg_defect
-        self.heap_err -= defect
-        if depth >= max_depth:
-            if defect > budget:
-                raise ComputationError(
-                    f"integral did not converge near [{lo!r}, {hi!r}] at depth "
-                    f"{depth} (singular endpoint behavior)"
-                )
-            self.frozen.append(left + right)
-            self.frozen_err += defect
-            return
-        self.push(lo, mid, left, depth + 1)
-        self.push(mid, hi, right, depth + 1)
-
-    def value(self) -> float:
-        return math.fsum(
-            self.frozen + [cell[5] + cell[6] for cell in self.heap]
-        )
-
-
 def integrate_adaptive(
-    fn: Callable[[float], float],
+    fn: Callable[[float, float, float], float],
     a: float,
     b: float,
     spec: QuadratureSpec,
     breakpoints: Sequence[float] = (),
+    mass: float | None = None,
 ) -> QuadratureOutcome:
-    """Integrate fn over [a, b], splitting first at the given breakpoints.
+    """Integrate fn(x, da, db) over [a, b], splitting at the breakpoints.
 
-    Raises ComputationError if the worst cell still misses the global
-    budget at max_depth or once bisection runs out of representable
-    midpoints.
+    da and db are x's distances from a and b. With mass given, fn returns
+    (term, density) and the density must integrate to mass on the nodes.
+    Raises ComputationError if the estimate, or the density's mass, still
+    misses the budget after min(max_depth, _LEVELS) levels, or as soon as
+    the tail beyond the last nodes alone exceeds it and stops shrinking.
     """
     a, b = as_float(a, "a"), as_float(b, "b")
     if not a < b:
         raise InvalidInputError(f"integration interval needs a < b, got [{a!r}, {b!r}]")
+    cuts = sorted({c for c in as_floats(breakpoints, "breakpoints") if a < c < b})
+    bounds = [a, *cuts, b]
+    # (lo, hi, width, lo - a, b - hi) per segment
+    segments = [(lo, hi, hi - lo, lo - a, b - hi) for lo, hi in zip(bounds, bounds[1:])]
+    if mass is None:
+        def pair(x, da, db):
+            return fn(x, da, db), 0.0
+    else:
+        mass = as_float(mass, "mass")
+        pair = fn
 
-    refiner = _Refiner(fn)
+    # the integral, the integral of |fn| and the density's mass so far
+    integral = l1 = held = 0.0
+    evaluations = 0
+    last_tail = math.inf
+    levels = min(spec.max_depth, _LEVELS)
     try:
-        bounds = _segment_bounds(a, b, breakpoints)
-        first = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            est = _panel(fn, lo, hi)
-            refiner.panels += 1
-            first.append((lo, hi, est))
-        budget = max(
-            spec.abs_tol, spec.rel_tol * abs(math.fsum(est for _, _, est in first))
-        )
-        for lo, hi, est in first:
-            refiner.push(lo, hi, est, 0)
-        while refiner.total_error() > budget:
-            if refiner.frozen_err > budget or not refiner.heap:
+        for level in range(levels + 1):
+            h, spacing, nodes = _level_nodes(level)
+            # the trapezoidal sum reaches half a step past its outermost
+            # node, which is within a step of _T_MAX
+            end = _T_MAX - 0.5 * h
+            total = abs_total = mass_total = tail = 0.0
+            for lo, hi, width, off_a, off_b in segments:
+                left_prev = left_last = right_prev = right_last = 0.0
+                reach, last_t = end, 0.0
+                for t, weight, near, far in nodes:
+                    dn = width * near
+                    if dn == 0.0:
+                        # a narrow segment's nodes end where dn underflows
+                        reach = last_t + 0.5 * h
+                        break
+                    last_t = t
+                    df = width * far
+                    w = width * weight
+                    # the node near lo, then, but for the centre t = 0, its
+                    # mirror near hi
+                    x = lo + dn
+                    evaluations += 1
+                    value, density = pair(x, off_a + dn, off_b + df)
+                    if value - value != 0.0:
+                        _nonfinite(value, x)
+                    term = w * value
+                    total += term
+                    mass_total += w * density
+                    left_prev, left_last = left_last, abs(term)
+                    abs_total += left_last
+                    if t == 0.0:
+                        continue
+                    x = hi - dn
+                    evaluations += 1
+                    value, density = pair(x, off_a + df, off_b + dn)
+                    if value - value != 0.0:
+                        _nonfinite(value, x)
+                    term = w * value
+                    total += term
+                    mass_total += w * density
+                    right_prev, right_last = right_last, abs(term)
+                    abs_total += right_last
+                gap = (reach - last_t) / h
+                tail += (_tail(left_prev, left_last, spacing, gap)
+                         + _tail(right_prev, right_last, spacing, gap))
+            # halving the step halves the weight of every earlier node
+            previous = integral
+            integral = 0.5 * integral + total
+            l1 = 0.5 * l1 + abs_total
+            held = 0.5 * held + mass_total
+            if level == 0:
+                continue
+            estimate = abs(integral - previous) + evaluations * _EPS * l1 + tail
+            budget = max(spec.abs_tol, spec.rel_tol * abs(integral))
+            if budget < tail < math.inf and tail > 0.5 * last_tail:
+                # the tail shrinks only as the outermost nodes near _T_MAX,
+                # by less than half a level from here on: it stays
                 raise ComputationError(
-                    "integral did not converge: unrefinable cells exceed the "
-                    f"error budget {budget!r}"
+                    f"integral did not converge: the integrand holds about {tail!r} "
+                    f"beyond the last nodes, over the budget {budget!r} (an "
+                    "endpoint singularity beyond double resolution)"
                 )
-            refiner.split_worst(spec.max_depth, budget)
+            last_tail = tail
+            mass_met = mass is None or abs(held - mass) <= max(
+                spec.abs_tol, spec.rel_tol * abs(mass), evaluations * _EPS * held
+            )
+            if estimate <= budget and mass_met:
+                return QuadratureOutcome(integral + 0.0, estimate, evaluations)
     except _DivergesToNegInf:
-        return QuadratureOutcome(
-            -math.inf, 0.0, refiner.panels + 1, negative_infinity=True
+        return QuadratureOutcome(-math.inf, 0.0, evaluations, negative_infinity=True)
+    if not mass_met:
+        raise ComputationError(
+            f"integral did not converge: the nodes hold mass {held!r} of the "
+            f"density's {mass!r} after {levels} levels (mass beyond double "
+            "resolution of an end, or a spike between the nodes)"
         )
-    return QuadratureOutcome(
-        refiner.value() + 0.0, refiner.total_error(), refiner.panels
+    raise ComputationError(
+        f"integral did not converge: error estimate {estimate!r} exceeds the "
+        f"budget {budget!r} after {levels} levels"
     )
+
+
+def _nonfinite(value: float, x: float) -> None:
+    if value == -math.inf:
+        raise _DivergesToNegInf
+    raise ComputationError(f"integrand returned {value!r} near x={x!r}")

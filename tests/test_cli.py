@@ -197,7 +197,10 @@ class TestExitCodes:
         for one, other in ((f, g), (g, f)):
             code, out, _ = invoke(["divergence", "continuous", "--f", one, "--g", other])
             assert code == EXIT_OK
-            assert report_of(out)["result"]["value"] == -9.0521157892444831e307
+            # exactly -9.0521157892444831e307; each density passes through
+            # exp(ln f) at ln f = 701.5, whose rounding is 5e-14 relative
+            assert report_of(out)["result"]["value"] == pytest.approx(
+                -9.0521157892444831e307, rel=1e-13)
         code, out, err = invoke(["divergence", "symmetric", "--f", f, "--g", g])
         assert code == EXIT_COMPUTATION
         assert report_of(out)["error"] == (
@@ -339,6 +342,20 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert report_of(out)["result"]["value"] == 0
+
+    @pytest.mark.parametrize("route", ["tol", "quad"])
+    def test_infinite_tolerance_is_invalid_input(self, tmp_path, sample_files, route):
+        # --tol inf, and 1e400 in a quadrature_spec, which JSON reads as inf
+        argv = ["entropy", "corrected", "--grading", sample_files["power2"]]
+        if route == "tol":
+            argv += ["--tol", "inf"]
+        else:
+            quad = tmp_path / "quad.json"
+            quad.write_text('{"abs_tol": 1e400}', encoding="utf-8")
+            argv += ["--quad", str(quad)]
+        code, out, _ = invoke(argv)
+        assert code == EXIT_INVALID_INPUT
+        assert report_of(out)["error"] == "abs_tol must be finite and positive, got inf"
 
     def test_tol_override(self, sample_files):
         code, out, _ = invoke(

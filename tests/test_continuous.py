@@ -1,7 +1,10 @@
 import math
 from dataclasses import dataclass
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graddiv import (
     NEGATIVE_INFINITY,
@@ -105,8 +108,8 @@ class TestDivergenceContinuous:
         assert r.value < 0.0
 
     def test_custom_spec_tightens_estimate(self):
-        loose = divergence_continuous(P2, U01, QuadratureSpec(rel_tol=1e-6))
-        tight = divergence_continuous(P2, U01, QuadratureSpec(rel_tol=1e-10))
+        loose = divergence_continuous(P2, U01, QuadratureSpec(abs_tol=1e-4, rel_tol=1e-4))
+        tight = divergence_continuous(P2, U01, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
         assert tight.error_estimate < loose.error_estimate
         exact = 0.5 - math.log(2.0)
         assert abs(tight.value - exact) <= abs(loose.value - exact) + 1e-12
@@ -154,11 +157,12 @@ class TestCorrectedEntropy:
         r = corrected_entropy(P2)
         assert r.value == pytest.approx(0.5 - math.log(2.0), abs=1e-8)
 
-    def test_arcsine_shape_within_algebraic_floor(self):
-        # Endpoint densities diverge like x^(-1/2); dyadic panels carry a
-        # self-similar error floor near 1e-7, so the tolerance is coarser.
+    def test_arcsine_shape(self):
+        # Endpoint densities diverge like x^(-1/2); the rule reads them
+        # from the endpoint distances and holds the closed form to its
+        # estimate, which is near the rounding of the sum.
         r = corrected_entropy(Beta(0.5, 0.5))
-        assert r.value == pytest.approx(math.log(math.pi / 4.0), abs=1e-6)
+        assert abs(r.value - math.log(math.pi / 4.0)) <= r.error_estimate <= 1e-12
 
     def test_triangular_on_a_support_near_the_double_range(self):
         # 1/2 - ln 2 for every triangular density
@@ -209,7 +213,6 @@ class TestDensityOutOfRange:
             TruncatedNormal(0.0, 1e-310, -1.0, 1.0),  # density +inf
             TruncatedNormal(0.0, 1e-306, -1.0, 1.0),  # density finite, term beyond range
             Beta(1e300, 1e300),  # OverflowError in exp
-            TruncatedNormal(0.0, 1e-300, 3e-299, 1.0),  # ZeroDivisionError
         ],
     )
     def test_corrected_and_classical_entropy(self, F):
@@ -278,6 +281,15 @@ class TestSymmetricDivergence:
         assert r.value == -math.inf
         assert NEGATIVE_INFINITY in r.flags
 
+    def test_second_direction_is_skipped_after_negative_infinity(self):
+        # _HalfSupported's density jumps to 0 at 1/2 without declaring a
+        # breakpoint, so its own direction would not converge; the sum is
+        # -inf whatever it is.
+        with pytest.raises(ComputationError, match="did not converge"):
+            divergence_continuous(_HalfSupported(), U01)
+        r = symmetric_divergence(U01, _HalfSupported())
+        assert r.terms_used == divergence_continuous(U01, _HalfSupported()).terms_used
+
 
 class TestBitIdenticalResults:
     """Plain float results, and values pinned to the last bit."""
@@ -297,15 +309,168 @@ class TestBitIdenticalResults:
         assert type(r.error_estimate) is float
 
     def test_corrected_beta_pinned(self):
+        # the closed form is -0.484530714995488708746...
         r = corrected_entropy(Beta(2.0, 5.0))
-        assert r.value == -0.48453071449579127
-        assert r.error_estimate == 1.5211185719213663e-09
-        assert r.terms_used == 35
+        assert r.value == -0.4845307149954885
+        assert r.error_estimate == 2.993605649763085e-14
+        assert r.terms_used == 197
 
     def test_divergence_beta_pair_pinned(self):
+        # the closed form is -13/4
         r = divergence_continuous(Beta(2.0, 5.0), Beta(5.0, 2.0))
-        assert r.value == -3.2500000060047984
-        assert r.terms_used == 31
+        assert r.value == -3.25
+        assert r.terms_used == 197
 
     def test_riemann_beta_uniform_pinned(self):
         assert riemann_divergence(Beta(2.0, 2.0), U01, 1000) == -0.12469156408815721
+
+
+def _beta_entropy_closed_form(alpha: float, beta: float) -> tuple[float, float]:
+    """Corrected entropy of Beta(alpha, beta) from its digamma closed form
+    in 50-digit mpmath, and the error of Beta's own ln B, which shifts the
+    log density, and so the value, one for one."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        log_norm = mpmath.log(mpmath.beta(a, b))
+        exact = (
+            log_norm
+            - (a - 1) * mpmath.digamma(a)
+            - (b - 1) * mpmath.digamma(b)
+            + (a + b - 2) * mpmath.digamma(a + b)
+        )
+        return float(exact), float(abs(Beta(alpha, beta)._log_norm - log_norm))
+
+
+class TestClosedForms:
+    """Every computed value lies within its error_estimate of the exact
+    one, or the computation raises ComputationError."""
+
+    @settings(max_examples=150)
+    @given(st.floats(0.02, 50.0), st.floats(0.02, 50.0))
+    @example(0.05, 0.05)
+    @example(0.05, 50.0)
+    @example(50.0, 0.05)
+    @example(50.0, 50.0)
+    @example(0.02, 0.02)
+    @example(0.03, 2.0)
+    @example(1.0, 0.99999)
+    def test_beta_corrected_entropy(self, alpha, beta):
+        exact, normalizer_error = _beta_entropy_closed_form(alpha, beta)
+        try:
+            r = corrected_entropy(Beta(alpha, beta))
+        except ComputationError:
+            # mass within 1e-316 of an end that doubles cannot resolve
+            assert min(alpha, beta) < 0.05
+            return
+        assert abs(r.value - exact) <= r.error_estimate + normalizer_error
+
+    @settings(max_examples=60)
+    @given(st.floats(0.02, 50.0))
+    @example(0.05)
+    @example(0.02)
+    def test_power_corrected_entropy(self, p):
+        with mpmath.workdps(50):
+            exact = float(-mpmath.log(p) + (mpmath.mpf(p) - 1) / p)
+        try:
+            r = corrected_entropy(Power(p))
+        except ComputationError:
+            assert p < 0.05
+            return
+        assert abs(r.value - exact) <= r.error_estimate
+
+    @pytest.mark.parametrize("F", [Power(1e-300), Beta(1e-300, 1.0), Beta(5e-324, 1.0)])
+    def test_mass_beyond_double_resolution_is_an_error(self, F):
+        # almost all the mass lies within 1e-300 of 0; the exact corrected
+        # entropy is about -1e300 (and -inf for the subnormal shape)
+        with pytest.raises(ComputationError, match="did not converge"):
+            corrected_entropy(F)
+
+    def test_truncated_normal_deep_in_the_tail(self):
+        # sigma * sqrt(2 pi) * mass underflows, but its log does not: the
+        # density is about 3e301 * exp(-3e301 (x - a)) near a = 3e-299
+        F = TruncatedNormal(0.0, 1e-300, 3e-299, 1.0)
+        with mpmath.workdps(50):
+            sigma, a, b = mpmath.mpf(1e-300), mpmath.mpf(3e-299), mpmath.mpf(1.0)
+            lo, hi = a / sigma, b / sigma
+            mass = mpmath.erfc(lo / mpmath.sqrt(2)) / 2
+            differential = mpmath.log(mpmath.sqrt(2 * mpmath.pi * mpmath.e) * sigma * mass) + (
+                lo * mpmath.npdf(lo) - hi * mpmath.npdf(hi)
+            ) / (2 * mass)
+            exact = float(differential - mpmath.log(b - a))
+        for r in (corrected_entropy(F), classical_entropy(F)):
+            assert abs(r.value - exact) <= r.error_estimate
+
+    @pytest.mark.parametrize(
+        "F, G",
+        [
+            (TruncatedNormal(0.3, 0.5, -1.0, 2.0), Uniform(-1.0, 2.0)),
+            (Uniform(-1.0, 2.0), TruncatedNormal(0.3, 0.5, -1.0, 2.0)),
+            (TruncatedNormal(0.0, 1.0, -1.0, 2.0), TruncatedNormal(0.5, 0.7, -1.0, 2.0)),
+            (TruncatedNormal(0.0, 1.0, 30.0, 31.0), Uniform(30.0, 31.0)),
+            (Beta(2.0, 2.0), U01),
+            (U01, Beta(2.0, 2.0)),
+            (Beta(2.0, 5.0), Beta(5.0, 2.0)),
+            (Power(2.0), Beta(2.0, 2.0)),
+            (Power(0.5), U01),
+            (Beta(0.5, 0.5), Beta(2.0, 2.0)),
+            (Beta(0.8, 2.0), Power(0.5)),
+            (Triangular(0.0, 0.25, 1.0), Beta(2.0, 2.0)),
+        ],
+    )
+    def test_divergence_against_mpmath_quad(self, F, G):
+        a, b = F.support
+        points = sorted({a, b, *F.breakpoints(), *G.breakpoints()})
+        with mpmath.workdps(50):
+            exact, oracle_error = mpmath.quad(
+                lambda x: _mp_density(F, x) * mpmath.log(_mp_density(G, x) / _mp_density(F, x)),
+                [mpmath.mpf(p) for p in points], error=True,
+            )
+            assert oracle_error < 1e-20
+        r = divergence_continuous(F, G)
+        assert abs(r.value - float(exact)) <= r.error_estimate
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [(0.05, 2.0, 2.0, 0.3), (0.3, 0.3, 5.0, 5.0), (5.0, 0.05, 0.5, 0.5), (0.05, 0.05, 0.05, 50.0)],
+    )
+    def test_beta_divergence_against_its_closed_form(self, shapes):
+        # mpmath's own tanh-sinh does not resolve these endpoint
+        # singularities at 50 digits; the digamma form is exact
+        a1, b1, a2, b2 = shapes
+        with mpmath.workdps(50):
+            a1m, b1m, a2m, b2m = (mpmath.mpf(v) for v in shapes)
+            kl = (
+                mpmath.log(mpmath.beta(a2m, b2m) / mpmath.beta(a1m, b1m))
+                + (a1m - a2m) * mpmath.digamma(a1m)
+                + (b1m - b2m) * mpmath.digamma(b1m)
+                + (a2m - a1m + b2m - b1m) * mpmath.digamma(a1m + b1m)
+            )
+            exact = float(-kl)
+        r = divergence_continuous(Beta(a1, b1), Beta(a2, b2))
+        assert abs(r.value - exact) <= r.error_estimate
+
+
+def _mp_density(F: ContinuousGrading, x):
+    """F's density at x in mpmath arithmetic, from its closed form."""
+    a, b = (mpmath.mpf(v) for v in F.support)
+    t = (x - a) / (b - a)
+    if isinstance(F, Uniform):
+        return 1 / (b - a)
+    if isinstance(F, Beta):
+        alpha, beta = mpmath.mpf(F.alpha), mpmath.mpf(F.beta)
+        return t ** (alpha - 1) * (1 - t) ** (beta - 1) / mpmath.beta(alpha, beta) / (b - a)
+    if isinstance(F, Power):
+        p = mpmath.mpf(F.p)
+        return p * t ** (p - 1) / (b - a)
+    if isinstance(F, Triangular):
+        c = mpmath.mpf(F.c)
+        if x <= c:
+            return 2 * (x - a) / ((c - a) * (b - a))
+        return 2 * (b - x) / ((b - c) * (b - a))
+    if isinstance(F, TruncatedNormal):
+        mu, sigma = mpmath.mpf(F.mu), mpmath.mpf(F.sigma)
+        # a window above the mean is measured on the mirrored lower tail
+        side = -1 if a > mu else 1
+        mass = side * (mpmath.ncdf(side * (b - mu) / sigma) - mpmath.ncdf(side * (a - mu) / sigma))
+        return mpmath.npdf((x - mu) / sigma) / (sigma * mass)
+    raise TypeError(F)

@@ -253,9 +253,13 @@ class TestScalarIntake:
             # a numpy scalar kept in a field would show in the repr
             assert got == want and repr(got) == repr(want)
         assert invert_cdf(_U, np.float32(0.25)) == 0.25
-        assert integrate_adaptive(abs, np.int64(-1), np.float32(1.0), QuadratureSpec(),
+
+        def fn(x, da, db):
+            return abs(x)
+
+        assert integrate_adaptive(fn, np.int64(-1), np.float32(1.0), QuadratureSpec(),
                                   (np.float64(0.0),)) == integrate_adaptive(
-            abs, -1.0, 1.0, QuadratureSpec(), (0.0,))
+            fn, -1.0, 1.0, QuadratureSpec(), (0.0,))
         P2 = Power(2.0)
         assert riemann_divergence(P2, _U, np.int64(10)) == riemann_divergence(P2, _U, 10)
         assert [c.order for c in enumerate_chains(np.int64(2))] == [(1, 2), (2, 1)]

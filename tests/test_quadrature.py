@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import pytest
 
@@ -26,6 +27,11 @@ class TestQuadratureSpec:
         with pytest.raises(InvalidInputError):
             QuadratureSpec(rel_tol=-1e-8)
 
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    def test_infinite_tolerance_is_not_finite(self, field):
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite and positive, got inf"):
+            QuadratureSpec(**{field: math.inf})
+
     def test_rejects_bad_depth(self):
         with pytest.raises(InvalidInputError):
             QuadratureSpec(max_depth=0)
@@ -35,44 +41,51 @@ class TestQuadratureSpec:
 
 class TestIntegrateAdaptive:
     def test_polynomial_is_captured_by_one_panel(self):
-        out = integrate_adaptive(lambda x: x**4, 0.0, 1.0, QuadratureSpec())
+        # the first levels already hold a polynomial to the last bits
+        out = integrate_adaptive(lambda x, da, db: x**4, 0.0, 1.0, QuadratureSpec())
         assert out.value == pytest.approx(0.2, abs=1e-14)
         assert not out.negative_infinity
-        assert out.error_estimate <= 1e-10
+        assert out.error_estimate <= 1e-8 * 0.2
+        assert out.panels <= 99
 
     def test_oscillatory_integrand(self):
-        out = integrate_adaptive(math.sin, 0.0, 2 * math.pi, QuadratureSpec())
+        out = integrate_adaptive(lambda x, da, db: math.sin(x), 0.0, 2 * math.pi, QuadratureSpec())
         assert out.value == pytest.approx(0.0, abs=1e-10)
 
     def test_kink_with_breakpoint_hint(self):
-        spec = QuadratureSpec()
+        # Split at the kink, each segment is a polynomial; across it the
+        # rule converges only at second order, so it needs a loose budget
+        # and many more evaluations.
+        spec = QuadratureSpec(abs_tol=1e-5)
         hinted = integrate_adaptive(
-            lambda x: abs(x - 0.5), 0.0, 1.0, spec, breakpoints=(0.5,)
+            lambda x, da, db: abs(x - 0.5), 0.0, 1.0, spec, breakpoints=(0.5,)
         )
-        blind = integrate_adaptive(lambda x: abs(x - 0.5), 0.0, 1.0, spec)
-        assert hinted.value == pytest.approx(0.25, abs=1e-12)
-        assert blind.value == pytest.approx(0.25, abs=1e-8)
+        blind = integrate_adaptive(lambda x, da, db: abs(x - 0.5), 0.0, 1.0, spec)
+        assert hinted.value == pytest.approx(0.25, abs=1e-14)
+        assert abs(blind.value - 0.25) <= blind.error_estimate
         assert hinted.panels < blind.panels
+        with pytest.raises(ComputationError):
+            integrate_adaptive(lambda x, da, db: abs(x - 0.5), 0.0, 1.0, QuadratureSpec())
 
     def test_breakpoints_outside_interval_ignored(self):
         out = integrate_adaptive(
-            lambda x: x, 0.0, 1.0, QuadratureSpec(), breakpoints=(-1.0, 2.0)
+            lambda x, da, db: x, 0.0, 1.0, QuadratureSpec(), breakpoints=(-1.0, 2.0)
         )
         assert out.value == pytest.approx(0.5, abs=1e-13)
 
     def test_log_endpoint_singularity(self):
         # integral of ln x over (0, 1] is -1; integrable but unbounded at 0
-        out = integrate_adaptive(math.log, 0.0, 1.0, QuadratureSpec())
-        assert out.value == pytest.approx(-1.0, abs=1e-8)
+        out = integrate_adaptive(lambda x, da, db: math.log(da), 0.0, 1.0, QuadratureSpec())
+        assert out.value == pytest.approx(-1.0, abs=1e-14)
 
     def test_interval_must_be_increasing(self):
         with pytest.raises(InvalidInputError):
-            integrate_adaptive(lambda x: x, 1.0, 1.0, QuadratureSpec())
+            integrate_adaptive(lambda x, da, db: x, 1.0, 1.0, QuadratureSpec())
         with pytest.raises(InvalidInputError):
-            integrate_adaptive(lambda x: x, 2.0, 1.0, QuadratureSpec())
+            integrate_adaptive(lambda x, da, db: x, 2.0, 1.0, QuadratureSpec())
 
     def test_negative_infinity_short_circuits(self):
-        def fn(x):
+        def fn(x, da, db):
             return -math.inf if x > 0.9 else 0.0
 
         out = integrate_adaptive(fn, 0.0, 1.0, QuadratureSpec())
@@ -82,60 +95,87 @@ class TestIntegrateAdaptive:
 
     def test_nan_sample_raises(self):
         with pytest.raises(ComputationError):
-            integrate_adaptive(lambda x: math.nan, 0.0, 1.0, QuadratureSpec())
+            integrate_adaptive(lambda x, da, db: math.nan, 0.0, 1.0, QuadratureSpec())
 
     def test_positive_infinity_sample_raises(self):
         with pytest.raises(ComputationError):
-            integrate_adaptive(lambda x: math.inf, 0.0, 1.0, QuadratureSpec())
+            integrate_adaptive(lambda x, da, db: math.inf, 0.0, 1.0, QuadratureSpec())
 
     def test_divergent_integrand_fails_loudly(self):
-        # 1/x over (0, 1] has no finite integral; the refiner must hit
-        # max_depth and raise rather than return a number.
-        spec = QuadratureSpec(max_depth=16)
-        with pytest.raises(ComputationError):
-            integrate_adaptive(lambda x: 1.0 / x, 0.0, 1.0, spec)
+        # 1/x over (0, 1] has no finite integral; the rule must raise
+        # rather than return a number, and quickly. 1/x overflows at the
+        # outermost nodes; 1e-10/x stays finite at every node, so only its
+        # undecayed terms at the end of the node range show it.
+        for spec in (QuadratureSpec(max_depth=16), QuadratureSpec()):
+            for fn in (lambda x, da, db: 1.0 / x, lambda x, da, db: 1e-10 / da):
+                start = time.perf_counter()
+                with pytest.raises(ComputationError):
+                    integrate_adaptive(fn, 0.0, 1.0, spec)
+                assert time.perf_counter() - start < 1.0
 
     def test_endpoint_samples_stay_interior(self):
-        # The integrand is only finite on the open interval; interior
-        # sampling must keep the endpoints out of reach.
-        def fn(x):
-            assert 0.0 < x < 1.0
-            return math.log(x) + math.log1p(-x)
+        # The integrand is only finite on the open interval; the distances
+        # it receives are never 0, even where x has rounded onto an end.
+        def fn(x, da, db):
+            assert 0.0 <= x <= 1.0
+            assert da > 0.0 and db > 0.0
+            return math.log(da) + math.log(db)
 
         out = integrate_adaptive(fn, 0.0, 1.0, QuadratureSpec(rel_tol=1e-10))
-        assert out.value == pytest.approx(-2.0, abs=1e-8)
+        assert out.value == pytest.approx(-2.0, abs=1e-13)
+
+    def test_distances_are_exact_where_x_rounds_onto_an_end(self):
+        # On [1, 2], x = 1 + d rounds to 1 for d below 1.1e-16, and 2.5 %
+        # of the mass of d^(-0.9) / 10 lies there; only the distances
+        # resolve it. The integral is exactly 1.
+        out = integrate_adaptive(
+            lambda x, da, db: 0.1 * da**-0.9, 1.0, 2.0, QuadratureSpec()
+        )
+        assert abs(out.value - 1.0) <= out.error_estimate <= 1e-8
+
+    def test_mass_the_nodes_miss_is_an_error(self):
+        # Power(1e-300) keeps almost all its mass within 1e-300 of 0, far
+        # below the last node; its density still integrates to 1.
+        log_p = math.log(1e-300)
+
+        def fn(x, da, db):
+            density = math.exp(log_p - math.log(da))
+            return density, density
+
+        with pytest.raises(ComputationError, match="mass"):
+            integrate_adaptive(fn, 0.0, 1.0, QuadratureSpec(), mass=1.0)
 
     def test_tiny_interval(self):
-        out = integrate_adaptive(lambda x: 1.0, 0.0, 1e-12, QuadratureSpec())
+        out = integrate_adaptive(lambda x, da, db: 1.0, 0.0, 1e-12, QuadratureSpec())
         assert out.value == pytest.approx(1e-12, rel=1e-12)
 
     def test_reported_estimate_bounds_actual_error_on_smooth_integrand(self):
-        out = integrate_adaptive(math.exp, 0.0, 1.0, QuadratureSpec())
+        out = integrate_adaptive(lambda x, da, db: math.exp(x), 0.0, 1.0, QuadratureSpec())
         actual = abs(out.value - (math.e - 1.0))
         assert actual <= max(out.error_estimate, 1e-14)
 
     def test_integrand_sees_python_floats(self):
         seen = set()
 
-        def fn(x):
-            seen.add(type(x))
-            return math.sqrt(x)
+        def fn(x, da, db):
+            seen.update({type(x), type(da), type(db)})
+            return math.sqrt(da)
 
         out = integrate_adaptive(fn, 0.0, 1.0, QuadratureSpec())
         assert seen == {float}
         assert type(out.value) is float
         assert type(out.error_estimate) is float
 
-    def test_rule_is_numpys_leggauss(self):
-        import numpy as np
+    def test_panels_count_integrand_evaluations(self):
+        calls = []
 
-        from graddiv.quadrature import _GL_NODES, _GL_WEIGHTS
+        def fn(x, da, db):
+            calls.append(x)
+            return 1.0 + x
 
-        nodes, weights = np.polynomial.legendre.leggauss(15)
-        assert len(_GL_NODES) == len(_GL_WEIGHTS) == 15
-        for ours, theirs in zip(_GL_NODES + _GL_WEIGHTS, [*nodes, *weights]):
-            assert type(ours) is float
-            assert ours == theirs
+        out = integrate_adaptive(fn, 0.0, 3.0, QuadratureSpec(), breakpoints=(1.0,))
+        assert out.panels == len(calls)
+        assert out.value == pytest.approx(7.5, abs=1e-13)
 
     def test_outcome_is_frozen(self):
         out = QuadratureOutcome(1.0, 0.0, 3)
