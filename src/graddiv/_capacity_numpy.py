@@ -1,13 +1,15 @@
-"""Capacity validation, lattice search and chain evaluation on numpy arrays.
+"""Capacity validation and lattice passes on numpy arrays.
 
-The implementation for ground sizes from capacity._NUMPY_FROM on, where
-whole popcount layers of the subset lattice are worth handling at once;
-smaller capacities are computed on Python floats in capacity itself, so
-they never load numpy. capacity imports this module on first use and
-calls faults, fold and lattice_order in place of its own _faults, _fold
-and _lattice_order. Both sides follow the exactness argument in
-capacity's docstring with their own log: numpy's log may differ from
-math.log in the last bit, so one ground size never mixes the two.
+The steps that handle the whole subset lattice, for ground sizes from
+capacity._NUMPY_FROM on: validation (faults), the forward and backward
+passes one popcount layer at a time (theta), the vector prefix step
+within the backward pass, and the map from a run of increments to edge
+terms (edge_terms). capacity imports this module on first use, calls
+faults and theta in place of its own _faults and _theta, and takes its
+chain evaluator's and witness walk's terms from edge_terms; the walk, the
+evaluator and the bisection over bit patterns are capacity's own.
+Smaller capacities never load numpy. numpy's log may differ from math.log
+in the last bit, so one ground size never mixes the two.
 """
 
 import math
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .capacity import _beyond_range
+from .capacity import _beyond_range, _bisect_prefix
 
 
 def faults(vals: Sequence[float], n: int) -> tuple[int | None, tuple[int, int] | None]:
@@ -42,10 +44,10 @@ def _edge_terms(inc: np.ndarray) -> np.ndarray:
     """-d ln d for each chain increment d, zero increments contributing 0.
 
     The one place edge terms are computed on this side, so the lattice
-    search, its witness walk and the chain evaluator see identical bits. A
-    term beyond double range is -inf; both callers run under
-    np.errstate(over="ignore") (entered once per search, not once per call)
-    and refuse such a value.
+    passes, the witness walk and the chain evaluator see identical bits. A
+    term beyond double range is -inf; both callers, theta and edge_terms,
+    run under np.errstate(over="ignore"), entered once per call rather than
+    once per layer, and capacity refuses such a value.
     """
     positive = inc > 0.0
     safe = np.where(positive, inc, 1.0)
@@ -53,19 +55,9 @@ def _edge_terms(inc: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def fold(values: Sequence[float], order: Sequence[int]) -> tuple[float, int]:
-    """The chain's entropy, folded left to right from 0.0, and its number
-    of positive increments."""
-    mu = []
-    mask = 0
-    for e in order:
-        mask |= 1 << (e - 1)
-        mu.append(values[mask])
-    inc = np.diff(np.asarray(mu), prepend=0.0)
-    value = 0.0
-    for term in _edge_terms(inc).tolist():
-        value += term
-    return value, int(np.count_nonzero(inc > 0.0))
+def edge_terms(incs: Sequence[float]) -> list[float]:
+    """_edge_terms of a run of chain increments, as Python floats."""
+    return _edge_terms(np.asarray(incs, dtype=float)).tolist()
 
 
 def _layers(n: int) -> list[np.ndarray]:
@@ -90,19 +82,6 @@ def _cover_bits(layer: np.ndarray, flip: int, k: int) -> np.ndarray:
     return out
 
 
-_SIGN = np.uint64(1 << 63)
-
-
-def _float_keys(x: np.ndarray) -> np.ndarray:
-    """Unsigned integers ordered as the floats are (NaN aside)."""
-    raw = x.view(np.uint64)
-    return np.where(raw & _SIGN, ~raw, raw | _SIGN)
-
-
-def _key_floats(key: np.ndarray) -> np.ndarray:
-    return np.where(key & _SIGN, key ^ _SIGN, ~key).view(np.float64)
-
-
 def _largest_prefix(term: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """The largest float p with fl(p + term) <= bound, elementwise.
 
@@ -111,8 +90,8 @@ def _largest_prefix(term: np.ndarray, bound: np.ndarray) -> np.ndarray:
     That point is formed with an error-free subtraction, so the estimate
     is within an ulp of the answer even when |p| is far below |term|;
     every element is then checked exactly, and the rare misses (infinite
-    terms or bounds, for instance) fall back to bisection over the floats'
-    bit patterns.
+    terms or bounds, for instance) go to capacity._bisect_prefix, one by
+    one. Both sides make the same IEEE additions, so they agree bit for bit.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         diff = bound - term
@@ -127,27 +106,13 @@ def _largest_prefix(term: np.ndarray, bound: np.ndarray) -> np.ndarray:
         probe = np.where(fits, np.nextafter(p, np.inf), p)
         miss = (probe + term <= bound) == fits
         if miss.any():
-            p[miss] = _bisect_prefix(term[miss], bound[miss])
+            p[miss] = list(map(_bisect_prefix, term[miss].tolist(), bound[miss].tolist()))
     return p
 
 
-def _bisect_prefix(term: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    # fl(-inf + term) = -inf always fits; fl(+inf + term) never does, since
-    # terms are below +inf and bounds never reach it.
-    lo = np.full(term.shape, _float_keys(np.array(-np.inf))[()])
-    hi = np.full(term.shape, _float_keys(np.array(np.inf))[()])
-    while (hi - lo > 1).any():
-        mid = lo + (hi - lo) // np.uint64(2)
-        fits = _key_floats(mid) + term <= bound
-        lo = np.where(fits, mid, lo)
-        hi = np.where(fits, hi, mid)
-    return _key_floats(lo)
-
-
 @np.errstate(over="ignore")
-def lattice_order(values: Sequence[float], n: int) -> list[int]:
-    """The first chain, in insertion order, whose fold is the minimum over
-    all chains; raises ComputationError when that minimum is not finite."""
+def theta(values: Sequence[float], n: int) -> np.ndarray:
+    """capacity._theta on numpy arrays, a popcount layer at a time."""
     vals = np.asarray(values)
     full = (1 << n) - 1
     layers = _layers(n)
@@ -172,17 +137,4 @@ def lattice_order(values: Sequence[float], n: int) -> list[int]:
         into = came | _cover_bits(layers[k], full, n - k)
         fit = _largest_prefix(_edge_terms(vals[into] - vals[came]), theta[into])
         theta[layers[k]] = fit.max(axis=1)
-
-    # Forward walk: the smallest element that keeps the prefix feasible.
-    order = []
-    mask = 0
-    acc = 0.0
-    for _ in range(n):
-        free = [e for e in range(n) if not mask >> e & 1]
-        nxt = mask | np.left_shift(1, free)
-        prefix = acc + _edge_terms(vals[nxt] - vals[mask])
-        i = int(np.argmax(prefix <= theta[nxt]))
-        acc = float(prefix[i])
-        mask = int(nxt[i])
-        order.append(free[i] + 1)
-    return order
+    return theta

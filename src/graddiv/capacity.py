@@ -26,21 +26,25 @@ the largest prefix value theta(S) from which some completion still folds
 to at most the minimum, and a forward walk from the empty set takes at
 each step the smallest element whose rounded prefix stays within theta.
 
-Two implementations. Below _NUMPY_FROM elements a capacity is validated,
-searched and evaluated on Python floats with math.log, subset by subset,
-and never loads numpy; from there on whole popcount layers go through
-numpy (module _capacity_numpy, imported on first use). The ground size
-alone selects the side. numpy's log may differ from math.log in the last
-bit, and the argument above needs the search and the evaluator to see the
-same terms, so for one ground size every step takes the same side.
+Two implementations. Below _NUMPY_FROM elements a capacity is computed
+on Python floats with math.log, subset by subset, and never loads numpy.
+From there on numpy (module _capacity_numpy, imported on first use) does
+validation, the two passes, a popcount layer at a time, their vector
+prefix step and the map from increments to edge terms; the evaluator, the
+walk and the bisection over bit patterns are written once, here. The
+ground size alone selects the side. numpy's log may differ from math.log
+in the last bit, and the argument above needs the search and the
+evaluator to see the same terms, so _term_map gives every step of one
+ground size its terms from the same log.
 """
 
 import itertools
 import math
 import struct
 from dataclasses import dataclass
-from operator import le
-from typing import Iterator, Sequence
+from functools import partial
+from operator import le, or_, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .discrete import DivergenceResult
 from .errors import ComputationError, InvalidInputError
@@ -219,33 +223,30 @@ def _beyond_range(value: float) -> ComputationError:
     )
 
 
-def _fold(values: Sequence[float], order: Sequence[int]) -> tuple[float, int]:
-    value = 0.0
-    terms = 0
-    mask = 0
-    prev = 0.0
-    for e in order:
-        mask |= 1 << (e - 1)
-        d = values[mask] - prev
-        prev = values[mask]
-        if d > 0.0:
-            value += _edge_term(d)
-            terms += 1
-    return value, terms
+def _term_map(n: int) -> Callable[[Sequence[float]], Iterable[float]]:
+    """The map from a run of chain increments to their edge terms for a
+    ground size n: _edge_term below _NUMPY_FROM, numpy's _edge_terms from
+    there on. The one place that decides which log a ground size uses; the
+    lattice passes of each side compute their terms with the same log."""
+    if n < _NUMPY_FROM:
+        return partial(map, _edge_term)
+    return _numpy_path().edge_terms
 
 
 def _chain_value(values: Sequence[float], order: Sequence[int]) -> tuple[float, int]:
     """The chain's entropy, folded left to right from 0.0, and its number
     of positive increments: the evaluator shared by every reported value.
-    It takes the same side as the lattice search for the chain's length.
 
     Raises ComputationError when the fold is not finite.
     """
-    fold = _fold if len(order) < _NUMPY_FROM else _numpy_path().fold
-    value, terms = fold(values, order)
+    grades = [values[m] for m in itertools.accumulate((1 << (e - 1) for e in order), or_)]
+    incs = list(map(sub, grades, [0.0, *grades]))
+    value = 0.0
+    for term in _term_map(len(order))(incs):  # a zero increment adds 0.0
+        value += term
     if not math.isfinite(value):
         raise _beyond_range(value)
-    return value, terms
+    return value, sum(d > 0.0 for d in incs)
 
 
 def chain_divergence(mu: Capacity, chain: MaximalChain) -> DivergenceResult:
@@ -330,6 +331,8 @@ def _largest_prefix(term: float, bound: float) -> float:
 
 
 def _bisect_prefix(term: float, bound: float) -> float:
+    """_largest_prefix by bisection over the floats' bit patterns, for the
+    misses of either side's estimate."""
     # fl(-inf + term) = -inf always fits; fl(+inf + term) never does, since
     # terms are below +inf and bounds never reach it.
     lo = _float_key(-math.inf)
@@ -343,9 +346,10 @@ def _bisect_prefix(term: float, bound: float) -> float:
     return _key_float(lo)
 
 
-def _lattice_order(values: Sequence[float], n: int) -> list[int]:
-    """The first chain, in insertion order, whose fold is the minimum over
-    all chains; raises ComputationError when that minimum is not finite."""
+def _theta(values: Sequence[float], n: int) -> list[float]:
+    """theta[S] for every subset S: the largest prefix value at S from which
+    some completion still folds to at most the minimum over all chains.
+    Raises ComputationError when that minimum is not finite."""
     full = (1 << n) - 1
 
     # Forward: best[S] is the smallest left-to-right fold over chains to S.
@@ -367,15 +371,14 @@ def _lattice_order(values: Sequence[float], n: int) -> list[int]:
     if not math.isfinite(best[full]):
         raise _beyond_range(best[full])
 
-    # Backward: theta[S] is the largest prefix value at S from which some
-    # completion still folds to <= the minimum, the largest value that any
-    # superset S + {e} allows through _largest_prefix. Some chain through S
-    # reaches the minimum exactly when best[S] <= theta[S]. A subset T where
-    # none does is skipped: what it would allow a parent S stays below
-    # best[S], since fl(best[S] + term) >= best[T] > theta[T], so it never
-    # sets the value of a parent on a minimizing chain, and the walk, whose
-    # prefix at T is at least best[T], refuses T all the same. Without
-    # ties, only the subsets on the minimizing chain push to their parents.
+    # Backward: theta[S] is the largest value that any superset S + {e}
+    # allows through _largest_prefix. Some chain through S reaches the
+    # minimum exactly when best[S] <= theta[S]. A subset T where none does
+    # is skipped: what it would allow a parent S stays below best[S], since
+    # fl(best[S] + term) >= best[T] > theta[T], so it never sets the value
+    # of a parent on a minimizing chain, and the walk, whose prefix at T is
+    # at least best[T], refuses T all the same. Without ties, only the
+    # subsets on the minimizing chain push to their parents.
     theta = [-math.inf] * full + [best[full]]
     for into in range(full, 0, -1):
         bound = theta[into]
@@ -390,30 +393,35 @@ def _lattice_order(values: Sequence[float], n: int) -> list[int]:
             fit = _largest_prefix(_edge_term(v - values[came]), bound)
             if fit > theta[came]:
                 theta[came] = fit
+    return theta
 
-    # Forward walk: the smallest element that keeps the prefix feasible.
+
+def _walk(values: Sequence[float], theta: Sequence[float], n: int) -> list[int]:
+    """The first chain, in insertion order, whose fold is the minimum: from
+    the empty set, the smallest element whose rounded prefix stays within
+    theta, step by step."""
+    terms = _term_map(n)
     order = []
+    free = list(range(n))
     mask = 0
     acc = 0.0
     for _ in range(n):
         v = values[mask]
-        for e in range(n):
-            if mask >> e & 1:
-                continue
-            nxt = mask | 1 << e
-            prefix = acc + _edge_term(values[nxt] - v)
-            if prefix <= theta[nxt]:
+        steps = [mask | 1 << e for e in free]
+        for i, term in enumerate(terms([values[s] - v for s in steps])):
+            prefix = acc + term
+            if prefix <= theta[steps[i]]:
                 break
         acc = prefix
-        mask = nxt
-        order.append(e + 1)
+        mask = steps[i]
+        order.append(free.pop(i) + 1)
     return order
 
 
 def _exhaustive(mu: Capacity) -> CapacityEntropyReport:
     n = mu.ground_size
-    search = _lattice_order if n < _NUMPY_FROM else _numpy_path().lattice_order
-    order = search(mu.values, n)
+    bounds = _theta if n < _NUMPY_FROM else _numpy_path().theta
+    order = _walk(mu.values, bounds(mu.values, n), n)
     return CapacityEntropyReport(
         entropy=_chain_value(mu.values, order)[0],
         argmin_chain=MaximalChain(tuple(order)),

@@ -20,7 +20,7 @@ import math
 from .discrete import NEGATIVE_INFINITY, DivergenceResult, _result
 from .errors import ComputationError, InvalidInputError
 from .families import ContinuousGrading, Uniform, invert_cdf
-from .ordered import as_int
+from .ordered import as_int, log_ratio
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = [
@@ -122,7 +122,10 @@ def riemann_divergence(F: ContinuousGrading, G: ContinuousGrading, n_points: int
             )
         if dq <= 0.0:
             return -math.inf
-        total += math.log(dq / du) * du
+        try:
+            total += math.log(dq / du) * du
+        except ValueError:  # dq / du underflowed to 0
+            total += log_ratio(dq, du) * du
         prev_u, prev_q = u, q
     return total + 0.0
 

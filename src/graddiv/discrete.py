@@ -216,20 +216,26 @@ def relative_entropy(f: ProbabilityVector, g: ProbabilityVector) -> DivergenceRe
     return _result(total, terms, dropped, neg_inf)
 
 
+def _mass_entropy(masses) -> tuple[float, int]:
+    """-sum m ln m over the nonzero masses, and their number."""
+    log = math.log
+    total = 0.0
+    terms = 0
+    for m in masses:
+        if m == 0.0:
+            continue
+        total -= m * log(m)
+        terms += 1
+    return total, terms
+
+
 def shannon_entropy(f: ProbabilityVector) -> DivergenceResult:
     """-sum_k f_k ln f_k with 0 ln 0 = 0.
 
     Equals the divergence of the running-sum grading of f from the position
     function, which is what makes it a special case of divergence_discrete.
     """
-    log = math.log
-    total = 0.0
-    terms = 0
-    for fk in f.weights:
-        if fk == 0.0:
-            continue
-        total -= fk * log(fk)
-        terms += 1
+    total, terms = _mass_entropy(f.weights)
     return _result(total, terms, dropped=0.0, neg_inf=False)
 
 
@@ -242,14 +248,7 @@ def partition_entropy(masses) -> DivergenceResult:
     ms = as_floats(masses, "masses")
     if not (all(map(math.isfinite, ms)) and min(ms, default=0.0) >= 0):
         _reject_nonnegative(ms, "masses")
-    log = math.log
-    total = 0.0
-    terms = 0
-    for m in ms:
-        if m == 0.0:
-            continue
-        total -= m * log(m)
-        terms += 1
+    total, terms = _mass_entropy(ms)
     return _result(total, terms, dropped=0.0, neg_inf=False, empty=not ms)
 
 

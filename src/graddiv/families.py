@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable, ClassVar
 
 from .errors import InvalidInputError
-from .ordered import as_float, as_floats
+from .ordered import as_float, as_floats, log_ratio
 
 __all__ = [
     "ContinuousGrading",
@@ -238,10 +238,15 @@ class Triangular(ContinuousGrading):
         # the density vanishes at a and b, so each side reads its own
         # distance, not x, which may have rounded onto the end
         c = self.c
-        if x < c:
-            return self._log_peak + math.log(da / (c - self.a))
-        if x > c:
-            return self._log_peak + math.log(db / (self.b - c))
+        try:
+            if x < c:
+                return self._log_peak + math.log(da / (c - self.a))
+            if x > c:
+                return self._log_peak + math.log(db / (self.b - c))
+        except ValueError:  # the distance over its side's width underflowed to 0
+            if x < c:
+                return self._log_peak + log_ratio(da, c - self.a)
+            return self._log_peak + log_ratio(db, self.b - c)
         return self._log_peak
 
     def inverse(self, u: float) -> float:
@@ -307,11 +312,18 @@ class Beta(ContinuousGrading):
 
     def log_density(self, x: float, da: float, db: float) -> float:
         width = self.b - self.a
-        return (
-            (self.alpha - 1.0) * math.log(da / width)
-            + (self.beta - 1.0) * math.log(db / width)
-            - self._log_divisor
-        )
+        try:
+            return (
+                (self.alpha - 1.0) * math.log(da / width)
+                + (self.beta - 1.0) * math.log(db / width)
+                - self._log_divisor
+            )
+        except ValueError:  # da / width or db / width underflowed to 0
+            return (
+                (self.alpha - 1.0) * log_ratio(da, width)
+                + (self.beta - 1.0) * log_ratio(db, width)
+                - self._log_divisor
+            )
 
     def _edge_density(self, shape: float, width: float) -> float:
         if shape > 1.0:
@@ -424,7 +436,11 @@ class Power(ContinuousGrading):
         return self.p * min(t, 1.0) ** (self.p - 1.0) / width
 
     def log_density(self, x: float, da: float, db: float) -> float:
-        return self._log_factor + (self.p - 1.0) * math.log(da / (self.b - self.a))
+        width = self.b - self.a
+        try:
+            return self._log_factor + (self.p - 1.0) * math.log(da / width)
+        except ValueError:  # da / width underflowed to 0
+            return self._log_factor + (self.p - 1.0) * log_ratio(da, width)
 
     def inverse(self, u: float) -> float:
         return self.a + u ** (1.0 / self.p) * (self.b - self.a)

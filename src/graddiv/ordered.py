@@ -3,8 +3,11 @@
 A grading function assigns strictly increasing real grades to the elements
 of a linearly ordered set, so its values alone can reconstruct the order.
 This module holds the finite sampled form of such a function, its forward
-increments, and the log-ratio rate function that drives every divergence
-formula in the package.
+increments, and the rate function ln(delta_g / delta_f) of the paper's
+divergence formula. rate_h is that rate for one pair of increments, for
+direct use; no kernel calls it, since each computes the rate inline in its
+own loop. log_ratio gives ln(d / w) also where the ratio underflows to 0;
+the continuous kernels fall back on it.
 
 It also holds the package's one rule for numeric input, which every
 constructor and reader applies: ``as_float`` for a real, ``as_floats`` for
@@ -177,4 +180,12 @@ def rate_h(pair: IncrementPair) -> float:
         raise InvalidInputError("rate is undefined for delta_f = 0")
     if pair.delta_g == 0.0:
         return -math.inf
-    return math.log(pair.delta_g / pair.delta_f)
+    return log_ratio(pair.delta_g, pair.delta_f)
+
+
+def log_ratio(d: float, w: float) -> float:
+    """ln(d / w) for positive d and w, read as ln d - ln w where the ratio
+    underflows to 0 (math.log(0.0) raises ValueError). Hot loops try
+    math.log(d / w) first and call this only when that raised."""
+    ratio = d / w
+    return math.log(ratio) if ratio > 0.0 else math.log(d) - math.log(w)

@@ -14,7 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graddiv
-from graddiv import MaximalChain, __version__, chain_divergence
+from graddiv import (
+    Beta,
+    MaximalChain,
+    PiecewiseLinearCdf,
+    Power,
+    Triangular,
+    __version__,
+    chain_divergence,
+    divergence_continuous,
+)
 from graddiv.cli import (
     EXIT_COMPUTATION,
     EXIT_INVALID_INPUT,
@@ -23,7 +32,7 @@ from graddiv.cli import (
     build_parser,
     run,
 )
-from graddiv.jsonio import canonical_dumps, capacity_to_doc
+from graddiv.jsonio import canonical_dumps, capacity_to_doc, continuous_grading_to_doc
 
 from conftest import monotone_capacity
 
@@ -366,6 +375,33 @@ class TestCommands:
         assert report_of(out)["result"]["value"] == pytest.approx(
             0.5 - math.log(2.0), abs=1e-5
         )
+
+
+class TestSubnormalDistances:
+    """A density read at a subnormal distance from an end of a wide support:
+    the distance over the width underflows to 0, and its log is taken as
+    the difference of the two logs."""
+
+    def test_beta_against_a_kinked_piecewise_density(self, tmp_path):
+        F = Beta(2.0, 2.0, 0.0, 1000.0)
+        G = PiecewiseLinearCdf(((0.0, 0.0), (1e-9, 1e-9), (1000.0, 1000.0)))
+        f = write(tmp_path, "f.json", continuous_grading_to_doc(F))
+        g = write(tmp_path, "g.json", continuous_grading_to_doc(G))
+        code, out, err = invoke(["divergence", "continuous", "--f", f, "--g", g])
+        assert code == EXIT_OK, err
+        value = report_of(out)["result"]["value"]
+        # g's density is 1 on both pieces, so this is the differential
+        # entropy of Beta(2, 2) scaled to [0, 1000]
+        exact = 5.0 / 3.0 - math.log(6.0) + math.log(1000.0)
+        assert abs(value - exact) <= divergence_continuous(F, G).error_estimate
+
+    def test_power_against_a_triangle_with_its_mode_near_an_end(self, tmp_path):
+        f = write(tmp_path, "f.json", continuous_grading_to_doc(Power(2.0, 0.0, 1000.0)))
+        g = write(tmp_path, "g.json", continuous_grading_to_doc(Triangular(0.0, 1e-9, 1000.0)))
+        code, out, err = invoke(["divergence", "symmetric", "--f", f, "--g", g])
+        assert code == EXIT_OK, err
+        # each direction is -1 for a mode at the end itself
+        assert report_of(out)["result"]["value"] == pytest.approx(-2.0, abs=1e-9)
 
 
 class TestReportShape:

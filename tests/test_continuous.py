@@ -21,6 +21,7 @@ from graddiv import (
     classical_entropy,
     corrected_entropy,
     divergence_continuous,
+    invert_cdf,
     riemann_divergence,
     symmetric_divergence,
 )
@@ -141,6 +142,23 @@ class TestRiemannDivergence:
 
     def test_returns_plain_float(self):
         assert isinstance(riemann_divergence(P2, U01, 50), float)
+
+    def test_cell_ratio_below_double_range(self):
+        # The first cell's dq is subnormal (1.2e-320) against du = 2e4, so
+        # dq / du underflows to 0; its log is ln dq - ln du. The same 50
+        # cells, summed at 50 digits, agree.
+        F = PiecewiseLinearCdf(((0.0, 0.0), (1.0, 1e6)))
+        G = Power(188.3)
+        lo, hi = F.image
+        us = [hi if k == 50 else lo + (hi - lo) * (k / 50) for k in range(51)]
+        qs = [G.cdf(invert_cdf(F, u)) for u in us]
+        assert 0.0 < qs[1] - qs[0] and (qs[1] - qs[0]) / (us[1] - us[0]) == 0.0
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(
+                mpmath.log((mpmath.mpf(q) - q0) / (mpmath.mpf(u) - u0)) * (mpmath.mpf(u) - u0)
+                for u0, u, q0, q in zip(us, us[1:], qs, qs[1:])
+            )
+        assert riemann_divergence(F, G, 50) == pytest.approx(float(exact), rel=1e-12)
 
 
 class TestCorrectedEntropy:

@@ -200,6 +200,26 @@ class TestClosedForms:
         assert pw.density(2.0) == 0.25
         assert pw.breakpoints() == (1.0,)
 
+    @pytest.mark.parametrize("d", [5e-324, 1e-321])
+    def test_log_density_at_a_subnormal_distance(self, d):
+        # d / 500 and d / 1000 underflow to 0; the log of such a ratio is
+        # ln d minus the log of the divisor
+        log_ratio = math.log(d) - math.log(1000.0)
+        power = Power(3.0, 0.0, 1000.0)
+        assert math.isclose(power.log_density(d, d, 1000.0),
+                            math.log(3.0 / 1000.0) + 2.0 * log_ratio, rel_tol=1e-15)
+        beta = Beta(2.0, 3.0, 0.0, 1000.0)
+        expected = log_ratio - math.log(1000.0) - _log_beta(2.0, 3.0)
+        assert math.isclose(beta.log_density(d, d, 1000.0), expected, rel_tol=1e-15)
+        assert math.isclose(beta.log_density(1000.0 - d, 1000.0, d), 2.0 * log_ratio
+                            - math.log(1000.0) - _log_beta(2.0, 3.0), rel_tol=1e-15)
+        tri = Triangular(0.0, 500.0, 1000.0)
+        peak = math.log(2.0 / 1000.0)
+        assert math.isclose(tri.log_density(d, d, 1000.0),
+                            peak + math.log(d) - math.log(500.0), rel_tol=1e-15)
+        assert math.isclose(tri.log_density(1000.0 - d, 1000.0, d),
+                            peak + math.log(d) - math.log(500.0), rel_tol=1e-15)
+
 
 class TestGradeStructure:
     def test_image_spans_cdf_range(self):

@@ -322,6 +322,10 @@ class TestRateH:
     def test_zero_numerator_diverges(self):
         assert rate_h(IncrementPair(0.0, 1.0)) == -math.inf
 
+    def test_ratio_below_double_range(self):
+        # 5e-324 / 1e10 underflows to 0, yet the rate is finite
+        assert rate_h(IncrementPair(5e-324, 1e10)) == math.log(5e-324) - math.log(1e10)
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(InvalidInputError):
             rate_h(IncrementPair(1.0, 0.0))
