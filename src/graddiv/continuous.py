@@ -8,8 +8,11 @@ the continuum limit of the increment-sum form: increments of the graded
 chain become density ratios. Where f vanishes the integrand contributes
 nothing; where g vanishes but f does not, the divergence is -inf.
 
-Two independent evaluation routes are provided on purpose. The adaptive
-quadrature route is the precise one; riemann_divergence builds the sum
+Two independent evaluation routes are provided on purpose. The precise
+one is divergence_continuous, on adaptive quadrature, and the entropies
+run on it: corrected_entropy from the uniform grading, classical_entropy
+from the position grading x -> x (density 1, log 0), and
+symmetric_divergence in both directions. riemann_divergence builds the sum
 directly from a partition of the grade image via cdf inversion, making it
 a structurally different cross-check rather than a faster variant of the
 same code path.
@@ -19,7 +22,7 @@ import math
 
 from .discrete import NEGATIVE_INFINITY, DivergenceResult, _result
 from .errors import ComputationError, InvalidInputError
-from .families import ContinuousGrading, Uniform, invert_cdf
+from .families import ContinuousGrading, PiecewiseLinearCdf, Uniform, invert_cdf
 from .ordered import as_int, log_ratio
 from .quadrature import QuadratureSpec, integrate_adaptive
 
@@ -38,10 +41,6 @@ def _require_same_support(F: ContinuousGrading, G: ContinuousGrading) -> tuple[f
             f"gradings live on different supports: {F.support!r} vs {G.support!r}"
         )
     return F.support
-
-
-def _merged_breakpoints(F: ContinuousGrading, G: ContinuousGrading) -> tuple[float, ...]:
-    return F.breakpoints() + G.breakpoints()
 
 
 def _out_of_range(detail: str) -> ComputationError:
@@ -87,7 +86,7 @@ def divergence_continuous(
         return fx * (lg - lf), fx
 
     outcome = integrate_adaptive(
-        integrand, a, b, spec, breakpoints=_merged_breakpoints(F, G), mass=F.grade_span
+        integrand, a, b, spec, breakpoints=F.breakpoints() + G.breakpoints(), mass=F.grade_span
     )
     if outcome.negative_infinity and not vanishes:
         raise _out_of_range("a term f ln(g / f) overflowed to -inf")
@@ -108,6 +107,7 @@ def riemann_divergence(F: ContinuousGrading, G: ContinuousGrading, n_points: int
         raise InvalidInputError(f"need an integer n_points >= 2, got {n_points!r}")
     _require_same_support(F, G)
     lo, hi = F.image
+    log, inf = math.log, math.inf
     total = 0.0
     prev_u = lo
     prev_q = G.cdf(invert_cdf(F, lo))
@@ -121,10 +121,11 @@ def riemann_divergence(F: ContinuousGrading, G: ContinuousGrading, n_points: int
                 f"grade grid collapsed at cell {k} (n_points too large for float spacing)"
             )
         if dq <= 0.0:
-            return -math.inf
-        try:
-            total += math.log(dq / du) * du
-        except ValueError:  # dq / du underflowed to 0
+            return -inf
+        ratio = dq / du
+        if 0.0 < ratio < inf:
+            total += log(ratio) * du
+        else:  # dq / du underflowed to 0 or overflowed
             total += log_ratio(dq, du) * du
         prev_u, prev_q = u, q
     return total + 0.0
@@ -176,26 +177,7 @@ def symmetric_divergence(
 def classical_entropy(
     F: ContinuousGrading, spec: QuadratureSpec = QuadratureSpec()
 ) -> DivergenceResult:
-    """Differential entropy -integral of f * ln(f) over the support."""
+    """Differential entropy -integral of f * ln(f) over the support: the
+    divergence of F from the position grading x -> x."""
     a, b = F.support
-    log_f = F.log_density
-    exp = math.exp
-
-    def integrand(x: float, da: float, db: float) -> tuple[float, float]:
-        try:
-            lf = log_f(x, da, db)
-            fx = exp(lf)
-        except ArithmeticError as exc:
-            raise _out_of_range(f"{exc} at x={x!r}") from None
-        if fx == 0.0:
-            return 0.0, 0.0
-        return -fx * lf, fx
-
-    outcome = integrate_adaptive(
-        integrand, a, b, spec, breakpoints=F.breakpoints(), mass=F.grade_span
-    )
-    # -f ln f is -inf only where f is infinite or the term overflowed
-    if outcome.negative_infinity:
-        raise _out_of_range("a term -f ln f overflowed to -inf")
-    return _result(outcome.value, outcome.panels, 0.0, False,
-                   error_estimate=outcome.error_estimate)
+    return divergence_continuous(F, PiecewiseLinearCdf(((a, a), (b, b))), spec)

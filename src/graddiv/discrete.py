@@ -1,18 +1,21 @@
 """Relative divergence over finite ordered sets and its probability forms.
 
 The core quantity is D(F||G) = sum_k ln(dG_k / dF_k) * dF_k over the shared
-increments of two grading samples. Taking F to be a cumulative distribution
-and G the position function k recovers Shannon entropy; taking both to be
-cumulative distributions recovers relative entropy with the sign convention
-sum f ln(g/f), which is nonpositive for probability vectors (Gibbs).
+increments of two grading samples. One fold, ``_fold``, sums it for
+divergence_discrete, streaming the increments, and for relative_entropy,
+the divergence between two cumulative distributions: sum f ln(g/f), which
+is nonpositive for probability vectors (Gibbs). A cumulative distribution
+against the position function k gives Shannon entropy: shannon_entropy
+and partition_entropy sum -m ln m in ``_mass_entropy``, the fold with
+ln(1 / m) taken exactly as -ln m, since the log of a rounded 1 / m moves
+the last bits of about half the terms.
 
 Every sum is a left-to-right ``+=`` over the terms in input order, so a
 result is reproducible bit for bit; the builtin ``sum`` is avoided because
 it compensates from Python 3.12 on. Weights and masses are converted by
-``ordered.as_floats`` and checked in C-level builtin passes; the
-divergence kernel streams the increments of both samples instead of
-materializing them. Every result of this module and of ``continuous`` is
-built by ``_result``, which refuses a value that left double range.
+``ordered.as_floats`` and checked in C-level builtin passes. Every result
+of this module and of ``continuous`` is built by ``_result``, which
+refuses a value that left double range.
 """
 
 import math
@@ -22,7 +25,7 @@ from itertools import accumulate, islice
 from operator import sub
 
 from .errors import ComputationError, InvalidInputError
-from .ordered import GradingSample, as_floats, as_int, increments
+from .ordered import GradingSample, as_floats, as_int
 
 __all__ = [
     "ProbabilityVector",
@@ -138,18 +141,46 @@ def _result(value: float, terms: int, dropped: float, neg_inf: bool,
     )
 
 
-def _two_log_sum(pairs) -> float:
-    """Sum of f ln(g / f) over (f, g) pairs with the logs taken apart.
+def _fold(pairs, n: int) -> DivergenceResult:
+    """sum f ln(g / f) over the n (f, g) pairs that each ``pairs()`` streams.
 
-    Accurate wherever each term is a double, even where the ratio g / f
-    is not; it costs a second log per term, so the kernels call it only
-    after a ratio has overflowed or fallen below the smallest normal
-    double, where it keeps too few bits for its log.
+    The common path is g / f, one compare and f ln(g / f) per term. A zero
+    f, a ratio below the smallest normal double or a total beyond double
+    range sends the sum to the rules walk: it skips a zero f, drops the
+    mass of f at a zero g, and reruns with the logs taken apart,
+    (ln g - ln f) f, if g / f left the normal doubles, where it keeps too
+    few bits for its log.
     """
+    log = math.log
     total = 0.0
-    for fk, gk in pairs:
-        total += (math.log(gk) - math.log(fk)) * fk
-    return total
+    try:
+        for fk, gk in pairs():
+            ratio = gk / fk
+            if ratio < _FLOAT_MIN:
+                break
+            total += fk * log(ratio)
+        else:
+            if math.isfinite(total):
+                return _result(total, n, 0.0, False)
+    except ZeroDivisionError:
+        pass
+    total = dropped = 0.0
+    terms = 0
+    for fk, gk in pairs():
+        if fk == 0.0:
+            continue
+        if gk == 0.0:
+            dropped += fk
+            continue
+        ratio = gk / fk
+        total += fk * log(ratio) if ratio >= _FLOAT_MIN else math.nan
+        terms += 1
+    if not (dropped or math.isfinite(total)):
+        total = 0.0
+        for fk, gk in pairs():
+            if fk != 0.0:  # then gk != 0.0 too: nothing was dropped
+                total += (log(gk) - log(fk)) * fk
+    return _result(total, terms, dropped, neg_inf=dropped > 0.0)
 
 
 def divergence_discrete(f: GradingSample, g: GradingSample) -> DivergenceResult:
@@ -165,19 +196,8 @@ def divergence_discrete(f: GradingSample, g: GradingSample) -> DivergenceResult:
         )
     # the increments of both samples, streamed: no per-term list is built
     fg, gg = f.grades, g.grades
-    dfs = map(sub, islice(fg, 1, None), fg)
-    dgs = map(sub, islice(gg, 1, None), gg)
-    log = math.log
-    total = 0.0
-    for df, dg in zip(dfs, dgs):
-        ratio = dg / df
-        if ratio < _FLOAT_MIN:  # zero or subnormal: the two-log sum takes over
-            total = math.nan
-            break
-        total += log(ratio) * df
-    if not math.isfinite(total):
-        total = _two_log_sum(zip(increments(f), increments(g)))
-    return _result(total, terms=len(f) - 1, dropped=0.0, neg_inf=False)
+    return _fold(lambda: zip(map(sub, islice(fg, 1, None), fg),
+                             map(sub, islice(gg, 1, None), gg)), len(f) - 1)
 
 
 def relative_entropy(f: ProbabilityVector, g: ProbabilityVector) -> DivergenceResult:
@@ -191,33 +211,11 @@ def relative_entropy(f: ProbabilityVector, g: ProbabilityVector) -> DivergenceRe
         raise InvalidInputError(
             f"vectors have different lengths: {len(f)} vs {len(g)}"
         )
-    log = math.log
-    total = 0.0
-    terms = 0
-    dropped = 0.0
-    neg_inf = False
-    for fk, gk in zip(f.weights, g.weights):
-        if fk == 0.0:
-            continue
-        if gk == 0.0:
-            neg_inf = True
-            dropped += fk
-            continue
-        ratio = gk / fk
-        if ratio < _FLOAT_MIN:  # subnormal: the two-log sum takes over
-            total = math.nan
-        else:
-            total += fk * log(ratio)
-        terms += 1
-    if not math.isfinite(total):
-        total = _two_log_sum(
-            (fk, gk) for fk, gk in zip(f.weights, g.weights) if fk > 0.0 and gk > 0.0
-        )
-    return _result(total, terms, dropped, neg_inf)
+    return _fold(lambda: zip(f.weights, g.weights), len(f))
 
 
-def _mass_entropy(masses) -> tuple[float, int]:
-    """-sum m ln m over the nonzero masses, and their number."""
+def _mass_entropy(masses: tuple[float, ...]) -> DivergenceResult:
+    """-sum m ln m over the nonzero masses, which are its terms."""
     log = math.log
     total = 0.0
     terms = 0
@@ -226,7 +224,7 @@ def _mass_entropy(masses) -> tuple[float, int]:
             continue
         total -= m * log(m)
         terms += 1
-    return total, terms
+    return _result(total, terms, 0.0, False, empty=not masses)
 
 
 def shannon_entropy(f: ProbabilityVector) -> DivergenceResult:
@@ -235,8 +233,7 @@ def shannon_entropy(f: ProbabilityVector) -> DivergenceResult:
     Equals the divergence of the running-sum grading of f from the position
     function, which is what makes it a special case of divergence_discrete.
     """
-    total, terms = _mass_entropy(f.weights)
-    return _result(total, terms, dropped=0.0, neg_inf=False)
+    return _mass_entropy(f.weights)
 
 
 def partition_entropy(masses) -> DivergenceResult:
@@ -248,8 +245,7 @@ def partition_entropy(masses) -> DivergenceResult:
     ms = as_floats(masses, "masses")
     if not (all(map(math.isfinite, ms)) and min(ms, default=0.0) >= 0):
         _reject_nonnegative(ms, "masses")
-    total, terms = _mass_entropy(ms)
-    return _result(total, terms, dropped=0.0, neg_inf=False, empty=not ms)
+    return _mass_entropy(ms)
 
 
 def cdf_grading(f: ProbabilityVector) -> GradingSample:

@@ -6,8 +6,8 @@ This module holds the finite sampled form of such a function, its forward
 increments, and the rate function ln(delta_g / delta_f) of the paper's
 divergence formula. rate_h is that rate for one pair of increments, for
 direct use; no kernel calls it, since each computes the rate inline in its
-own loop. log_ratio gives ln(d / w) also where the ratio underflows to 0;
-the continuous kernels fall back on it.
+own loop. log_ratio gives ln(d / w) also where the ratio underflows to 0
+or overflows; the continuous kernels fall back on it.
 
 It also holds the package's one rule for numeric input, which every
 constructor and reader applies: ``as_float`` for a real, ``as_floats`` for
@@ -185,7 +185,8 @@ def rate_h(pair: IncrementPair) -> float:
 
 def log_ratio(d: float, w: float) -> float:
     """ln(d / w) for positive d and w, read as ln d - ln w where the ratio
-    underflows to 0 (math.log(0.0) raises ValueError). Hot loops try
-    math.log(d / w) first and call this only when that raised."""
+    underflows to 0 (math.log(0.0) raises ValueError) or overflows to inf.
+    Hot loops try math.log(d / w) first and call this only where the ratio
+    is 0 or inf."""
     ratio = d / w
-    return math.log(ratio) if ratio > 0.0 else math.log(d) - math.log(w)
+    return math.log(ratio) if 0.0 < ratio < math.inf else math.log(d) - math.log(w)

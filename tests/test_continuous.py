@@ -160,6 +160,23 @@ class TestRiemannDivergence:
             )
         assert riemann_divergence(F, G, 50) == pytest.approx(float(exact), rel=1e-12)
 
+    def test_cell_ratio_beyond_double_range(self):
+        # F's grades span 1e-310, so every du = 1e-311 is subnormal against
+        # dq = 0.1 and dq / du overflows; its log is ln dq - ln du.
+        F, G = PiecewiseLinearCdf(((0.0, 0.0), (1.0, 1e-310))), U01
+        lo, hi = F.image
+        us = [hi if k == 10 else lo + (hi - lo) * (k / 10) for k in range(11)]
+        qs = [G.cdf(invert_cdf(F, u)) for u in us]
+        assert (qs[1] - qs[0]) / (us[1] - us[0]) == math.inf
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(
+                mpmath.log((mpmath.mpf(q) - q0) / (mpmath.mpf(u) - u0)) * (mpmath.mpf(u) - u0)
+                for u0, u, q0, q in zip(us, us[1:], qs, qs[1:])
+            )
+        value = riemann_divergence(F, G, 10)
+        assert value == pytest.approx(float(exact), rel=1e-12)
+        assert value == pytest.approx(divergence_continuous(F, G).value, rel=1e-9)
+
 
 class TestCorrectedEntropy:
     def test_uniform_is_zero(self):
@@ -269,6 +286,23 @@ class TestClassicalEntropy:
             assert corrected == pytest.approx(
                 classical - math.log(b - a), abs=1e-6
             )
+
+    @pytest.mark.parametrize(
+        "F, expected",
+        [
+            (Uniform(0.0, 10.0), ("0x1.26bb1bbb55516p+1", 99, "0x1.2ffa5bb971fe8p-43")),
+            (Triangular(0.0, 1.0, 2.0), ("0x1.0000000000000p-1", 198, "0x1.0072000000000p-38")),
+            (Beta(2.0, 5.0), ("-0x1.f028d1db40a28p-2", 197, "0x1.0da3d8baadb40p-45")),
+            (TruncatedNormal(0.0, 1.0, -1.0, 1.0),
+             ("0x1.5d961e33e12fap-1", 197, "0x1.0f04853dec49ap-45")),
+            (Power(0.5, 2.0, 7.0), ("0x1.4d763776aaa2cp+0", 99, "0x1.6dac24440d45fp-45")),
+            (PiecewiseLinearCdf(((0.0, 0.0), (1.0, 0.25), (3.0, 1.0))),
+             ("0x1.150ac42964d62p+0", 198, "0x1.884653b803fdap-44")),
+        ],
+    )
+    def test_pinned(self, F, expected):
+        r = classical_entropy(F)
+        assert (r.value.hex(), r.terms_used, r.error_estimate.hex()) == expected
 
 
 class TestSymmetricDivergence:

@@ -1,8 +1,10 @@
 import math
+import sys
 import tracemalloc
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from graddiv import (
@@ -15,6 +17,7 @@ from graddiv import (
     ProbabilityVector,
     cdf_grading,
     divergence_discrete,
+    increments,
     partition_entropy,
     position_grading,
     relative_entropy,
@@ -364,6 +367,56 @@ class TestPartitionEntropy:
         assert partition_entropy(f.weights).value == shannon_entropy(f).value
 
 
+def _left_to_right(xs: list[float]) -> float:
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _completed(ws: list[float]) -> ProbabilityVector:
+    """ws and a last weight that brings the sum of the multiples of 1/256
+    among them to 1; subnormal weights add below the sum tolerance."""
+    return ProbabilityVector((*ws, 1.0 - math.fsum(w for w in ws if w >= 2.0 ** -8)))
+
+
+# Zero, subnormal, and ordinary weights that are multiples of 1/256, up
+# to 8 of them before the last: their running sums are exact, so a cdf
+# grading's increments are the weights unless a weight is swallowed. Half
+# of the draws are ordinary, so that most vectors keep a finite value.
+_ordinary_weight = st.integers(1, 15).map(lambda c: c / 256)
+_mixed_weight = st.one_of(
+    st.just(0.0),
+    st.integers(1, 1 << 20).map(lambda k: k * 5e-324),
+    _ordinary_weight,
+    _ordinary_weight,
+)
+_mixed_pairs = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(*[st.lists(_mixed_weight, min_size=n, max_size=n)] * 2)
+).map(lambda p: (_completed(p[0]), _completed(p[1])))
+
+
+def _assert_within_rounding(r: DivergenceResult, fs, gs) -> None:
+    """r is within a first-order rounding bound of the 50-digit sum of
+    f ln(g / f) over the pairs with f > 0 (all of which have g > 0): per
+    term 2 eps f (2 + |ln f| + |ln g|) for the ratio, the logs and the
+    product, (n + 2) eps sum |t| for the summation, and 5e-324 for a
+    subnormal product."""
+    pairs = [(fk, gk) for fk, gk in zip(fs, gs) if fk > 0.0]
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(50):
+        terms = [mpmath.mpf(fk) * (mpmath.log(gk) - mpmath.log(fk)) for fk, gk in pairs]
+        exact = mpmath.fsum(terms)
+        bound = (
+            2 * eps * mpmath.fsum(fk * (2 + abs(math.log(fk)) + abs(math.log(gk)))
+                                  for fk, gk in pairs)
+            + (len(pairs) + 2) * eps * mpmath.fsum(map(abs, terms))
+            + len(pairs) * mpmath.mpf(5e-324)
+        )
+        assert abs(r.value - exact) <= bound, (r.value, exact, bound)
+    assert r.terms_used == len(pairs)
+
+
 class TestOverflow:
     """A ratio that leaves double range does not stop a sum whose value is a
     double; only a value beyond double range is a computation failure."""
@@ -408,14 +461,30 @@ class TestOverflow:
         with pytest.raises(ComputationError, match="overflowed"):
             divergence_discrete(GradingSample(f_grades), GradingSample(g_grades))
 
-    @given(grading_sample_pairs)
-    def test_two_log_fallback_agrees_with_the_fast_sum(self, pair):
-        from graddiv.discrete import _two_log_sum
-        from graddiv.ordered import increments
-
+    @given(_mixed_pairs)
+    @example((_completed([3 / 256]), _completed([1000 * 5e-324])))  # subnormal ratio
+    @example((_completed([5e-324]), _completed([3 / 256])))  # ratio overflows
+    def test_rerun_within_rounding_of_mpmath(self, pair):
+        # Zero, subnormal and ordinary weights: the fold skips, drops and
+        # reruns with the logs taken apart, and stays within a rounding
+        # bound of the 50-digit sum, on the weights and on the increments
+        # of their cdf gradings alike.
         f, g = pair
-        fallback = _two_log_sum(zip(increments(f), increments(g)))
-        assert rel_close(fallback, divergence_discrete(f, g).value, 1e-9)
+        r = relative_entropy(f, g)
+        lost = [fk for fk, gk in zip(f.weights, g.weights) if fk > 0.0 == gk]
+        if lost:
+            assert r.value == -math.inf and r.flags == frozenset({NEGATIVE_INFINITY})
+            assert r.dropped_mass == _left_to_right(lost)
+        else:
+            _assert_within_rounding(r, f.weights, g.weights)
+        try:
+            cf, cg = cdf_grading(f), cdf_grading(g)
+        except InvalidInputError:  # a zero or swallowed weight ties two grades
+            return
+        d = divergence_discrete(cf, cg)
+        _assert_within_rounding(d, increments(cf), increments(cg))
+        if increments(cf) == list(f.weights) and increments(cg) == list(g.weights):
+            assert (d.value.hex(), d.terms_used) == (r.value.hex(), r.terms_used)
 
     def test_subnormal_ratio_takes_the_two_log_sum(self):
         # dg / df = 3.3e-323 keeps a few bits; the logs taken apart do not lose them
@@ -435,6 +504,58 @@ class TestOverflow:
     def test_flagged_divergence_is_not_a_failure(self):
         f, g = ProbabilityVector((5e-324, 1.0)), ProbabilityVector((0.0, 1.0))
         assert NEGATIVE_INFINITY in relative_entropy(f, g).flags
+
+
+_PV, _GS = ProbabilityVector, GradingSample
+_NO_MASS = (0.0).hex()
+
+# Results of the four kernels on the paths that take zeros and reruns,
+# pinned to the last bit: (value.hex(), terms_used, dropped_mass.hex(),
+# flags), or the ComputationError message.
+_PINNED = [
+    (lambda: relative_entropy(_PV((0.0, 0.25, 0.75)), _PV((0.2, 0.3, 0.5))),
+     ("-0x1.08b90ef531f6bp-2", 2, _NO_MASS, set())),
+    (lambda: relative_entropy(_PV((0.25, 0.25, 0.5)), _PV((0.5, 0.0, 0.5))),
+     ("-inf", 2, "0x1.0000000000000p-2", {NEGATIVE_INFINITY})),
+    (lambda: relative_entropy(_PV((0.5, 0.5)), _PV((1e-310, 1.0))),
+     ("-0x1.6435217ce17ecp+8", 2, _NO_MASS, set())),
+    (lambda: relative_entropy(_PV((5e-324, 1.0)), _PV((0.5, 0.5))),
+     ("-0x1.62e42fefa39efp-1", 2, _NO_MASS, set())),
+    (lambda: relative_entropy(_PV((0.0, 0.5, 0.5)), _PV((0.5, 1e-310, 0.5))),
+     ("-0x1.648dda88dd67ap+8", 2, _NO_MASS, set())),
+    (lambda: relative_entropy(_PV((0.0, 5e-324, 0.5, 0.5)), _PV((0.25, 0.25, 1e-310, 0.5))),
+     ("-0x1.648dda88dd67ap+8", 3, _NO_MASS, set())),
+    (lambda: divergence_discrete(_GS((0.0, 1.0, 2.0)), _GS((0.0, 1e-310, 1.0))),
+     ("-0x1.64e69394d9508p+9", 2, _NO_MASS, set())),
+    (lambda: divergence_discrete(_GS((0.0, 5e-324, 1.0)), _GS((0.0, 0.5, 1.0))),
+     ("-0x1.62e42fefa39efp-1", 2, _NO_MASS, set())),
+    (lambda: divergence_discrete(_GS((0.0, 1e308)), _GS((0.0, 1e-300))),
+     "the sum is -inf: a term or the running total overflowed double precision"),
+    (lambda: shannon_entropy(_PV((0.0, 0.25, 0.75))),
+     ("0x1.1fea645f0ef4ep-1", 2, _NO_MASS, set())),
+    (lambda: shannon_entropy(_PV((5e-324, 0.25, 0.75))),
+     ("0x1.1fea645f0ef4ep-1", 3, _NO_MASS, set())),
+    (lambda: partition_entropy([0.0, 0.5, 3.0]),
+     ("-0x1.7981758243d52p+1", 2, _NO_MASS, set())),
+    (lambda: partition_entropy([]), ("0x0.0p+0", 0, _NO_MASS, {EMPTY})),
+    (lambda: partition_entropy([1e308, 1e308]),
+     "the sum is -inf: a term or the running total overflowed double precision"),
+]
+
+
+class TestPinnedEdgeResults:
+    """Zero weights, subnormal and overflowing ratios, an empty partition
+    and sums beyond double range give these exact results."""
+
+    @pytest.mark.parametrize("compute, expected", _PINNED)
+    def test_pinned(self, compute, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ComputationError) as info:
+                compute()
+            assert str(info.value) == expected
+            return
+        r = compute()
+        assert (r.value.hex(), r.terms_used, r.dropped_mass.hex(), set(r.flags)) == expected
 
 
 class TestGradingConstructors:

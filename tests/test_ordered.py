@@ -326,6 +326,11 @@ class TestRateH:
         # 5e-324 / 1e10 underflows to 0, yet the rate is finite
         assert rate_h(IncrementPair(5e-324, 1e10)) == math.log(5e-324) - math.log(1e10)
 
+    def test_ratio_beyond_double_range(self):
+        # 1e300 / 1e-300 overflows to inf, yet the rate is ln 1e600
+        assert rate_h(IncrementPair(1e300, 1e-300)) == math.log(1e300) - math.log(1e-300)
+        assert rate_h(IncrementPair(1e300, 1e-300)) == pytest.approx(600 * math.log(10.0))
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(InvalidInputError):
             rate_h(IncrementPair(1.0, 0.0))
