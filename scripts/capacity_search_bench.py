@@ -4,8 +4,10 @@
 Draws random monotone capacities per ground size, times both search
 strategies, and reports how often and by how much the greedy single-chain
 walk misses the true minimum. The draw is seeded, so reruns reproduce the
-same table. Drawing a capacity is a Python loop over its 2^n subsets, so
-at n = 20 each draw takes several seconds; lower --trials there.
+same table; the draws start at --min-n, so a row for one size depends on
+where the run starts. Drawing a capacity is a Python loop over its 2^n
+subsets, so at n = 20 each draw takes several seconds; lower --trials
+there.
 """
 
 import argparse
@@ -29,16 +31,19 @@ def random_monotone_capacity(rng: np.random.Generator, n: int) -> Capacity:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=20260819)
+    parser.add_argument("--min-n", type=int, default=2, choices=range(2, 21))
     parser.add_argument("--max-n", type=int, default=8, choices=range(2, 21))
     parser.add_argument("--trials", type=int, default=20, help="capacities per size")
     args = parser.parse_args()
+    if args.min_n > args.max_n:
+        parser.error("--min-n must not exceed --max-n")
 
     rng = np.random.default_rng(args.seed)
     print(
         f"{'n':>2} {'chains':>19} {'exh ms':>9} {'greedy ms':>10} "
         f"{'greedy misses':>14} {'worst gap':>12}"
     )
-    for n in range(2, args.max_n + 1):
+    for n in range(args.min_n, args.max_n + 1):
         exh_time = greedy_time = 0.0
         misses = 0
         worst_gap = 0.0

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import time
 import warnings
@@ -24,6 +25,7 @@ import graddiv._capacity_numpy as capacity_numpy
 import graddiv.capacity as capacity
 
 from conftest import (
+    TIE_MASSES,
     additive_capacities,
     all_tie_capacities,
     capacities,
@@ -202,9 +204,14 @@ class TestChainDivergence:
 
     def test_folds_left_to_right(self):
         # From n = 8 numpy sums pairwise; the lattice search accumulates
-        # left to right, so the evaluator must too.
+        # left to right, so the evaluator must too. Halving pairwise sums
+        # match the fold on the first two orders, not on the third.
         mu = monotone_capacity(10, [0.3, 1.7, 0.02, 0.9, 0.0, 2.4, 0.55])
-        for order in ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (10, 3, 7, 1, 9, 2, 8, 4, 6, 5)):
+        for order in (
+            (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+            (10, 3, 7, 1, 9, 2, 8, 4, 6, 5),
+            (10, 9, 8, 7, 6, 5, 4, 3, 2, 1),
+        ):
             masks = np.cumsum([1 << (e - 1) for e in order])
             inc = np.diff([mu.values[m] for m in masks], prepend=0.0)
             expected = 0.0
@@ -353,6 +360,128 @@ class TestCapacityEntropy:
         elapsed = time.perf_counter() - t0
         assert rep.chains_examined == math.factorial(8)
         assert elapsed < 1.0
+
+
+def row_cover_bits(layer, flip, k):
+    """The (len(layer), k) grid of the bits set in layer ^ flip, lowest
+    first, a row per mask."""
+    rest = layer ^ flip
+    out = np.empty((layer.size, k), dtype=np.int64)
+    for j in range(k):
+        low = rest & -rest
+        out[:, j] = low
+        rest = rest ^ low
+    return out
+
+
+def unpruned_theta(values, n):
+    """The numpy lattice passes without pruning, an oracle for the pruned
+    ones: every subset takes the largest value that any superset S + {e}
+    allows through _largest_prefix, live or not."""
+    vals = np.asarray(values)
+    full = (1 << n) - 1
+    layers = capacity_numpy._layers(n)
+    best = np.empty(vals.size)
+    best[0] = 0.0
+    with np.errstate(over="ignore"):
+        for k in range(1, n + 1):
+            into = layers[k][:, None]
+            came = into ^ row_cover_bits(layers[k], 0, k)
+            cand = best[came] + capacity_numpy._edge_terms(vals[into] - vals[came])
+            best[layers[k]] = cand.min(axis=1)
+        if not math.isfinite(best[full]):
+            raise capacity._beyond_range(float(best[full]))
+        theta = best
+        for k in range(n - 1, -1, -1):
+            came = layers[k][:, None]
+            into = came | row_cover_bits(layers[k], full, n - k)
+            terms = capacity_numpy._edge_terms(vals[into] - vals[came])
+            theta[layers[k]] = capacity_numpy._largest_prefix(terms, theta[into]).max(axis=1)
+    return theta
+
+
+def seeded_capacity(n: int, seed: int, zero_share: float = 0.0) -> Capacity:
+    """A random monotone capacity; about zero_share of its steps are 0."""
+    rng = np.random.default_rng(seed)
+    deltas = rng.uniform(0.0, 1.0, (1 << n) - 1)
+    deltas[rng.random(deltas.size) < zero_share] = 0.0
+    return monotone_capacity(n, deltas.tolist())
+
+
+def walked(mu, theta):
+    """The walk's chain and its value under one backward pass, or the
+    message of the ComputationError that the passes raise."""
+    n = mu.ground_size
+    try:
+        order = capacity._walk(mu.values, theta(mu.values, n), n)
+    except ComputationError as exc:
+        return str(exc)
+    return capacity._chain_value(mu.values, order)[0], tuple(order)
+
+
+# Sizes up to capacity_numpy._KEEP pull whole layers over edges kept from
+# call to call; larger ones prune, block by block. Each way is checked.
+WAYS = {
+    "kept": {},
+    "pruned": {"_KEEP": 0},
+    "pruned, small blocks": {"_KEEP": 0, "_BLOCK": 64},
+}
+
+LATTICE_CASES = {
+    **{f"random n={n} seed={s}": (n, s, 0.0) for n in range(8, 12) for s in (0, 1)},
+    **{f"zero steps n={n}": (n, 2, 0.5) for n in range(8, 12)},
+    **{f"all tie n={n} m={m:.3g}": (n, m) for n in range(8, 12) for m in TIE_MASSES},
+    **{f"overflow n={n}": (n, 1e307) for n in range(8, 12)},
+}
+
+
+def lattice_case(spec) -> Capacity:
+    if len(spec) == 3:
+        return seeded_capacity(*spec)
+    n, m = spec
+    return Capacity.additive([m] * n)
+
+
+class TestPrunedLattice:
+    @pytest.mark.parametrize("way", WAYS)
+    @pytest.mark.parametrize("case", LATTICE_CASES)
+    def test_matches_the_unpruned_pass(self, case, way):
+        mu = lattice_case(LATTICE_CASES[case])
+        with computed_on("numpy"), pytest.MonkeyPatch.context() as mp:
+            for name, value in WAYS[way].items():
+                mp.setattr(capacity_numpy, name, value)
+            expected = walked(mu, unpruned_theta)
+            assert walked(mu, capacity_numpy.theta) == expected
+            if isinstance(expected, str):
+                with pytest.raises(ComputationError, match="chain entropy is -inf"):
+                    capacity_entropy(mu)
+                return
+            rep = capacity_entropy(mu)
+            assert (rep.entropy, rep.argmin_chain.order) == expected
+            assert chain_divergence(mu, rep.argmin_chain).value == rep.entropy
+
+    @pytest.mark.parametrize("way", WAYS)
+    def test_keeps_one_chain_without_ties(self, way):
+        # Without ties only the minimizing chain is live, and only the
+        # subsets one element below a live one are ever given a value.
+        n = 10
+        mu = seeded_capacity(n, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in WAYS[way].items():
+                mp.setattr(capacity_numpy, name, value)
+            theta = capacity_numpy.theta(mu.values, n)
+        assert np.isfinite(theta).sum() <= n * (n + 1) // 2 + 1
+        order = capacity_entropy(mu).argmin_chain.order
+        chain = list(itertools.accumulate(1 << (e - 1) for e in order))
+        assert np.isfinite(theta[chain]).all()
+        assert np.all(theta[chain] == unpruned_theta(mu.values, n)[chain])
+
+    def test_kept_edges_are_read_only(self):
+        capacity_numpy.theta(Capacity.additive([0.5] * 9).values, 9)
+        layers, into, came, up, _ = capacity_numpy._kept_edges(9)
+        for arr in (layers[4], into, came, up):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 # Edge terms are finite or -inf (an overflowing -d ln d), and so are the

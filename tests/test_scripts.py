@@ -13,6 +13,10 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     "argv",
     [
         ["capacity_search_bench.py", "--max-n", "3", "--trials", "1"],
+        pytest.param(
+            ["capacity_search_bench.py", "--min-n", "9", "--max-n", "10", "--trials", "1"],
+            id="capacity_search_bench.py numpy sizes",
+        ),
         ["riemann_convergence.py", "--pairs", "power2-uniform", "--steps", "100"],
     ],
     ids=lambda argv: argv[0],
