@@ -31,11 +31,15 @@ import numpy as np
 
 from .capacity import _beyond_range, _bisect_prefix
 
-# Sizes up to _KEEP keep three indices per cover edge (0.6 MB at 12).
-# Measured for theta in process (2-CPU Xeon), kept against pruned: 0.43
-# against 0.79 ms at n = 9; at 12, 2.1-3.0 against 2.5-3.7 ms with all
-# ties and 2.7-3.0 against 1.6 ms on random capacities.
-_KEEP = 12
+# Sizes up to _KEEP keep three indices per cover edge (0.27 MB at 11).
+# _KEEP is the largest size at which the kept way beat pruning on both
+# seeded random and all-tie capacities. theta in process, interleaved,
+# best of 7 (2-CPU Xeon), kept against pruned: random 0.41-0.48 against
+# 0.75-0.86 ms at n = 9, 0.54-0.60 against 0.79-0.90 at 10 and 1.05-1.63
+# against 1.11-1.78 at 11 (one seed in six slower, by 2 %), but 2.33-2.41
+# against 1.40-1.43 at 12; all-tie 0.45 against 0.88 ms at 9, 0.48
+# against 0.90 at 10, 0.87 against 1.47 at 11 and 1.95 against 2.44 at 12.
+_KEEP = 11
 # Larger sizes work through their rows in blocks of about _BLOCK cover
 # edges, so a block's temporaries stay in cache and none grows with the
 # lattice.

@@ -33,12 +33,13 @@ validation, the two passes, a popcount layer at a time, their vector
 prefix step and the map from increments to edge terms; the evaluator, the
 walk and the bisection over bit patterns are written once, here. Both
 backward passes skip the subsets that no minimizing chain passes
-through: this side subset by subset, the numpy side layer by layer from
-13 elements on (below that, whole layers cost numpy less than finding
-the live subsets). The ground size alone selects the side. numpy's log
-may differ from math.log in the last bit, and the argument above needs
-the search and the evaluator to see the same terms, so _term_map gives
-every step of one ground size its terms from the same log.
+through: this side subset by subset, the numpy side layer by layer
+above _capacity_numpy._KEEP elements (below that, whole layers cost
+numpy less than finding the live subsets). The ground size alone selects
+the side. numpy's log may differ from math.log in the last bit, and the
+argument above needs the search and the evaluator to see the same terms,
+so _term_map gives every step of one ground size its terms from the same
+log.
 """
 
 import itertools
