@@ -8,10 +8,11 @@ functions, and a rescaling-invariant entropy for densities on an interval
 all arise as special cases.
 
 Public names are imported from their submodule on first use, so a process
-loads only what it computes with: capacity entropy needs numpy from 9
-elements on, and everything else runs on the standard library, apart from
-Beta and TruncatedNormal quantiles, interior Beta cdf values and ln B at
-extreme shapes, which import scipy.special on first use.
+loads only what it computes with: capacity entropy needs numpy from
+capacity._NUMPY_FROM elements on, and everything else runs on the
+standard library, apart from Beta and TruncatedNormal quantiles, interior
+Beta cdf values and ln B at extreme shapes, which import scipy.special on
+first use.
 """
 
 import importlib

@@ -141,9 +141,14 @@ class Capacity:
         return tuple(self.values[1 << k] for k in range(self.ground_size))
 
 
+def _mask_key(mask: int) -> str:
+    """The elements of a subset mask, ascending and comma-separated: 0b101
+    is "1,3", the empty set ""."""
+    return ",".join(str(k + 1) for k in range(mask.bit_length()) if mask >> k & 1)
+
+
 def _mask_name(mask: int) -> str:
-    els = [str(k + 1) for k in range(mask.bit_length()) if mask >> k & 1]
-    return "{" + ",".join(els) + "}"
+    return "{" + _mask_key(mask) + "}"
 
 
 def _faults(vals: Sequence[float], n: int) -> tuple[int | None, tuple[int, int] | None]:

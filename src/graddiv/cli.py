@@ -83,14 +83,14 @@ class _Command(NamedTuple):
 
 
 # A computing module is imported by name when its command runs. capacity
-# loads numpy only for a capacity of 9 or more elements; continuous and
-# quadrature load neither numpy nor scipy (families imports scipy.special
-# only for a Beta or truncated normal quantile, an interior Beta cdf value
-# or ln B at extreme shapes). So the discrete commands start without any of
-# them, and numpy is loaded only by entropy capacity and by validate on a
-# capacity document, each from 9 elements on. Readers and functions are
-# looked up when called, never held here, so a wrapper installed on a
-# module's binding sees every call.
+# loads numpy only for a capacity of capacity._NUMPY_FROM or more elements;
+# continuous and quadrature load neither numpy nor scipy (families imports
+# scipy.special only for a Beta or truncated normal quantile, an interior
+# Beta cdf value or ln B at extreme shapes). So the discrete commands start
+# without any of them, and numpy is loaded only by entropy capacity and by
+# validate on a capacity document, each from capacity._NUMPY_FROM elements
+# on. Readers and functions are looked up when called, never held here, so a
+# wrapper installed on a module's binding sees every call.
 _COMMANDS: dict[str, _Command] = {
     "divergence discrete": _Command(
         "between two finite grading samples",

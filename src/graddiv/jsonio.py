@@ -32,7 +32,8 @@ from .ordered import GradingSample, as_float, as_floats, as_int
 
 # capacity, families and quadrature are imported by the readers that build
 # their objects, so parsing a discrete document loads none of them; only a
-# capacity document of 9 or more elements loads numpy, and none loads scipy.
+# capacity document of capacity._NUMPY_FROM or more elements loads numpy,
+# and none loads scipy.
 if TYPE_CHECKING:
     from .capacity import Capacity, CapacityEntropyReport
     from .families import ContinuousGrading
@@ -269,24 +270,13 @@ def _subset_keys(n: int) -> list[str]:
     return keys
 
 
-def _mask_key(mask: int) -> str:
-    elements = []
-    element = 1
-    while mask:
-        if mask & 1:
-            elements.append(str(element))
-        mask >>= 1
-        element += 1
-    return ",".join(elements)
-
-
 # No container holds 2^63 entries (len is at most sys.maxsize), so from
 # this ground size on a document always misses subsets.
 _UNHOLDABLE_GROUND_SIZE = sys.maxsize.bit_length()
 
 
 def capacity_from_doc(doc: dict) -> Capacity:
-    from .capacity import Capacity
+    from .capacity import Capacity, _mask_key
 
     _require_keys(doc, frozenset({"ground_size", "values"}), schema="capacity")
     n = as_int(doc["ground_size"], "ground_size")

@@ -442,6 +442,28 @@ def lattice_case(spec) -> Capacity:
     return Capacity.additive([m] * n)
 
 
+def check_against_unpruned(mu):
+    """theta's walk, and capacity_entropy, against unpruned_theta's walk:
+    the same chain and value bit for bit, or the same refusal."""
+    expected = walked(mu, unpruned_theta)
+    assert walked(mu, capacity_numpy.theta) == expected
+    if isinstance(expected, str):
+        with pytest.raises(ComputationError, match="chain entropy is -inf"):
+            capacity_entropy(mu)
+        return
+    rep = capacity_entropy(mu)
+    assert (rep.entropy, rep.argmin_chain.order) == expected
+    assert chain_divergence(mu, rep.argmin_chain).value == rep.entropy
+
+
+# Sizes whose middle layers span several default blocks: about 24k edges,
+# two blocks, at n = 14 and 103k edges, seven blocks, at n = 16.
+BLOCK_CASES = {
+    **{f"random n={n}": (n, 0, 0.0) for n in (14, 16)},
+    **{f"all tie n={n}": (n, 1 / 3) for n in (14, 16)},
+}
+
+
 class TestPrunedLattice:
     @pytest.mark.parametrize("way", WAYS)
     @pytest.mark.parametrize("case", LATTICE_CASES)
@@ -450,15 +472,15 @@ class TestPrunedLattice:
         with computed_on("numpy"), pytest.MonkeyPatch.context() as mp:
             for name, value in WAYS[way].items():
                 mp.setattr(capacity_numpy, name, value)
-            expected = walked(mu, unpruned_theta)
-            assert walked(mu, capacity_numpy.theta) == expected
-            if isinstance(expected, str):
-                with pytest.raises(ComputationError, match="chain entropy is -inf"):
-                    capacity_entropy(mu)
-                return
-            rep = capacity_entropy(mu)
-            assert (rep.entropy, rep.argmin_chain.order) == expected
-            assert chain_divergence(mu, rep.argmin_chain).value == rep.entropy
+            check_against_unpruned(mu)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_matches_the_unpruned_pass_in_default_blocks(self, case):
+        spec = BLOCK_CASES[case]
+        n = spec[0]
+        assert n > capacity_numpy._KEEP
+        assert math.comb(n, n // 2) * (n // 2) > capacity_numpy._BLOCK
+        check_against_unpruned(lattice_case(spec))
 
     @pytest.mark.parametrize("way", WAYS)
     def test_keeps_one_chain_without_ties(self, way):

@@ -333,7 +333,8 @@ class TestCapacityDocs:
             capacity_from_doc({"ground_size": True, "values": {"": 0.0, "1": 1.0}})
 
     def test_subset_keys_match_mask_keys(self):
-        from graddiv.jsonio import _mask_key, _subset_keys
+        from graddiv.capacity import _mask_key
+        from graddiv.jsonio import _subset_keys
 
         assert _subset_keys(10) == [_mask_key(m) for m in range(1 << 10)]
 
