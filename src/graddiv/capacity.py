@@ -45,14 +45,13 @@ log.
 import itertools
 import math
 import struct
-from dataclasses import dataclass
 from functools import partial
 from operator import le, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .discrete import DivergenceResult
 from .errors import ComputationError, InvalidInputError
-from .ordered import as_floats, as_int
+from .ordered import _Record, _store, as_floats, as_int
 
 __all__ = [
     "Capacity",
@@ -83,8 +82,7 @@ def _numpy_path():
     return _capacity_numpy
 
 
-@dataclass(frozen=True)
-class Capacity:
+class Capacity(_Record):
     """A monotone nonnegative set function on all subsets of {1..n}.
 
     values[mask] is the measure of the subset encoded by mask, where bit
@@ -95,6 +93,14 @@ class Capacity:
 
     ground_size: int
     values: tuple[float, ...]
+
+    _fields = ("ground_size", "values")
+    __slots__ = _fields
+
+    def __init__(self, ground_size, values):
+        _store(self, "ground_size", ground_size)
+        _store(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         n = as_int(self.ground_size, "ground_size")
@@ -119,8 +125,8 @@ class Capacity:
                 f"capacity is not monotone: value({_mask_name(low)})="
                 f"{vals[low]!r} > value({_mask_name(high)})={vals[high]!r}"
             )
-        object.__setattr__(self, "ground_size", n)
-        object.__setattr__(self, "values", vals)
+        _store(self, "ground_size", n)
+        _store(self, "values", vals)
 
     @classmethod
     def additive(cls, masses) -> "Capacity":
@@ -177,8 +183,7 @@ def _faults(vals: Sequence[float], n: int) -> tuple[int | None, tuple[int, int] 
     return None, None
 
 
-@dataclass(frozen=True)
-class MaximalChain:
+class MaximalChain(_Record):
     """A maximal chain of the Boolean lattice, as an element insertion order.
 
     order is a permutation of {1..n}; the implied subsets are the prefixes
@@ -186,6 +191,13 @@ class MaximalChain:
     """
 
     order: tuple[int, ...]
+
+    _fields = ("order",)
+    __slots__ = _fields
+
+    def __init__(self, order):
+        _store(self, "order", order)
+        self.__post_init__()
 
     def __post_init__(self):
         try:
@@ -200,7 +212,7 @@ class MaximalChain:
             raise InvalidInputError(
                 f"order must be a permutation of 1..{n}, got {order!r}"
             )
-        object.__setattr__(self, "order", order)
+        _store(self, "order", order)
 
     def subsets(self) -> tuple[frozenset[int], ...]:
         """The nested subsets from the empty set to the full ground set."""
@@ -278,14 +290,23 @@ def chain_divergence(mu: Capacity, chain: MaximalChain) -> DivergenceResult:
     return DivergenceResult(value=value, terms_used=terms)
 
 
-@dataclass(frozen=True)
-class CapacityEntropyReport:
+class CapacityEntropyReport(_Record):
     """Capacity entropy plus the chain witnessing the reported value."""
 
     entropy: float
     argmin_chain: MaximalChain
     chains_examined: int
     method: str
+
+    _fields = ("entropy", "argmin_chain", "chains_examined", "method")
+    __slots__ = _fields
+
+    def __init__(self, entropy, argmin_chain, chains_examined, method):
+        _store(self, "entropy", entropy)
+        _store(self, "argmin_chain", argmin_chain)
+        _store(self, "chains_examined", chains_examined)
+        _store(self, "method", method)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.method not in ("exhaustive", "greedy"):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import sys
 import time
@@ -193,7 +192,7 @@ def _quad_spec(args: argparse.Namespace, inputs: _Inputs) -> QuadratureSpec:
     if args.quad is not None:
         spec = jsonio.quadrature_spec_from_doc(inputs.load("quad", args.quad))
     if args.tol is not None:
-        spec = dataclasses.replace(spec, abs_tol=args.tol)
+        spec = QuadratureSpec(args.tol, spec.rel_tol, spec.max_depth)
     return spec
 
 

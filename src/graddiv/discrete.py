@@ -20,12 +20,11 @@ refuses a value that left double range.
 
 import math
 import sys
-from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from operator import sub
 
 from .errors import ComputationError, InvalidInputError
-from .ordered import GradingSample, as_floats, as_int
+from .ordered import GradingSample, _Record, _store, as_floats, as_int
 
 __all__ = [
     "ProbabilityVector",
@@ -47,12 +46,18 @@ EMPTY = "empty"
 _KNOWN_FLAGS = frozenset({NEGATIVE_INFINITY, EMPTY})
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
+class ProbabilityVector(_Record):
     """Nonnegative weights summing to one (within a small absolute slack
     to accommodate rounding in user-supplied data)."""
 
     weights: tuple[float, ...]
+
+    _fields = ("weights",)
+    __slots__ = _fields
+
+    def __init__(self, weights):
+        _store(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self):
         w = as_floats(self.weights, "weights")
@@ -68,7 +73,7 @@ class ProbabilityVector:
             raise InvalidInputError(
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
             )
-        object.__setattr__(self, "weights", w)
+        _store(self, "weights", w)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -81,8 +86,7 @@ def _reject_nonnegative(values: tuple[float, ...], name: str) -> None:
             raise InvalidInputError(f"{name} must be finite and >= 0, got {x!r}")
 
 
-@dataclass(frozen=True)
-class DivergenceResult:
+class DivergenceResult(_Record):
     """A divergence value in nats plus convergence diagnostics.
 
     terms_used counts the terms that entered the finite accumulation; for
@@ -95,12 +99,24 @@ class DivergenceResult:
 
     value: float
     terms_used: int
-    dropped_mass: float = 0.0
-    error_estimate: float = 0.0
-    flags: frozenset[str] = field(default_factory=frozenset)
+    dropped_mass: float
+    error_estimate: float
+    flags: frozenset[str]
+
+    _fields = ("value", "terms_used", "dropped_mass", "error_estimate", "flags")
+    __slots__ = _fields
+
+    def __init__(self, value, terms_used, dropped_mass=0.0, error_estimate=0.0,
+                 flags=frozenset()):
+        _store(self, "value", value)
+        _store(self, "terms_used", terms_used)
+        _store(self, "dropped_mass", dropped_mass)
+        _store(self, "error_estimate", error_estimate)
+        _store(self, "flags", flags)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "flags", frozenset(self.flags))
+        _store(self, "flags", frozenset(self.flags))
         unknown = self.flags - _KNOWN_FLAGS
         if unknown:
             raise InvalidInputError(f"unknown result flags: {sorted(unknown)}")

@@ -9,17 +9,15 @@ root-finding fallback: a new family must supply ``inverse`` itself.
 """
 
 import abc
-import dataclasses
 import importlib
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar
 
 from .errors import InvalidInputError
-from .ordered import as_float, as_floats, log_ratio
+from .ordered import _Record, _store, as_float, as_floats, log_ratio
 
 __all__ = [
     "ContinuousGrading",
@@ -98,24 +96,26 @@ def _check_interval(a: float, b: float) -> None:
         )
 
 
-class ContinuousGrading(abc.ABC):
+class ContinuousGrading(_Record, abc.ABC):
     """A cdf/density pair acting as a grading function on [a, b].
 
-    A parametric family is a frozen dataclass with fields a and b for its
-    support and one field for each name in ``params``, its shape
-    parameters in constructor order. Construction converts every field by
-    ``ordered.as_float``, in field order, checks the support, and then runs
-    the family's ``_validate``. PiecewiseLinearCdf, whose knots fix its
-    support, overrides ``__post_init__``, ``support`` and ``shape_params``.
+    A parametric family is an immutable record (``ordered._Record``) with
+    fields a and b for its support and one field for each name in
+    ``params``, its shape parameters in constructor order. Construction
+    converts every field by ``ordered.as_float``, in field order, checks
+    the support, and then runs the family's ``_validate``. The constants a
+    family keeps, and its ``image``, live in the instance dict outside the
+    fields; this class declares no ``__slots__`` so that every family has
+    one. PiecewiseLinearCdf, whose knots fix its support, overrides
+    ``__post_init__``, ``support`` and ``shape_params``.
     """
 
     family: ClassVar[str]
     params: ClassVar[tuple[str, ...]] = ()
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
-            name = field.name
-            object.__setattr__(self, name, as_float(getattr(self, name), name))
+        for name in self._fields:
+            _store(self, name, as_float(getattr(self, name), name))
         _check_interval(*self.support)
         self._validate()
 
@@ -146,7 +146,7 @@ class ContinuousGrading(abc.ABC):
     @cached_property
     def image(self) -> tuple[float, float]:
         # computed on first use and kept in the instance dict, outside the
-        # dataclass fields, so equality, hashing and repr ignore it
+        # fields, so equality, hashing and repr ignore it
         a, b = self.support
         return (self.cdf(a), self.cdf(b))
 
@@ -178,12 +178,19 @@ def invert_cdf(F: ContinuousGrading, u: float) -> float:
     return min(max(F.inverse(u), a), b)
 
 
-@dataclass(frozen=True)
 class Uniform(ContinuousGrading):
     a: float
     b: float
 
     family: ClassVar[str] = "uniform"
+
+    _fields = ("a", "b")
+    __slots__ = _fields
+
+    def __init__(self, a, b):
+        _store(self, "a", a)
+        _store(self, "b", b)
+        self.__post_init__()
 
     def cdf(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -195,7 +202,6 @@ class Uniform(ContinuousGrading):
         return self.a + u * (self.b - self.a)
 
 
-@dataclass(frozen=True)
 class Triangular(ContinuousGrading):
     """Triangular density on [a, b] with mode c, a <= c <= b."""
 
@@ -206,11 +212,20 @@ class Triangular(ContinuousGrading):
     family: ClassVar[str] = "triangular"
     params: ClassVar[tuple[str, ...]] = ("c",)
 
+    _fields = ("a", "c", "b")
+    __slots__ = _fields
+
+    def __init__(self, a, c, b):
+        _store(self, "a", a)
+        _store(self, "c", c)
+        _store(self, "b", b)
+        self.__post_init__()
+
     def _validate(self) -> None:
         if not self.a <= self.c <= self.b:
             raise InvalidInputError(f"mode must satisfy a <= c <= b, got c={self.c!r}")
         # ln of the density at the mode, kept outside the fields
-        object.__setattr__(self, "_log_peak", math.log(2.0) - math.log(self.b - self.a))
+        _store(self, "_log_peak", math.log(2.0) - math.log(self.b - self.a))
 
     # Each expression scales ratios no larger than 1 by the width or divides
     # them by it, and never multiplies two widths or squares one, so every
@@ -262,17 +277,26 @@ class Triangular(ContinuousGrading):
         return ()
 
 
-@dataclass(frozen=True)
 class Beta(ContinuousGrading):
     """Beta(alpha, beta) density mapped affinely onto [a, b]."""
 
     alpha: float
     beta: float
-    a: float = 0.0
-    b: float = 1.0
+    a: float
+    b: float
 
     family: ClassVar[str] = "beta"
     params: ClassVar[tuple[str, ...]] = ("alpha", "beta")
+
+    _fields = ("alpha", "beta", "a", "b")
+    __slots__ = _fields
+
+    def __init__(self, alpha, beta, a=0.0, b=1.0):
+        _store(self, "alpha", alpha)
+        _store(self, "beta", beta)
+        _store(self, "a", a)
+        _store(self, "b", b)
+        self.__post_init__()
 
     def _validate(self) -> None:
         alpha, beta = self.alpha, self.beta
@@ -283,8 +307,8 @@ class Beta(ContinuousGrading):
         # log of the normalizing beta function, and that plus the log of
         # the width, kept outside the fields
         log_norm = _log_beta(alpha, beta)
-        object.__setattr__(self, "_log_norm", log_norm)
-        object.__setattr__(self, "_log_divisor", log_norm + math.log(self.b - self.a))
+        _store(self, "_log_norm", log_norm)
+        _store(self, "_log_divisor", log_norm + math.log(self.b - self.a))
 
     def _t(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -342,7 +366,6 @@ def _phi(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-@dataclass(frozen=True)
 class TruncatedNormal(ContinuousGrading):
     """Normal(mu, sigma) restricted and renormalized to [a, b]."""
 
@@ -353,6 +376,16 @@ class TruncatedNormal(ContinuousGrading):
 
     family: ClassVar[str] = "truncated_normal"
     params: ClassVar[tuple[str, ...]] = ("mu", "sigma")
+
+    _fields = ("mu", "sigma", "a", "b")
+    __slots__ = _fields
+
+    def __init__(self, mu, sigma, a, b):
+        _store(self, "mu", mu)
+        _store(self, "sigma", sigma)
+        _store(self, "a", a)
+        _store(self, "b", b)
+        self.__post_init__()
 
     def _validate(self) -> None:
         mu, sigma, a, b = self.mu, self.sigma, self.a, self.b
@@ -375,11 +408,11 @@ class TruncatedNormal(ContinuousGrading):
         # the tail side, its normal cdf at a, the window's mass, and the
         # density's divisor and its log, kept outside the fields; the log
         # is a sum of logs, finite where the divisor itself underflows
-        object.__setattr__(self, "_side", side)
-        object.__setattr__(self, "_lower", lower)
-        object.__setattr__(self, "_mass", mass)
-        object.__setattr__(self, "_scale", sigma * _SQRT_2PI * mass)
-        object.__setattr__(self, "_log_scale", math.log(sigma) + _LOG_SQRT_2PI + math.log(mass))
+        _store(self, "_side", side)
+        _store(self, "_lower", lower)
+        _store(self, "_mass", mass)
+        _store(self, "_scale", sigma * _SQRT_2PI * mass)
+        _store(self, "_log_scale", math.log(sigma) + _LOG_SQRT_2PI + math.log(mass))
 
     def _z(self, x: float) -> float:
         return (x - self.mu) / self.sigma
@@ -403,22 +436,30 @@ class TruncatedNormal(ContinuousGrading):
         return self.mu + self.sigma * (side * float(_ndtri(p)))
 
 
-@dataclass(frozen=True)
 class Power(ContinuousGrading):
     """cdf t^p on the unit interval, mapped affinely onto [a, b]."""
 
     p: float
-    a: float = 0.0
-    b: float = 1.0
+    a: float
+    b: float
 
     family: ClassVar[str] = "power"
     params: ClassVar[tuple[str, ...]] = ("p",)
+
+    _fields = ("p", "a", "b")
+    __slots__ = _fields
+
+    def __init__(self, p, a=0.0, b=1.0):
+        _store(self, "p", p)
+        _store(self, "a", a)
+        _store(self, "b", b)
+        self.__post_init__()
 
     def _validate(self) -> None:
         if not (math.isfinite(self.p) and self.p > 0):
             raise InvalidInputError(f"exponent must be positive and finite, got {self.p!r}")
         # ln(p / width), kept outside the fields
-        object.__setattr__(self, "_log_factor", math.log(self.p) - math.log(self.b - self.a))
+        _store(self, "_log_factor", math.log(self.p) - math.log(self.b - self.a))
 
     def _t(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -446,7 +487,6 @@ class Power(ContinuousGrading):
         return self.a + u ** (1.0 / self.p) * (self.b - self.a)
 
 
-@dataclass(frozen=True)
 class PiecewiseLinearCdf(ContinuousGrading):
     """A grading interpolated linearly through knots (x_i, y_i).
 
@@ -459,6 +499,13 @@ class PiecewiseLinearCdf(ContinuousGrading):
 
     family: ClassVar[str] = "piecewise_linear_cdf"
     params: ClassVar[tuple[str, ...]] = ("knots",)
+
+    _fields = ("knots",)
+    __slots__ = _fields
+
+    def __init__(self, knots):
+        _store(self, "knots", knots)
+        self.__post_init__()
 
     def __post_init__(self):
         try:
@@ -484,10 +531,10 @@ class PiecewiseLinearCdf(ContinuousGrading):
             raise InvalidInputError(
                 f"grade span [{y0!r}, {yn!r}] overflows: its width is not a finite double"
             )
-        object.__setattr__(self, "knots", knots)
+        _store(self, "knots", knots)
         # knot coordinates for bisection, kept outside the fields
-        object.__setattr__(self, "_xs", tuple(x for x, _ in knots))
-        object.__setattr__(self, "_ys", tuple(y for _, y in knots))
+        _store(self, "_xs", tuple(x for x, _ in knots))
+        _store(self, "_ys", tuple(y for _, y in knots))
 
     @property
     def support(self) -> tuple[float, float]:

@@ -18,12 +18,14 @@ is an InvalidInputError naming where it was found. Arrays are converted
 and checked in C-level builtin passes (``map``, ``all``) rather than a
 Python loop per element; only an array that fails a check is walked again,
 element by element, to name its first offender.
+
+Beside the rule sits ``_Record``, the base of every public value class: an
+immutable record of the fields it names in ``_fields``.
 """
 
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import islice
 from operator import lt, sub
 from typing import Any
@@ -84,8 +86,57 @@ def as_floats(values: Iterable, where: str) -> tuple[float, ...]:
     return tuple(as_float(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
-@dataclass(frozen=True)
-class GradingSample:
+# stores a field past _Record.__setattr__: constructors and their
+# __post_init__ hooks write each field through it
+_store = object.__setattr__
+
+
+class _Record:
+    """An immutable record of the fields its subclass names in ``_fields``.
+
+    Two records are equal when they are of the same class and their field
+    tuples are equal; the hash is the field tuple's, and the repr names
+    every field, ``Beta(alpha=2.0, beta=5.0, a=0.0, b=1.0)``; the fields
+    are also the positional ``__match_args__``. A subclass lists
+    ``_fields`` as its ``__slots__`` too, and its ``__init__`` stores
+    each field with ``_store`` and then calls ``self.__post_init__()``,
+    where it has one: the hook that converts and validates the fields.
+    Pickling and copying rebuild a record through its constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+
+    def _field_tuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_tuple() == other._field_tuple()
+
+    def __hash__(self):
+        return hash(self._field_tuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._field_tuple()
+
+
+class GradingSample(_Record):
     """A grading function observed on an enumerated ordered set.
 
     ``grades[k]`` is the grade of the k-th element. Strict monotonicity is
@@ -96,7 +147,15 @@ class GradingSample:
     """
 
     grades: tuple[float, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
+
+    _fields = ("grades", "labels")
+    __slots__ = _fields
+
+    def __init__(self, grades, labels=None):
+        _store(self, "grades", grades)
+        _store(self, "labels", labels)
+        self.__post_init__()
 
     def __post_init__(self):
         grades = as_floats(self.grades, "grades")
@@ -117,8 +176,8 @@ class GradingSample:
             _reject_grades(grades)
         if labels is not None and len(labels) != len(grades):
             raise InvalidInputError(f"{len(labels)} labels for {len(grades)} grades")
-        object.__setattr__(self, "grades", grades)
-        object.__setattr__(self, "labels", labels)
+        _store(self, "grades", grades)
+        _store(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.grades)
@@ -142,8 +201,7 @@ def _reject_grades(grades: tuple[float, ...]) -> None:
     )
 
 
-@dataclass(frozen=True)
-class IncrementPair:
+class IncrementPair(_Record):
     """Grade changes of two grading functions over the same element pair.
 
     Zero increments are representable (consumers decide how to treat them),
@@ -153,9 +211,17 @@ class IncrementPair:
     delta_g: float
     delta_f: float
 
+    _fields = ("delta_g", "delta_f")
+    __slots__ = _fields
+
+    def __init__(self, delta_g, delta_f):
+        _store(self, "delta_g", delta_g)
+        _store(self, "delta_f", delta_f)
+        self.__post_init__()
+
     def __post_init__(self):
-        for name in ("delta_g", "delta_f"):
-            object.__setattr__(self, name, as_float(getattr(self, name), name))
+        for name in self._fields:
+            _store(self, name, as_float(getattr(self, name), name))
         for name, v in (("delta_g", self.delta_g), ("delta_f", self.delta_f)):
             if not math.isfinite(v):
                 raise InvalidInputError(f"{name} must be finite, got {v!r}")

@@ -46,11 +46,10 @@ holds mass beyond the last node fails instead of returning a value.
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ComputationError, InvalidInputError
-from .ordered import as_float, as_floats, as_int
+from .ordered import _Record, _store, as_float, as_floats, as_int
 
 __all__ = ["QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"]
 
@@ -65,17 +64,25 @@ _T_MAX = math.asinh(1050.0 * math.log(2.0) / math.pi)
 _LEVELS = 12
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_Record):
     """Tolerances and limits for the tanh-sinh rule.
 
     max_depth is the most levels (halvings of the step) the rule may run
     past its first; at most _LEVELS are ever run.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_depth: int = 60
+    abs_tol: float
+    rel_tol: float
+    max_depth: int
+
+    _fields = ("abs_tol", "rel_tol", "max_depth")
+    __slots__ = _fields
+
+    def __init__(self, abs_tol=1e-10, rel_tol=1e-8, max_depth=60):
+        _store(self, "abs_tol", abs_tol)
+        _store(self, "rel_tol", rel_tol)
+        _store(self, "max_depth", max_depth)
+        self.__post_init__()
 
     def __post_init__(self):
         abs_tol = as_float(self.abs_tol, "abs_tol")
@@ -87,20 +94,28 @@ class QuadratureSpec:
             raise InvalidInputError(f"rel_tol must be finite and positive, got {rel_tol!r}")
         if max_depth < 1:
             raise InvalidInputError(f"max_depth must be an integer >= 1, got {max_depth!r}")
-        object.__setattr__(self, "abs_tol", abs_tol)
-        object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "max_depth", max_depth)
+        _store(self, "abs_tol", abs_tol)
+        _store(self, "rel_tol", rel_tol)
+        _store(self, "max_depth", max_depth)
 
 
-@dataclass(frozen=True)
-class QuadratureOutcome:
+class QuadratureOutcome(_Record):
     """The integral, its error estimate, and the integrand evaluations
     (``panels``) it took."""
 
     value: float
     error_estimate: float
     panels: int
-    negative_infinity: bool = False
+    negative_infinity: bool
+
+    _fields = ("value", "error_estimate", "panels", "negative_infinity")
+    __slots__ = _fields
+
+    def __init__(self, value, error_estimate, panels, negative_infinity=False):
+        _store(self, "value", value)
+        _store(self, "error_estimate", error_estimate)
+        _store(self, "panels", panels)
+        _store(self, "negative_infinity", negative_infinity)
 
 
 def _level_nodes(level: int) -> tuple[float, int, list[tuple[float, float, float, float]]]:

@@ -376,6 +376,20 @@ class TestCommands:
             0.5 - math.log(2.0), abs=1e-5
         )
 
+    def test_tol_overrides_only_the_absolute_tolerance_of_a_quad_file(self, tmp_path, sample_files):
+        # rel_tol and max_depth come from the document: one level past the
+        # first cannot meet a relative budget of 1e-3 on Beta(2, 5)
+        quad = write(tmp_path, "quad_shallow.json", {"max_depth": 1, "rel_tol": 1e-3})
+        code, out, err = invoke(
+            ["entropy", "corrected", "--grading", sample_files["beta25"],
+             "--quad", quad, "--tol", "1e-12"]
+        )
+        assert code == EXIT_COMPUTATION, err
+        assert report_of(out)["error"] == (
+            "integral did not converge: error estimate 0.034606308499550716 "
+            "exceeds the budget 0.0004845306758614982 after 1 levels"
+        )
+
 
 class TestSubnormalDistances:
     """A density read at a subnormal distance from an end of a wide support:
@@ -515,6 +529,12 @@ _PRINT_LOADED = """
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
 """
 
+# dataclasses imports inspect, ast, dis and tokenize: a start-up cost no
+# command needs
+_PRINT_INTROSPECTION = """
+print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+
 _PRINT_COMPUTING = """
 print(" ".join(sorted(m for m in sys.modules if m in (
     "graddiv.capacity", "graddiv.continuous", "graddiv.families", "graddiv.quadrature"))))
@@ -537,10 +557,14 @@ _LOADED_AFTER = _RUN_ARGV + _PRINT_LOADED
 
 
 def numeric_modules_after(argv):
-    return numeric_modules_running(_LOADED_AFTER, *argv)
+    return modules_printed_by(_LOADED_AFTER, *argv)
 
 
-def numeric_modules_running(script, *args):
+def introspection_modules_after(argv):
+    return modules_printed_by(_RUN_ARGV + _PRINT_INTROSPECTION, *argv)
+
+
+def modules_printed_by(script, *args):
     proc = subprocess.run(
         [sys.executable, "-c", script, *args], capture_output=True, text=True
     )
@@ -565,6 +589,19 @@ _DISCRETE_COMMANDS = [
     ["validate", "--input", "masses"],
 ]
 
+_CONTINUOUS_COMMANDS = [
+    ["entropy", "corrected", "--grading", "beta25"],
+    ["entropy", "corrected", "--grading", "power2"],
+    ["entropy", "corrected", "--grading", "tnormal"],
+    ["entropy", "corrected", "--grading", "triangular"],
+    ["entropy", "corrected", "--grading", "uniform"],
+    ["entropy", "corrected", "--grading", "piecewise", "--quad", "quad"],
+    ["divergence", "continuous", "--f", "beta25", "--g", "beta52"],
+    ["divergence", "symmetric", "--f", "beta25", "--g", "beta52"],
+    ["validate", "--input", "beta25"],
+    ["validate", "--input", "quad"],
+]
+
 _CAPACITY_COMMANDS = [
     ["entropy", "capacity", "--method", "exhaustive", "--capacity"],
     ["entropy", "capacity", "--method", "greedy", "--capacity"],
@@ -586,24 +623,9 @@ class TestImportCost:
     def test_discrete_commands_load_no_other_computing_module(self, sample_files, argv):
         # each would cost every discrete call its import
         argv = [sample_files.get(a, a) for a in argv]
-        assert numeric_modules_running(_RUN_ARGV + _PRINT_COMPUTING, *argv) == []
+        assert modules_printed_by(_RUN_ARGV + _PRINT_COMPUTING, *argv) == []
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["entropy", "corrected", "--grading", "beta25"],
-            ["entropy", "corrected", "--grading", "power2"],
-            ["entropy", "corrected", "--grading", "tnormal"],
-            ["entropy", "corrected", "--grading", "triangular"],
-            ["entropy", "corrected", "--grading", "uniform"],
-            ["entropy", "corrected", "--grading", "piecewise", "--quad", "quad"],
-            ["divergence", "continuous", "--f", "beta25", "--g", "beta52"],
-            ["divergence", "symmetric", "--f", "beta25", "--g", "beta52"],
-            ["validate", "--input", "beta25"],
-            ["validate", "--input", "quad"],
-        ],
-        ids=lambda argv: " ".join(argv),
-    )
+    @pytest.mark.parametrize("argv", _CONTINUOUS_COMMANDS, ids=lambda argv: " ".join(argv))
     def test_continuous_commands_load_neither(self, sample_files, argv):
         assert numeric_modules_after([sample_files.get(a, a) for a in argv]) == []
 
@@ -611,6 +633,20 @@ class TestImportCost:
     @pytest.mark.parametrize("n", [2, 8])
     def test_capacity_commands_below_nine_elements_load_neither(self, tmp_path, argv, n):
         assert numeric_modules_after([*argv, capacity_file(tmp_path, n)]) == []
+
+    def test_import_graddiv_loads_neither_dataclasses_nor_inspect(self):
+        assert introspection_modules_after([]) == []
+
+    @pytest.mark.parametrize(
+        "argv", [*_DISCRETE_COMMANDS, *_CONTINUOUS_COMMANDS], ids=lambda argv: " ".join(argv)
+    )
+    def test_commands_load_neither_dataclasses_nor_inspect(self, sample_files, argv):
+        assert introspection_modules_after([sample_files.get(a, a) for a in argv]) == []
+
+    @pytest.mark.parametrize("argv", _CAPACITY_COMMANDS, ids=lambda argv: " ".join(argv[:-1]))
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_capacity_commands_load_neither_dataclasses_nor_inspect(self, tmp_path, argv, n):
+        assert introspection_modules_after([*argv, capacity_file(tmp_path, n)]) == []
 
     def test_capacity_on_infinite_terms_loads_neither(self):
         # Terms beyond double range, and the infinite terms that send the
@@ -629,7 +665,7 @@ for method in ("exhaustive", "greedy"):
         pass
 assert _largest_prefix(-math.inf, 1.0) == sys.float_info.max
 """ + _PRINT_LOADED
-        assert numeric_modules_running(script) == []
+        assert modules_printed_by(script) == []
 
     def test_capacity_entropy_loads_numpy_but_not_scipy(self, tmp_path):
         # from nine elements on; validate loads the same
@@ -648,6 +684,21 @@ assert _largest_prefix(-math.inf, 1.0) == sys.float_info.max
             for name in _module_level_imports(tree.body):
                 if name.split(".")[0] in ("numpy", "scipy"):
                     offenders.append(f"{path.name} imports {name}")
+        assert offenders == []
+
+    def test_no_module_imports_dataclasses(self):
+        offenders = []
+        for path in sorted(Path(graddiv.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [f"{path.name} imports {n}" for n in names
+                              if n.split(".")[0] == "dataclasses"]
         assert offenders == []
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -19,7 +18,7 @@ class TestQuadratureSpec:
         assert spec.abs_tol == 1e-10
         assert spec.rel_tol == 1e-8
         assert spec.max_depth == 60
-        assert len(dataclasses.fields(spec)) == 3
+        assert spec._fields == ("abs_tol", "rel_tol", "max_depth")
 
     def test_rejects_nonpositive_tolerances(self):
         with pytest.raises(InvalidInputError):
