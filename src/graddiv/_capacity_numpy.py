@@ -16,10 +16,11 @@ call outweighs the arithmetic, the cover edges are kept from call to call,
 every edge term is computed in one call, and each pass takes a layer in
 one step. Beyond, the backward pass prunes as capacity._theta does: it
 carries only the live subsets, those on some minimizing chain, down from
-layer to layer and pulls bounds into the subsets one element below them
-alone, so without ties it reads about n^3/6 cover edges instead of
-n 2^(n-1). Both passes there work in blocks, and no temporary grows with
-the lattice. Either way theta is -inf off the live subsets.
+layer to layer, and each pushes bounds down its own cover edges alone, so
+without ties it reads about n^2/2 cover edges instead of n 2^(n-1). Both
+passes there work in blocks, and no temporary grows with the lattice.
+Either way the backward pass reads each cover edge downward, as the
+forward pass does, and theta is -inf off the live subsets.
 """
 
 import functools
@@ -31,15 +32,19 @@ import numpy as np
 
 from .capacity import _beyond_range, _bisect_prefix
 
-# Sizes up to _KEEP keep three indices per cover edge (0.27 MB at 11).
+# Sizes up to _KEEP keep two indices per cover edge (0.85 MB at 13).
 # _KEEP is the largest size at which the kept way beat pruning on both
 # seeded random and all-tie capacities. theta in process, interleaved,
-# best of 7 (2-CPU Xeon), kept against pruned: random 0.41-0.48 against
-# 0.75-0.86 ms at n = 9, 0.54-0.60 against 0.79-0.90 at 10 and 1.05-1.63
-# against 1.11-1.78 at 11 (one seed in six slower, by 2 %), but 2.33-2.41
-# against 1.40-1.43 at 12; all-tie 0.45 against 0.88 ms at 9, 0.48
-# against 0.90 at 10, 0.87 against 1.47 at 11 and 1.95 against 2.44 at 12.
-_KEEP = 11
+# best of 7 rounds of 10 calls (2-CPU Xeon), kept against pruned, on the
+# benchmark's random capacities of seeds 0-5: 0.23-0.35 against
+# 0.67-0.87 ms at n = 9, 0.27-0.57 against 0.79-1.84 at 10, 0.38-0.49
+# against 1.01-1.28 at 11, 0.89-1.63 against 1.29-2.56 at 12 and
+# 1.71-2.48 against 2.12-3.45 at 13, but 3.14-4.91 against 2.71-4.80 at
+# 14, slower on every seed; all-tie 0.31 against 0.69 ms at 9, 0.52
+# against 1.06 at 10, 0.85 against 1.45 at 11, 1.97-2.20 against
+# 2.36-2.76 at 12, 3.91-5.34 against 5.25-6.68 at 13 and 8.6-9.3 against
+# 9.3 at 14. Repeat runs moved by up to 30 %.
+_KEEP = 13
 # Larger sizes work through their rows in blocks of about _BLOCK cover
 # edges, so a block's temporaries stay in cache and none grows with the
 # lattice.
@@ -95,16 +100,14 @@ def _layers(n: int) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(popcount))[:-1])
 
 
-def _covers(rows: np.ndarray, n: int, k: int, up: bool) -> np.ndarray:
-    """The grid of the cover neighbours of rows, subsets of size k: a row
-    per missing element (up) or per own element, lowest first, and a
-    column per subset. The passes reduce over axis 0, which numpy does
-    elementwise across a few long rows, many times faster than along many
-    rows of k."""
-    width = n - k if up else k
-    rest = rows ^ ((1 << n) - 1) if up else rows
-    out = np.empty((width, rows.size), dtype=np.int64)
-    for j in range(width):
+def _covers(rows: np.ndarray, k: int) -> np.ndarray:
+    """The grid of the subsets one element below rows, subsets of size k: a
+    row per own element, lowest first, and a column per subset. The forward
+    passes reduce over axis 0, which numpy does elementwise across a few
+    long rows, many times faster than along many rows of k."""
+    rest = rows
+    out = np.empty((k, rows.size), dtype=np.int64)
+    for j in range(k):
         low = rest & -rest
         out[j] = rows ^ low
         rest = rest ^ low
@@ -112,51 +115,39 @@ def _covers(rows: np.ndarray, n: int, k: int, up: bool) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _kept_edges(
-    n: int,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, list[int]]:
+def _kept_edges(n: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, list[int]]:
     """Every cover edge of a ground size up to _KEEP, read-only.
 
-    into and came hold the edges' masks, layer by layer in the order of
-    _covers(layer, n, k, up=False), so edges ends[k - 1]:ends[k] enter
-    layer k as k rows. up lists the positions of the same edges by their
-    lower subset's layer, that subset and then the upper one, and within
-    each layer transposed: edges up[ends[k]:ends[k + 1]] leave layer k as
-    n - k rows with a column per subset.
+    into and came hold the edges' upper and lower masks, layer by layer in
+    the order of _covers(layer, k) raveled, so edges ends[k - 1]:ends[k]
+    enter layer k as k rows. The forward pass reduces over them and the
+    backward pass pushes down the same edges.
     """
     layers = _layers(n)
     sizes = [math.comb(n, k) * k for k in range(1, n + 1)]
     into = np.concatenate([np.tile(layers[k], k) for k in range(1, n + 1)])
-    came = np.concatenate([_covers(layers[k], n, k, up=False).ravel() for k in range(1, n + 1)])
-    order = np.argsort(np.repeat(np.arange(n), sizes) << 2 * n | came << n | into)
-    ends = [0, *itertools.accumulate(sizes)]
-    up = np.concatenate([order[a:b].reshape(-1, n - k).T.ravel()
-                         for k, (a, b) in enumerate(itertools.pairwise(ends))])
-    for arr in (*layers, into, came, up):
+    came = np.concatenate([_covers(layers[k], k).ravel() for k in range(1, n + 1)])
+    for arr in (*layers, into, came):
         arr.flags.writeable = False
-    return layers, into, came, up, ends
+    return layers, into, came, [0, *itertools.accumulate(sizes)]
 
 
-def _blocks(rows: np.ndarray, n: int, k: int, up: bool):
+def _blocks(rows: np.ndarray, k: int):
     """rows, subsets of size k, in blocks of about _BLOCK cover edges, each
     with its _covers grid."""
-    step = _BLOCK // (n - k if up else k) + 1
+    step = _BLOCK // k + 1
     for i in range(0, rows.size, step):
         part = rows[i:i + step]
-        yield part, _covers(part, n, k, up)
+        yield part, _covers(part, k)
 
 
-def _pull(theta: np.ndarray, best: np.ndarray, came: np.ndarray, into: np.ndarray,
-          terms: np.ndarray) -> None:
-    """theta of the subsets came from the grid into of their supersets and
-    the terms of the edges between: only live supersets count, and a subset
-    keeps its value only if it is live itself."""
-    bound = theta[into]
-    on = bound != -np.inf
-    # a -inf bound would send _largest_prefix to bisection, element by element
-    fit = _largest_prefix(terms, np.where(on, bound, 0.0))
-    top = np.where(on, fit, -np.inf).max(axis=0)
-    theta[came] = np.where(top >= best[came], top, -np.inf)
+def _keep_live(theta: np.ndarray, best: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Set theta to -inf on the rows that are not live, theta < best, and
+    return the live ones."""
+    top = theta[rows]
+    live = top >= best[rows]
+    theta[rows] = np.where(live, top, -np.inf)
+    return rows[live]
 
 
 def _largest_prefix(term: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -214,7 +205,7 @@ def _check_finite(best: np.ndarray) -> None:
 def _kept_passes(vals: np.ndarray, n: int, best: np.ndarray, theta: np.ndarray) -> None:
     """theta for a ground size up to _KEEP: every edge term at once, and
     whole layers in both passes."""
-    layers, into, came, up, ends = _kept_edges(n)
+    layers, into, came, ends = _kept_edges(n)
     terms = _edge_terms(vals[into] - vals[came])
     # Forward: best[S] is the smallest left-to-right fold over chains to S.
     for k in range(1, n + 1):
@@ -222,33 +213,39 @@ def _kept_passes(vals: np.ndarray, n: int, best: np.ndarray, theta: np.ndarray) 
         best[layers[k]] = (best[came[a:b]] + terms[a:b]).reshape(k, -1).min(axis=0)
     _check_finite(best)
     # Backward: theta[S] is the largest value that a live superset S + {e}
-    # allows through _largest_prefix.
+    # allows through _largest_prefix, pushed down the same edges.
     theta[-1] = best[-1]
-    for k in range(n - 1, 0, -1):
-        edges = up[ends[k]:ends[k + 1]].reshape(n - k, -1)
-        _pull(theta, best, layers[k], into[edges], terms[edges])
+    for k in range(n, 1, -1):
+        a, b = ends[k - 1], ends[k]
+        bound = theta[into[a:b]]
+        # a -inf bound would send _largest_prefix to bisection, element by element
+        on = bound != -np.inf
+        np.maximum.at(theta, came[a:b][on], _largest_prefix(terms[a:b][on], bound[on]))
+        _keep_live(theta, best, layers[k - 1])
 
 
 def _pruned_passes(vals: np.ndarray, n: int, best: np.ndarray, theta: np.ndarray) -> None:
     """theta for a larger ground size, block by block, with the backward
-    pass pulling only into subsets one element below a live one."""
+    pass pushing only from the live subsets."""
     layers = _layers(n)
     # Forward: best[S] is the smallest left-to-right fold over chains to S.
     for k in range(1, n + 1):
-        for into, came in _blocks(layers[k], n, k, up=False):
+        for into, came in _blocks(layers[k], k):
             cand = best[came] + _edge_terms(vals[into] - vals[came])
             best[into] = cand.min(axis=0)
     _check_finite(best)
-    # Backward, from the full set down, as in _kept_passes. Only a subset one
-    # element below a live one can be live; without ties the live subsets
-    # are the n + 1 of one chain, and each layer pulls into at most n of its
-    # subsets. A layer with as many such edges as subsets is pulled whole.
+    # Backward, from the full set down, as in _kept_passes, but only the live
+    # subsets push. Without ties they are the n + 1 of one chain, and each
+    # layer pushes down at most n edges. Where the live subsets have fewer
+    # edges than the layer below has subsets, only the subsets reached are
+    # checked; otherwise the whole layer is.
     theta[-1] = best[-1]
     live = layers[n]
-    for k in range(n - 1, 0, -1):
-        rows = layers[k]
-        if live.size * (k + 1) < rows.size:
-            rows = np.unique(_covers(live, n, k + 1, up=False))
-        for came, into in _blocks(rows, n, k, up=True):
-            _pull(theta, best, came, into, _edge_terms(vals[into] - vals[came]))
-        live = rows[theta[rows] != -np.inf]
+    for k in range(n, 1, -1):
+        for into, came in _blocks(live, k):
+            terms = _edge_terms(vals[into] - vals[came]).ravel()
+            np.maximum.at(theta, came.ravel(), _largest_prefix(terms, np.tile(theta[into], k)))
+        rows = layers[k - 1]
+        if live.size * k < rows.size:
+            rows = np.unique(_covers(live, k))
+        live = _keep_live(theta, best, rows)

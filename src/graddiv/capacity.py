@@ -31,11 +31,13 @@ on Python floats with math.log, subset by subset, and never loads numpy.
 From there on numpy (module _capacity_numpy, imported on first use) does
 validation, the two passes, a popcount layer at a time, their vector
 prefix step and the map from increments to edge terms; the evaluator, the
-walk and the bisection over bit patterns are written once, here. Both
-backward passes skip the subsets that no minimizing chain passes
-through: this side subset by subset, the numpy side layer by layer
-above _capacity_numpy._KEEP elements (below that, whole layers cost
-numpy less than finding the live subsets). The ground size alone selects
+walk and the bisection over bit patterns are written once, here. In both
+backward passes only the subsets that some minimizing chain passes
+through push bounds down their own cover edges: this side subset by
+subset, the numpy side layer by layer. Above _capacity_numpy._KEEP
+elements the numpy side reads those edges alone; below that it keeps
+every edge from call to call, since whole layers cost numpy less than
+finding the live subsets' edges. The ground size alone selects
 the side. numpy's log may differ from math.log in the last bit, and the
 argument above needs the search and the evaluator to see the same terms,
 so _term_map gives every step of one ground size its terms from the same

@@ -192,11 +192,18 @@ class Uniform(ContinuousGrading):
         _store(self, "b", b)
         self.__post_init__()
 
+    def _validate(self) -> None:
+        # ln of the density, kept outside the fields
+        _store(self, "_log_height", log_ratio(1.0, self.b - self.a))
+
     def cdf(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
 
     def density(self, x: float) -> float:
         return 1.0 / (self.b - self.a)
+
+    def log_density(self, x: float, da: float, db: float) -> float:
+        return self._log_height
 
     def inverse(self, u: float) -> float:
         return self.a + u * (self.b - self.a)
@@ -532,9 +539,13 @@ class PiecewiseLinearCdf(ContinuousGrading):
                 f"grade span [{y0!r}, {yn!r}] overflows: its width is not a finite double"
             )
         _store(self, "knots", knots)
-        # knot coordinates for bisection, kept outside the fields
+        # knot coordinates for bisection and ln of each segment's slope, which
+        # may overflow where its logarithm does not, kept outside the fields
         _store(self, "_xs", tuple(x for x, _ in knots))
         _store(self, "_ys", tuple(y for _, y in knots))
+        _store(self, "_log_slopes", tuple(
+            log_ratio(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(knots, knots[1:])
+        ))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -556,6 +567,9 @@ class PiecewiseLinearCdf(ContinuousGrading):
         i = self._segment(x)
         (x0, y0), (x1, y1) = self.knots[i], self.knots[i + 1]
         return (y1 - y0) / (x1 - x0)
+
+    def log_density(self, x: float, da: float, db: float) -> float:
+        return self._log_slopes[self._segment(x)]
 
     def inverse(self, u: float) -> float:
         if u >= self.knots[-1][1]:

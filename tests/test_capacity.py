@@ -419,7 +419,7 @@ def walked(mu, theta):
     return capacity._chain_value(mu.values, order)[0], tuple(order)
 
 
-# Sizes up to capacity_numpy._KEEP pull whole layers over edges kept from
+# Sizes up to capacity_numpy._KEEP push whole layers over edges kept from
 # call to call; larger ones prune, block by block. Each way is checked.
 WAYS = {
     "kept": {},
@@ -498,10 +498,29 @@ class TestPrunedLattice:
         assert np.isfinite(theta[chain]).all()
         assert np.all(theta[chain] == unpruned_theta(mu.values, n)[chain])
 
+    def test_backward_pass_reads_one_chain_of_edges_without_ties(self):
+        # Only the live subsets push down their own cover edges, so beyond
+        # the forward pass's n 2^(n-1) edges the backward pass reads the k
+        # edges below each live subset of layer k: n(n+1)/2 - 1 of them.
+        n = 14
+        mu = seeded_capacity(n, 0)
+        read = []
+        original = capacity_numpy._edge_terms
+
+        def counted(inc):
+            read.append(inc.size)
+            return original(inc)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(capacity_numpy, "_KEEP", 0)
+            mp.setattr(capacity_numpy, "_edge_terms", counted)
+            capacity_numpy.theta(mu.values, n)
+        assert sum(read) - n * (1 << n - 1) <= n * (n + 1) // 2
+
     def test_kept_edges_are_read_only(self):
         capacity_numpy.theta(Capacity.additive([0.5] * 9).values, 9)
-        layers, into, came, up, _ = capacity_numpy._kept_edges(9)
-        for arr in (layers[4], into, came, up):
+        layers, into, came, _ = capacity_numpy._kept_edges(9)
+        for arr in (layers[4], into, came):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

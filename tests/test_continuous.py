@@ -108,6 +108,15 @@ class TestDivergenceContinuous:
         assert math.isfinite(r.value)
         assert r.value < 0.0
 
+    def test_segment_slope_beyond_double_range(self):
+        # The first slope, 1e300 / 1e-10, overflows; its logarithm does not.
+        G = PiecewiseLinearCdf(((0.0, 0.0), (1e-10, 1e300), (1.0, 1.0000001e300)))
+        r = divergence_continuous(U01, G)
+        steep = 1e-10 * (math.log(1e300) - math.log(1e-10))
+        rest = (1.0 - 1e-10) * math.log((1.0000001e300 - 1e300) / (1.0 - 1e-10))
+        assert r.value == pytest.approx(674.6574, abs=1e-4)
+        assert abs(r.value - (steep + rest)) <= r.error_estimate
+
     def test_custom_spec_tightens_estimate(self):
         loose = divergence_continuous(P2, U01, QuadratureSpec(abs_tol=1e-4, rel_tol=1e-4))
         tight = divergence_continuous(P2, U01, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))

@@ -293,6 +293,38 @@ class TestInversion:
         assert invert_cdf(u, 1.0) == 5.0
 
 
+# Uniform and PiecewiseLinearCdf keep ln of their density (of each
+# segment's slope) from construction: math.log of it where the slope is a
+# double, and still finite where the slope overflows or underflows.
+CONSTANT_PIECES = [
+    Uniform(0.0, 1.0),
+    Uniform(-3.0, 7.0),
+    Uniform(0.0, 1e-310),
+    Uniform(-8e307, 8e307),
+    PiecewiseLinearCdf(((0.0, 0.0), (1.0, 0.5), (3.0, 1.0))),
+    PiecewiseLinearCdf(((0.0, 0.0), (1e-10, 1e300), (1.0, 1.0000001e300))),
+    PiecewiseLinearCdf(((0.0, 0.0), (1e300, 1e-300), (1.1e300, 1.0))),
+]
+
+
+class TestKeptLogDensity:
+    @given(st.sampled_from(CONSTANT_PIECES), st.floats(0.0, 1.0))
+    def test_is_the_log_of_the_density(self, F, frac):
+        a, b = F.support
+        x = min(a + (b - a) * frac, b)
+        fx = F.density(x)
+        lf = F.log_density(x, x - a, b - x)
+        if 0.0 < fx < math.inf:
+            assert lf == math.log(fx)
+
+    def test_slopes_beyond_double_range(self):
+        assert Uniform(0.0, 1e-310).log_density(0.0, 0.0, 1e-310) == -math.log(1e-310)
+        steep = PiecewiseLinearCdf(((0.0, 0.0), (1e-10, 1e300), (1.0, 1.0000001e300)))
+        assert steep.log_density(5e-11, 5e-11, 1.0) == math.log(1e300) - math.log(1e-10)
+        flat = PiecewiseLinearCdf(((0.0, 0.0), (1e300, 1e-300), (1.1e300, 1.0)))
+        assert flat.log_density(1.0, 1.0, 1.1e300) == math.log(1e-300) - math.log(1e300)
+
+
 class TestDensityConsistency:
     @given(st.sampled_from(CATALOG), st.floats(0.05, 0.95), st.floats(1e-6, 1e-5))
     def test_density_matches_cdf_slope(self, F, frac, rel_step):
