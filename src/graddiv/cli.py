@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import sys
 import time
 from importlib import import_module
@@ -32,6 +31,16 @@ from .errors import ComputationError, InvalidInputError
 
 if TYPE_CHECKING:
     from .quadrature import QuadratureSpec
+
+# The interpreter's builtin SHA-256; hashlib would load OpenSSL first, a
+# few milliseconds of every process for a digest of a few hundred bytes.
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -60,11 +69,11 @@ class _Inputs:
         return jsonio.load_json(text)
 
     def digest(self) -> str:
-        outer = hashlib.sha256()
+        outer = sha256()
         for name in sorted(self.raw):
             outer.update(name.encode("utf-8"))
             outer.update(b"\0")
-            outer.update(hashlib.sha256(self.raw[name]).hexdigest().encode("ascii"))
+            outer.update(sha256(self.raw[name]).hexdigest().encode("ascii"))
             outer.update(b"\n")
         return outer.hexdigest()
 

@@ -88,10 +88,16 @@ def divergence_continuous(
     outcome = integrate_adaptive(
         integrand, a, b, spec, breakpoints=F.breakpoints() + G.breakpoints(), mass=F.grade_span
     )
-    if outcome.negative_infinity and not vanishes:
-        raise _out_of_range("a term f ln(g / f) overflowed to -inf")
-    return _result(outcome.value, outcome.panels, 0.0, outcome.negative_infinity,
-                   error_estimate=outcome.error_estimate)
+    if outcome.negative_infinity:
+        if not vanishes:
+            raise _out_of_range("a term f ln(g / f) overflowed to -inf")
+        return _result(-inf, outcome.panels, 0.0, True)
+    # A rounded log-normalizer shifts ln f by up to d_f and ln g by up to
+    # d_g at every x, which moves the value by up to d_f |value| +
+    # (d_f + d_g) times F's mass.
+    d_f, d_g = F._log_norm_error, G._log_norm_error
+    error = outcome.error_estimate + d_f * abs(outcome.value) + (d_f + d_g) * F.grade_span
+    return _result(outcome.value, outcome.panels, 0.0, False, error_estimate=error)
 
 
 def riemann_divergence(F: ContinuousGrading, G: ContinuousGrading, n_points: int) -> float:

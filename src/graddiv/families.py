@@ -34,6 +34,8 @@ __all__ = [
 
 PROBABILITY_TOL = 1e-12
 
+_EPS = sys.float_info.epsilon
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -84,6 +86,24 @@ def _log_beta(alpha: float, beta: float) -> float:
     return math.log(g_big / g_total * g_small)
 
 
+def _log_rounding(*logs: float) -> float:
+    """A bound on the rounding of a sum of the given logarithms, each the
+    log of a product or quotient of doubles: two roundings of each term,
+    one of its argument and one of its size."""
+    return 2.0 * _EPS * sum(1.0 + abs(v) for v in logs)
+
+
+def _log_beta_rounding(alpha: float, beta: float) -> float:
+    """A bound on the error of _log_beta(alpha, beta): eight roundings of
+    the log-gammas it is formed from (math.gamma's error grows with
+    ln Gamma, and betaln sums log-gammas), and of 1."""
+    try:
+        size = abs(math.lgamma(alpha)) + abs(math.lgamma(beta)) + abs(math.lgamma(alpha + beta))
+    except OverflowError:
+        return math.inf
+    return 8.0 * _EPS * (1.0 + size)
+
+
 def _check_interval(a: float, b: float) -> None:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidInputError(f"support endpoints must be finite, got [{a!r}, {b!r}]")
@@ -108,10 +128,16 @@ class ContinuousGrading(_Record, abc.ABC):
     fields; this class declares no ``__slots__`` so that every family has
     one. PiecewiseLinearCdf, whose knots fix its support, overrides
     ``__post_init__``, ``support`` and ``shape_params``.
+
+    ``_log_norm_error`` bounds the rounding of the constant in
+    ``log_density``, its log-normalizer, which shifts ln f alike at every
+    x; a family sets it with its constants, and a grading that sets none
+    claims an exact one.
     """
 
     family: ClassVar[str]
     params: ClassVar[tuple[str, ...]] = ()
+    _log_norm_error: float = 0.0
 
     def __post_init__(self):
         for name in self._fields:
@@ -193,8 +219,10 @@ class Uniform(ContinuousGrading):
         self.__post_init__()
 
     def _validate(self) -> None:
-        # ln of the density, kept outside the fields
-        _store(self, "_log_height", log_ratio(1.0, self.b - self.a))
+        # ln of the density and its rounding, kept outside the fields
+        log_height = log_ratio(1.0, self.b - self.a)
+        _store(self, "_log_height", log_height)
+        _store(self, "_log_norm_error", _log_rounding(log_height))
 
     def cdf(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -231,8 +259,11 @@ class Triangular(ContinuousGrading):
     def _validate(self) -> None:
         if not self.a <= self.c <= self.b:
             raise InvalidInputError(f"mode must satisfy a <= c <= b, got c={self.c!r}")
-        # ln of the density at the mode, kept outside the fields
-        _store(self, "_log_peak", math.log(2.0) - math.log(self.b - self.a))
+        # ln of the density at the mode and its rounding, kept outside the
+        # fields
+        log_width = math.log(self.b - self.a)
+        _store(self, "_log_peak", math.log(2.0) - log_width)
+        _store(self, "_log_norm_error", _log_rounding(math.log(2.0), log_width))
 
     # Each expression scales ratios no larger than 1 by the width or divides
     # them by it, and never multiplies two widths or squares one, so every
@@ -311,11 +342,14 @@ class Beta(ContinuousGrading):
             raise InvalidInputError(
                 f"shape parameters must be positive and finite, got ({alpha!r}, {beta!r})"
             )
-        # log of the normalizing beta function, and that plus the log of
-        # the width, kept outside the fields
+        # log of the normalizing beta function, that plus the log of the
+        # width, and the rounding of the sum, kept outside the fields
         log_norm = _log_beta(alpha, beta)
+        log_width = math.log(self.b - self.a)
         _store(self, "_log_norm", log_norm)
-        _store(self, "_log_divisor", log_norm + math.log(self.b - self.a))
+        _store(self, "_log_divisor", log_norm + log_width)
+        _store(self, "_log_norm_error",
+               _log_beta_rounding(alpha, beta) + _log_rounding(log_norm, log_width))
 
     def _t(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -405,21 +439,34 @@ class TruncatedNormal(ContinuousGrading):
         # tail, Phi(-z) = 1 - Phi(z), which keeps its relative precision;
         # side = 1 leaves the lower-side expressions as they are, bit for bit
         side = -1.0 if a > mu else 1.0
-        lower = _phi(side * (a - mu) / sigma)
-        mass = side * (_phi(side * (b - mu) / sigma) - lower)
+        z_a, z_b = side * (a - mu) / sigma, side * (b - mu) / sigma
+        lower, upper = _phi(z_a), _phi(z_b)
+        mass = side * (upper - lower)
         if mass <= 0.0:
             raise InvalidInputError(
                 "the interval carries no normal mass at this mu/sigma "
                 "(truncation window too deep in a tail)"
             )
-        # the tail side, its normal cdf at a, the window's mass, and the
-        # density's divisor and its log, kept outside the fields; the log
-        # is a sum of logs, finite where the divisor itself underflows
+        # The mass is a difference of two cdf values, each read at a
+        # rounded z and held to a few ulps or, subnormal, to 2^-1074: its
+        # relative error is those roundings, and the density times |z| at
+        # each end (0 past |z| = 40), over the mass. A narrow window loses
+        # digits here.
+        ends = (min(abs(z_a), 40.0), min(abs(z_b), 40.0))
+        spread = lower + upper + sum(z * math.exp(-0.5 * z * z) for z in ends) / _SQRT_2PI
+        mass_error = 2.0 * (_EPS * spread + 2.0**-1074) / mass
+        # the tail side, its normal cdf at a, the window's mass, the
+        # density's divisor and its log, and the log's rounding, kept
+        # outside the fields; the log is a sum of logs, finite where the
+        # divisor itself underflows
+        log_sigma, log_mass = math.log(sigma), math.log(mass)
         _store(self, "_side", side)
         _store(self, "_lower", lower)
         _store(self, "_mass", mass)
         _store(self, "_scale", sigma * _SQRT_2PI * mass)
-        _store(self, "_log_scale", math.log(sigma) + _LOG_SQRT_2PI + math.log(mass))
+        _store(self, "_log_scale", log_sigma + _LOG_SQRT_2PI + log_mass)
+        _store(self, "_log_norm_error",
+               mass_error + _log_rounding(log_sigma, _LOG_SQRT_2PI, log_mass))
 
     def _z(self, x: float) -> float:
         return (x - self.mu) / self.sigma
@@ -465,8 +512,10 @@ class Power(ContinuousGrading):
     def _validate(self) -> None:
         if not (math.isfinite(self.p) and self.p > 0):
             raise InvalidInputError(f"exponent must be positive and finite, got {self.p!r}")
-        # ln(p / width), kept outside the fields
-        _store(self, "_log_factor", math.log(self.p) - math.log(self.b - self.a))
+        # ln(p / width) and its rounding, kept outside the fields
+        log_p, log_width = math.log(self.p), math.log(self.b - self.a)
+        _store(self, "_log_factor", log_p - log_width)
+        _store(self, "_log_norm_error", _log_rounding(log_p, log_width))
 
     def _t(self, x: float) -> float:
         return (x - self.a) / (self.b - self.a)
@@ -539,13 +588,16 @@ class PiecewiseLinearCdf(ContinuousGrading):
                 f"grade span [{y0!r}, {yn!r}] overflows: its width is not a finite double"
             )
         _store(self, "knots", knots)
-        # knot coordinates for bisection and ln of each segment's slope, which
-        # may overflow where its logarithm does not, kept outside the fields
+        # knot coordinates for bisection, ln of each segment's slope, which
+        # may overflow where its logarithm does not, and the largest
+        # rounding of those logs, kept outside the fields
+        log_slopes = tuple(
+            log_ratio(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(knots, knots[1:])
+        )
         _store(self, "_xs", tuple(x for x, _ in knots))
         _store(self, "_ys", tuple(y for _, y in knots))
-        _store(self, "_log_slopes", tuple(
-            log_ratio(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(knots, knots[1:])
-        ))
+        _store(self, "_log_slopes", log_slopes)
+        _store(self, "_log_norm_error", max(map(_log_rounding, log_slopes)))
 
     @property
     def support(self) -> tuple[float, float]:

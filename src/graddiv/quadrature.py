@@ -17,15 +17,32 @@ da or db equal to 0.
 
 Level 0 samples t = 0, +-1/2, +-1, ... out to _T_MAX on every segment
 between breakpoints; each further level halves the step for all segments
-together, adding the nodes halfway between. The error estimate of level
-k >= 1 is the sum of
+together, adding the nodes halfway between. The nodes of levels 0 to
+_KEPT_LEVELS, 99 with t >= 0, are computed once and kept; deeper levels,
+which few integrals reach, are computed per call.
+
+Each side of each segment ends where its terms fall below rounding. Level
+0 walks a side outward until it meets a node past the centre whose term is
+positive, smaller than the side's previous term and at most eps times the
+sum of |terms| so far, and whose density term (with ``mass``) is likewise
+at most eps times the mass so far. That node is the side's last at every
+level: deeper levels add only the nodes inside it. Past such a node a
+double-exponential rule's terms fall faster than geometrically, so all
+they hold is below one rounding of the sum, and it still enters the
+estimate as the side's tail, read from half a step past the cut. A zero
+term never ends a side, since a density may vanish across the middle of a
+segment and hold its mass nearer the end; a side whose terms never become
+that small, such as one toward a singular end, keeps its full reach.
+
+The error estimate of level k >= 1 is the sum of
 
   - |I_k - I_(k-1)|, which bounds the error of I_(k-1) and so, since the
     rule converges quadratically in the number of levels, that of I_k;
   - a rounding floor n * eps * sum |w_i f_i| over the n nodes;
   - the tail beyond the outermost nodes: on each side of each segment the
     two outermost new terms give a decay rate in t, and the integral of
-    that decay from where the trapezoidal sum ends is added. An integrand
+    that decay from where the trapezoidal sum ends, half a step past the
+    side's last node, is added. An integrand
     whose terms do not decay toward an end (1/x at 0, or a density with
     its mass nearer the end than the last node) gets an infinite tail.
 
@@ -44,6 +61,7 @@ than the coarse levels' spacing, keeps the rule refining, and one that
 holds mass beyond the last node fails instead of returning a value.
 """
 
+import functools
 import math
 import sys
 from typing import Callable, Sequence
@@ -62,6 +80,14 @@ _T_MAX = math.asinh(1050.0 * math.log(2.0) / math.pi)
 # Level L has step 2^-(L+1) and about 25 * 2^L nodes per segment; the rule
 # never runs past this level whatever max_depth says.
 _LEVELS = 12
+# Levels up to this one are kept in a table between calls: 99 nodes with
+# t >= 0, against about 25 * 2^L more at each deeper level.
+_KEPT_LEVELS = 3
+# A side of a segment ends at the first level-0 node past the centre whose
+# term is positive, smaller than the side's previous one and at most this
+# share of the sum of |terms| so far (one rounding of that sum), and whose
+# density term is likewise at most this share of the mass so far.
+_CUT = _EPS
 
 
 class QuadratureSpec(_Record):
@@ -137,6 +163,18 @@ def _level_nodes(level: int) -> tuple[float, int, list[tuple[float, float, float
     return h, spacing, nodes
 
 
+@functools.cache
+def _kept_nodes() -> tuple[tuple[float, int, tuple[tuple[float, float, float, float], ...]], ...]:
+    """_level_nodes of levels 0 to _KEPT_LEVELS, as tuples, built on first use."""
+    return tuple((h, spacing, tuple(nodes))
+                 for h, spacing, nodes in map(_level_nodes, range(_KEPT_LEVELS + 1)))
+
+
+def _nodes(level: int) -> tuple:
+    """_level_nodes(level), from the kept table where it holds the level."""
+    return _kept_nodes()[level] if level <= _KEPT_LEVELS else _level_nodes(level)
+
+
 def _tail(prev: float, last: float, spacing: int, gap: float) -> float:
     """The sum from gap steps past the last of two terms spacing steps
     apart on, read as an integral that decays at their rate; infinite if
@@ -190,17 +228,25 @@ def integrate_adaptive(
     evaluations = 0
     last_tail = math.inf
     levels = min(spec.max_depth, _LEVELS)
+    # per segment, the level-0 node at which its left and its right side
+    # end; level 0 finds them, and inf leaves a side its full reach
+    side_cuts = [(math.inf, math.inf)] * len(segments)
     try:
         for level in range(levels + 1):
-            h, spacing, nodes = _level_nodes(level)
+            h, spacing, nodes = _nodes(level)
+            searching = level == 0
             # the trapezoidal sum reaches half a step past its outermost
             # node, which is within a step of _T_MAX
             end = _T_MAX - 0.5 * h
             total = abs_total = mass_total = tail = 0.0
-            for lo, hi, width, off_a, off_b in segments:
+            for i, (lo, hi, width, off_a, off_b) in enumerate(segments):
+                cut_left, cut_right = side_cuts[i]
                 left_prev = left_last = right_prev = right_last = 0.0
-                reach, last_t = end, 0.0
+                left_t = right_t = last_t = 0.0
+                reach = end
                 for t, weight, near, far in nodes:
+                    if t > cut_left and t > cut_right:
+                        break
                     dn = width * near
                     if dn == 0.0:
                         # a narrow segment's nodes end where dn underflows
@@ -210,32 +256,52 @@ def integrate_adaptive(
                     df = width * far
                     w = width * weight
                     # the node near lo, then, but for the centre t = 0, its
-                    # mirror near hi
-                    x = lo + dn
-                    evaluations += 1
-                    value, density = pair(x, off_a + dn, off_b + df)
-                    if value - value != 0.0:
-                        _nonfinite(value, x)
-                    term = w * value
-                    total += term
-                    mass_total += w * density
-                    left_prev, left_last = left_last, abs(term)
-                    abs_total += left_last
-                    if t == 0.0:
-                        continue
-                    x = hi - dn
-                    evaluations += 1
-                    value, density = pair(x, off_a + df, off_b + dn)
-                    if value - value != 0.0:
-                        _nonfinite(value, x)
-                    term = w * value
-                    total += term
-                    mass_total += w * density
-                    right_prev, right_last = right_last, abs(term)
-                    abs_total += right_last
-                gap = (reach - last_t) / h
-                tail += (_tail(left_prev, left_last, spacing, gap)
-                         + _tail(right_prev, right_last, spacing, gap))
+                    # mirror near hi, each inside its side's cut
+                    if t <= cut_left:
+                        x = lo + dn
+                        evaluations += 1
+                        value, density = pair(x, off_a + dn, off_b + df)
+                        if value - value != 0.0:
+                            _nonfinite(value, x)
+                        term = w * value
+                        total += term
+                        density *= w
+                        mass_total += density
+                        left_prev, left_last, left_t = left_last, abs(term), t
+                        abs_total += left_last
+                        if t == 0.0:
+                            # the centre term precedes the first on each side
+                            right_last = left_last
+                            continue
+                        if (searching and 0.0 < left_last < left_prev
+                                and left_last <= _CUT * abs_total
+                                and density <= _CUT * mass_total):
+                            cut_left = t
+                    if t <= cut_right:
+                        x = hi - dn
+                        evaluations += 1
+                        value, density = pair(x, off_a + df, off_b + dn)
+                        if value - value != 0.0:
+                            _nonfinite(value, x)
+                        term = w * value
+                        total += term
+                        density *= w
+                        mass_total += density
+                        right_prev, right_last, right_t = right_last, abs(term), t
+                        abs_total += right_last
+                        if (searching and 0.0 < right_last < right_prev
+                                and right_last <= _CUT * abs_total
+                                and density <= _CUT * mass_total):
+                            cut_right = t
+                if searching:
+                    side_cuts[i] = cut_left, cut_right
+                # a side cut short reaches half a step past its cut
+                tail += (
+                    _tail(left_prev, left_last, spacing,
+                          (min(cut_left + 0.5 * h, reach) - left_t) / h)
+                    + _tail(right_prev, right_last, spacing,
+                            (min(cut_right + 0.5 * h, reach) - right_t) / h)
+                )
             # halving the step halves the weight of every earlier node
             previous = integral
             integral = 0.5 * integral + total

@@ -1,5 +1,7 @@
 import argparse
 import ast
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -386,7 +388,7 @@ class TestCommands:
         )
         assert code == EXIT_COMPUTATION, err
         assert report_of(out)["error"] == (
-            "integral did not converge: error estimate 0.034606308499550716 "
+            "integral did not converge: error estimate 0.03460630849954662 "
             "exceeds the budget 0.0004845306758614982 after 1 levels"
         )
 
@@ -448,6 +450,26 @@ class TestReportShape:
             assert code == expected
             assert ("result" in rep) == (code == EXIT_OK)
             assert ("error" in rep) == (code != EXIT_OK)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["divergence", "discrete", "--f", "f_grades", "--g", "g_grades"],
+         ["entropy", "shannon", "--dist", "u4"],
+         ["entropy", "corrected", "--grading", "piecewise", "--quad", "quad"]],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_digest_is_hashlib_sha256_of_named_file_digests(self, sample_files, argv):
+        # SHA-256 over each flag name, a NUL, the hex SHA-256 of its file
+        # and a newline, in flag order
+        argv = [sample_files.get(a, a) for a in argv]
+        _, out, _ = invoke(argv)
+        files = {flag[2:]: Path(path).read_bytes() for flag, path in zip(argv, argv[1:])
+                 if flag.startswith("--")}
+        outer = hashlib.sha256()
+        for name in sorted(files):
+            outer.update(name.encode() + b"\0")
+            outer.update(hashlib.sha256(files[name]).hexdigest().encode() + b"\n")
+        assert report_of(out)["inputs_digest"] == outer.hexdigest()
 
     def test_digest_tracks_inputs(self, sample_files):
         _, out1, _ = invoke(["entropy", "shannon", "--dist", sample_files["u4"]])
@@ -633,6 +655,16 @@ class TestImportCost:
     @pytest.mark.parametrize("n", [2, 8])
     def test_capacity_commands_below_nine_elements_load_neither(self, tmp_path, argv, n):
         assert numeric_modules_after([*argv, capacity_file(tmp_path, n)]) == []
+
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+        reason="this interpreter has no builtin sha256 module",
+    )
+    @pytest.mark.parametrize("argv", _DISCRETE_COMMANDS, ids=lambda argv: " ".join(argv))
+    def test_discrete_commands_load_no_openssl(self, sample_files, argv):
+        # hashlib loads OpenSSL's _hashlib; the digest needs only sha256
+        script = _RUN_ARGV + 'print(" ".join(m for m in ("hashlib", "_hashlib") if m in sys.modules))'
+        assert modules_printed_by(script, *[sample_files.get(a, a) for a in argv]) == []
 
     def test_import_graddiv_loads_neither_dataclasses_nor_inspect(self):
         assert introspection_modules_after([]) == []

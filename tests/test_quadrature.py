@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import pytest
 
 from graddiv import (
@@ -9,6 +10,7 @@ from graddiv import (
     QuadratureOutcome,
     QuadratureSpec,
     integrate_adaptive,
+    quadrature,
 )
 
 
@@ -180,3 +182,87 @@ class TestIntegrateAdaptive:
         out = QuadratureOutcome(1.0, 0.0, 3)
         with pytest.raises(AttributeError):
             out.value = 2.0
+
+
+def _hex_levels(levels):
+    return [(h.hex(), spacing, [tuple(map(float.hex, node)) for node in nodes])
+            for h, spacing, nodes in levels]
+
+
+class TestKeptNodes:
+    def test_table_is_level_nodes_bit_for_bit(self):
+        kept = quadrature._kept_nodes()
+        fresh = [quadrature._level_nodes(level) for level in range(quadrature._KEPT_LEVELS + 1)]
+        assert _hex_levels(kept) == _hex_levels(fresh)
+        assert sum(len(nodes) for _, _, nodes in kept) == 99
+
+    def test_table_is_built_once_and_immutable(self):
+        kept = quadrature._kept_nodes()
+        assert quadrature._kept_nodes() is kept
+        assert type(kept) is tuple
+        for level in kept:
+            assert type(level) is tuple and type(level[2]) is tuple
+            assert all(type(node) is tuple for node in level[2])
+        with pytest.raises(TypeError):
+            kept[0][2][0] = (0.0, 0.0, 0.0, 0.0)
+
+    def test_deeper_levels_are_computed_per_call(self):
+        level = quadrature._KEPT_LEVELS + 1
+        assert quadrature._nodes(level) is not quadrature._nodes(level)
+        assert _hex_levels([quadrature._nodes(level)]) == _hex_levels([quadrature._level_nodes(level)])
+
+
+class TestSideCuts:
+    """Each side of a segment ends where its terms fall below one rounding
+    of the sum, unless they never do."""
+
+    @staticmethod
+    def nearest_distances(fn):
+        seen_a, seen_b = [], []
+
+        def recording(x, da, db):
+            seen_a.append(da)
+            seen_b.append(db)
+            return fn(x, da, db)
+
+        out = integrate_adaptive(recording, 0.0, 1.0, QuadratureSpec())
+        return out, min(seen_a), min(seen_b)
+
+    def test_smooth_integrand_ends_both_sides_early(self):
+        # both ends are smooth, so both sides end far short of 2^-1050
+        out, near_a, near_b = self.nearest_distances(lambda x, da, db: math.exp(x))
+        assert abs(out.value - (math.e - 1.0)) <= out.error_estimate
+        assert near_a > 1e-30 and near_b > 1e-30
+        assert out.panels < 99
+
+    def test_singular_end_keeps_its_reach(self):
+        # 0.05 x^-0.95 integrates to 1; its terms toward 0 fall like
+        # e^(-u / 10), never below rounding, so that side runs out to the
+        # last level-0 node, while the smooth end at 1 is cut
+        last = quadrature._level_nodes(0)[2][-1]
+        out, near_a, near_b = self.nearest_distances(lambda x, da, db: 0.05 * da**-0.95)
+        assert abs(out.value - 1.0) <= out.error_estimate
+        assert near_a <= last[2]
+        assert near_b > 1e-30
+
+    def test_zero_terms_do_not_end_a_side(self):
+        # exp(-1 / (x - 0.9)) past 0.9 and 0 before it, smooth throughout:
+        # the terms toward 1 are zero at the centre and at the first nodes
+        # and positive only nearer the end
+        def fn(x, da, db):
+            s = 0.1 - db
+            return math.exp(-1.0 / s) if s > 0.0 else 0.0
+
+        with mpmath.workdps(30):
+            exact = float(mpmath.quad(lambda s: mpmath.exp(-1 / s), [0, 0.1]))
+        out = integrate_adaptive(fn, 0.0, 1.0, QuadratureSpec(abs_tol=1e-20, rel_tol=1e-10))
+        assert exact > 1e-7
+        assert abs(out.value - exact) <= out.error_estimate
+
+    def test_mass_keeps_a_side_whose_terms_vanish(self):
+        # the terms da^8 fall below rounding within 1e-3 of 0, but the
+        # uniform density there still holds mass the nodes must find
+        out = integrate_adaptive(
+            lambda x, da, db: (da**8, 1.0), 0.0, 1.0, QuadratureSpec(), mass=1.0
+        )
+        assert abs(out.value - 1.0 / 9.0) <= out.error_estimate
