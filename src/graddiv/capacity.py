@@ -65,16 +65,16 @@ __all__ = [
 ]
 
 # The smallest ground size computed with numpy. Below it the Python loops
-# are faster than numpy's per-call overhead, and a process spares the
-# import of numpy itself. Measured in process (2-CPU Xeon, Python 3.11,
-# numpy 2.4; best of 21 runs of 100), Python against numpy: a benchmark
-# operation (read, validate, both searches, report) on the benchmark's
-# seeded random capacities took 0.78-0.80 against 0.84-1.06 ms at n = 8
-# and 1.48 against 1.29 ms at n = 9; validation and both searches of the
-# all-tie Capacity.additive([1/3] * n) took 1.21 against 0.51 ms at
-# n = 8, 3.07 against 0.83 at 9 and 7.5 against 1.2 at 10. Ties favour
-# numpy from 8 on, random capacities only from 9; at 8, the CLI's own
-# n = 8 calls would also pay numpy's import.
+# keep up with numpy, and a process spares numpy's import. A benchmark
+# operation (read, validate, both searches, report) in process (2-CPU
+# Xeon, Python 3.11, numpy 2.4; two runs, medians of 9 interleaved rounds
+# of 20 calls), Python against numpy, on the random capacities of seeds
+# 0-5 (median over seeds): 0.71-1.09 against 0.68-1.12 ms at n = 8, 1.38
+# against 0.94-0.97 at 9, 2.87-3.07 against 1.61 at 10; all-tie
+# Capacity.additive([1/3] * n): 1.24-2.17 against 0.67-1.18 at 8,
+# 2.68-2.86 against 1.01-1.63 at 9, 7.1-9.0 against 2.2-2.8 at 10. Ties
+# favour numpy from 8 on, random capacities only from 9; at 8, the CLI's
+# own n = 8 calls would also pay numpy's import.
 _NUMPY_FROM = 9
 
 

@@ -129,6 +129,10 @@ class ContinuousGrading(_Record, abc.ABC):
     one. PiecewiseLinearCdf, whose knots fix its support, overrides
     ``__post_init__``, ``support`` and ``shape_params``.
 
+    ``log_density`` is the method every grading must define: the integrals
+    read the density through it alone, and no library code calls
+    ``density``.
+
     ``_log_norm_error`` bounds the rounding of the constant in
     ``log_density``, its log-normalizer, which shifts ln f alike at every
     x; a family sets it with its constants, and a grading that sets none
@@ -158,13 +162,12 @@ class ContinuousGrading(_Record, abc.ABC):
     @abc.abstractmethod
     def density(self, x: float) -> float: ...
 
+    @abc.abstractmethod
     def log_density(self, x: float, da: float, db: float) -> float:
         """ln of the density at x, whose distances from a and b are da and
         db (both positive, and exact where x has rounded onto an end);
         -inf where the density vanishes. A family whose density is
         singular or vanishes at an end computes it from da and db."""
-        fx = self.density(x)
-        return math.log(fx) if fx > 0.0 else -math.inf
 
     def shape_params(self) -> dict:
         return {name: getattr(self, name) for name in self.params}

@@ -17,9 +17,9 @@ da or db equal to 0.
 
 Level 0 samples t = 0, +-1/2, +-1, ... out to _T_MAX on every segment
 between breakpoints; each further level halves the step for all segments
-together, adding the nodes halfway between. The nodes of levels 0 to
-_KEPT_LEVELS, 99 with t >= 0, are computed once and kept; deeper levels,
-which few integrals reach, are computed per call.
+together, adding the nodes halfway between. Each level's nodes are built
+on its first use in a process and kept: levels 0 to 3, where nearly every
+integral stops, hold 99 with t >= 0, and all 13 hold 50 287.
 
 Each side of each segment ends where its terms fall below rounding. Level
 0 walks a side outward until it meets a node past the centre whose term is
@@ -80,9 +80,6 @@ _T_MAX = math.asinh(1050.0 * math.log(2.0) / math.pi)
 # Level L has step 2^-(L+1) and about 25 * 2^L nodes per segment; the rule
 # never runs past this level whatever max_depth says.
 _LEVELS = 12
-# Levels up to this one are kept in a table between calls: 99 nodes with
-# t >= 0, against about 25 * 2^L more at each deeper level.
-_KEPT_LEVELS = 3
 # A side of a segment ends at the first level-0 node past the centre whose
 # term is positive, smaller than the side's previous one and at most this
 # share of the sum of |terms| so far (one rounding of that sum), and whose
@@ -144,13 +141,14 @@ class QuadratureOutcome(_Record):
         _store(self, "negative_infinity", negative_infinity)
 
 
-def _level_nodes(level: int) -> tuple[float, int, list[tuple[float, float, float, float]]]:
+@functools.cache
+def _level_nodes(level: int) -> tuple[float, int, tuple[tuple[float, float, float, float], ...]]:
     """The step h of a level, the spacing of its new nodes in steps, and
     for each new t >= 0 in increasing order (t, weight, near, far) per unit
     width: h times the weight pi cosh(t) e / (1 + e)^2, and the distances
     e / (1 + e) and 1 / (1 + e) of the node from the nearer and the farther
     end, e = e^(-2u). Level 0 holds t = 0, h, 2h, ...; level k >= 1 the
-    odd multiples of its h."""
+    odd multiples of its h. Built on first use and kept."""
     h = 0.5 ** (level + 1)
     first, spacing = (0.0, 1) if level == 0 else (h, 2)
     nodes = []
@@ -160,19 +158,7 @@ def _level_nodes(level: int) -> tuple[float, int, list[tuple[float, float, float
         far = 1.0 / (1.0 + e)
         near = e * far
         nodes.append((t, h * math.pi * math.cosh(t) * near * far, near, far))
-    return h, spacing, nodes
-
-
-@functools.cache
-def _kept_nodes() -> tuple[tuple[float, int, tuple[tuple[float, float, float, float], ...]], ...]:
-    """_level_nodes of levels 0 to _KEPT_LEVELS, as tuples, built on first use."""
-    return tuple((h, spacing, tuple(nodes))
-                 for h, spacing, nodes in map(_level_nodes, range(_KEPT_LEVELS + 1)))
-
-
-def _nodes(level: int) -> tuple:
-    """_level_nodes(level), from the kept table where it holds the level."""
-    return _kept_nodes()[level] if level <= _KEPT_LEVELS else _level_nodes(level)
+    return h, spacing, tuple(nodes)
 
 
 def _tail(prev: float, last: float, spacing: int, gap: float) -> float:
@@ -233,7 +219,7 @@ def integrate_adaptive(
     side_cuts = [(math.inf, math.inf)] * len(segments)
     try:
         for level in range(levels + 1):
-            h, spacing, nodes = _nodes(level)
+            h, spacing, nodes = _level_nodes(level)
             searching = level == 0
             # the trapezoidal sum reaches half a step past its outermost
             # node, which is within a step of _T_MAX

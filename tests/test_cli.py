@@ -707,6 +707,13 @@ assert _largest_prefix(-math.inf, 1.0) == sys.float_info.max
             assert "numpy" in loaded, argv
             assert not [m for m in loaded if m.split(".")[0] == "scipy"], argv
 
+    @pytest.mark.parametrize("argv", _CAPACITY_COMMANDS, ids=lambda argv: " ".join(argv[:-1]))
+    def test_pruned_capacity_loads_no_numpy_ma(self, tmp_path, argv):
+        # np.unique imports numpy.ma on its first call, 11-14 ms of a process
+        loaded = numeric_modules_after([*argv, capacity_file(tmp_path, 14)])
+        assert "numpy" in loaded
+        assert "numpy.ma" not in loaded
+
     def test_only_capacity_imports_numpy_or_scipy_at_module_level(self):
         offenders = []
         for path in sorted(Path(graddiv.__file__).parent.glob("*.py")):

@@ -64,6 +64,9 @@ class _HalfSupported(ContinuousGrading):
     def density(self, x):
         return 2.0 if x < 0.5 else 0.0
 
+    def log_density(self, x, da, db):
+        return math.log(2.0) if x < 0.5 else -math.inf
+
     def inverse(self, u):
         return 0.5 * u
 
@@ -256,6 +259,9 @@ class _InfiniteOnRightHalf(_HalfSupported):
 
     def density(self, x):
         return math.inf if x >= 0.5 else 0.0
+
+    def log_density(self, x, da, db):
+        return math.inf if x >= 0.5 else -math.inf
 
 
 class TestDensityOutOfRange:

@@ -1,11 +1,14 @@
+import ast
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graddiv
 from graddiv import (
     Beta,
     InvalidInputError,
@@ -338,6 +341,17 @@ class TestDensityConsistency:
         slope = (F.cdf(x + step) - F.cdf(x - step)) / (2 * step)
         dens = F.density(x)
         assert abs(slope - dens) <= 1e-3 * max(1.0, dens)
+
+
+def test_no_module_calls_density():
+    # every integral reads a density through log_density
+    offenders = []
+    for path in sorted(Path(graddiv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "density"]
+    assert offenders == []
 
 
 def _betaln(alpha, beta):

@@ -189,27 +189,22 @@ def _hex_levels(levels):
             for h, spacing, nodes in levels]
 
 
-class TestKeptNodes:
-    def test_table_is_level_nodes_bit_for_bit(self):
-        kept = quadrature._kept_nodes()
-        fresh = [quadrature._level_nodes(level) for level in range(quadrature._KEPT_LEVELS + 1)]
+class TestLevelNodes:
+    def test_every_level_is_a_fresh_build_bit_for_bit(self):
+        levels = range(quadrature._LEVELS + 1)
+        kept = [quadrature._level_nodes(level) for level in levels]
+        fresh = [quadrature._level_nodes.__wrapped__(level) for level in levels]
         assert _hex_levels(kept) == _hex_levels(fresh)
-        assert sum(len(nodes) for _, _, nodes in kept) == 99
 
-    def test_table_is_built_once_and_immutable(self):
-        kept = quadrature._kept_nodes()
-        assert quadrature._kept_nodes() is kept
-        assert type(kept) is tuple
-        for level in kept:
-            assert type(level) is tuple and type(level[2]) is tuple
-            assert all(type(node) is tuple for node in level[2])
-        with pytest.raises(TypeError):
-            kept[0][2][0] = (0.0, 0.0, 0.0, 0.0)
+    def test_a_level_is_built_once_as_tuples(self):
+        for level in range(quadrature._LEVELS + 1):
+            nodes = quadrature._level_nodes(level)
+            assert quadrature._level_nodes(level) is nodes
+            assert type(nodes) is tuple and type(nodes[2]) is tuple
+            assert all(type(node) is tuple for node in nodes[2])
 
-    def test_deeper_levels_are_computed_per_call(self):
-        level = quadrature._KEPT_LEVELS + 1
-        assert quadrature._nodes(level) is not quadrature._nodes(level)
-        assert _hex_levels([quadrature._nodes(level)]) == _hex_levels([quadrature._level_nodes(level)])
+    def test_levels_0_to_3_hold_99_nodes(self):
+        assert sum(len(quadrature._level_nodes(level)[2]) for level in range(4)) == 99
 
 
 class TestSideCuts:
