@@ -27,7 +27,8 @@ to at most the minimum, and a forward walk from the empty set takes at
 each step the smallest element whose rounded prefix stays within theta.
 
 Two implementations. Below _NUMPY_FROM elements a capacity is computed
-on Python floats with math.log, subset by subset, and never loads numpy.
+on Python floats with math.log, subset by subset over a table of each
+subset's cover edges built once per ground size, and never loads numpy.
 From there on numpy (module _capacity_numpy, imported on first use) does
 validation, the two passes, a popcount layer at a time, their vector
 prefix step and the map from increments to edge terms; the evaluator, the
@@ -47,7 +48,7 @@ log.
 import itertools
 import math
 import struct
-from functools import partial
+from functools import cache, partial
 from operator import le, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -69,10 +70,10 @@ __all__ = [
 # operation (read, validate, both searches, report) in process (2-CPU
 # Xeon, Python 3.11, numpy 2.4; two runs, medians of 9 interleaved rounds
 # of 20 calls), Python against numpy, on the random capacities of seeds
-# 0-5 (median over seeds): 0.71-1.09 against 0.68-1.12 ms at n = 8, 1.38
-# against 0.94-0.97 at 9, 2.87-3.07 against 1.61 at 10; all-tie
-# Capacity.additive([1/3] * n): 1.24-2.17 against 0.67-1.18 at 8,
-# 2.68-2.86 against 1.01-1.63 at 9, 7.1-9.0 against 2.2-2.8 at 10. Ties
+# 0-5 (median over seeds): 0.67-0.94 against 0.75-1.04 ms at n = 8,
+# 1.09-1.52 against 0.93-1.32 at 9, 2.49-2.71 against 1.66-1.85 at 10;
+# all-tie Capacity.additive([1/3] * n): 1.02-1.12 against 0.67-0.72 at 8,
+# 2.26-2.42 against 1.04-1.11 at 9, 4.9-5.4 against 1.7 at 10. Ties
 # favour numpy from 8 on, random capacities only from 9; at 8, the CLI's
 # own n = 8 calls would also pay numpy's import.
 _NUMPY_FROM = 9
@@ -240,9 +241,12 @@ def enumerate_chains(n: int, limit: int = 10) -> Iterator[MaximalChain]:
 def _edge_term(d: float) -> float:
     """-d ln d for a chain increment d, a zero increment contributing 0.
 
-    The one place the Python side computes an edge term, so the lattice
-    search, its witness walk, greedy and the chain evaluator see identical
-    bits. A term beyond double range is -inf, which the callers refuse.
+    The Python side's edge term: its lattice search, witness walk, greedy
+    and chain evaluator all see these bits. The forward pass of _theta
+    writes the same expression out inline, and TestPythonLattice in
+    tests/test_capacity.py holds the two to the same bits against an
+    oracle that calls this function. A term beyond double range is -inf,
+    which the callers refuse.
     """
     return -d * math.log(d) if d > 0.0 else 0.0
 
@@ -386,24 +390,35 @@ def _bisect_prefix(term: float, bound: float) -> float:
     return _key_float(lo)
 
 
+@cache
+def _cover_predecessors(n: int) -> tuple[tuple[int, ...], ...]:
+    """For every subset S of an n-element ground set, the subsets S - {e}
+    it covers, e ascending: the cover edges both passes of _theta read,
+    built once per ground size."""
+    return tuple(
+        tuple(s ^ 1 << e for e in range(n) if s >> e & 1) for s in range(1 << n)
+    )
+
+
 def _theta(values: Sequence[float], n: int) -> list[float]:
     """theta[S] for every subset S: the largest prefix value at S from which
     some completion still folds to at most the minimum over all chains.
     Raises ComputationError when that minimum is not finite."""
     full = (1 << n) - 1
+    below = _cover_predecessors(n)
+    log = math.log
 
     # Forward: best[S] is the smallest left-to-right fold over chains to S.
     # Each S - {e} has a smaller mask than S, so ascending masks see it first.
+    # The edge term is _edge_term's expression, written out: a call per
+    # cover edge would cost more than the term.
     best = [0.0] * (full + 1)
     for s in range(1, full + 1):
         v = values[s]
         low = math.inf
-        rest = s
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            came = s ^ bit
-            cand = best[came] + _edge_term(v - values[came])
+        for came in below[s]:
+            d = v - values[came]
+            cand = best[came] + (-d * log(d) if d > 0.0 else 0.0)
             if cand < low:
                 low = cand
         best[s] = low
@@ -425,11 +440,7 @@ def _theta(values: Sequence[float], n: int) -> list[float]:
         if bound < best[into]:
             continue
         v = values[into]
-        rest = into
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            came = into ^ bit
+        for came in below[into]:
             fit = _largest_prefix(_edge_term(v - values[came]), bound)
             if fit > theta[came]:
                 theta[came] = fit

@@ -136,11 +136,14 @@ def _reject_constant(token: str) -> float:
 
 
 def _pairs_without_duplicates(pairs: list[tuple[str, Any]]) -> dict:
-    doc: dict = {}
-    for key, value in pairs:
-        if key in doc:
-            raise InvalidInputError(f"duplicate object key {key!r}")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        # a key repeats: name the first repeat in document order
+        seen: set = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InvalidInputError(f"duplicate object key {key!r}")
+            seen.add(key)
     return doc
 
 

@@ -442,11 +442,42 @@ def lattice_case(spec) -> Capacity:
     return Capacity.additive([m] * n)
 
 
-def check_against_unpruned(mu):
-    """theta's walk, and capacity_entropy, against unpruned_theta's walk:
-    the same chain and value bit for bit, or the same refusal."""
-    expected = walked(mu, unpruned_theta)
-    assert walked(mu, capacity_numpy.theta) == expected
+def python_unpruned_passes(values, n):
+    """capacity._theta's passes without pruning, an oracle for the Python
+    side: every edge term comes from capacity._edge_term, and every subset
+    takes the largest value that any superset S + {e} allows through
+    _largest_prefix, live or not. Returns best and theta."""
+    full = (1 << n) - 1
+    best = [0.0] * (full + 1)
+    for s in range(1, full + 1):
+        best[s] = min(
+            best[s ^ 1 << e] + capacity._edge_term(values[s] - values[s ^ 1 << e])
+            for e in range(n)
+            if s >> e & 1
+        )
+    if not math.isfinite(best[full]):
+        raise capacity._beyond_range(best[full])
+    theta = best[:]
+    for s in range(full - 1, -1, -1):
+        theta[s] = max(
+            capacity._largest_prefix(
+                capacity._edge_term(values[s | 1 << e] - values[s]), theta[s | 1 << e]
+            )
+            for e in range(n)
+            if not s >> e & 1
+        )
+    return best, theta
+
+
+def python_unpruned_theta(values, n):
+    return python_unpruned_passes(values, n)[1]
+
+
+def check_against_unpruned(mu, theta=capacity_numpy.theta, oracle=unpruned_theta):
+    """theta's walk, and capacity_entropy, against the oracle's walk: the
+    same chain and value bit for bit, or the same refusal."""
+    expected = walked(mu, oracle)
+    assert walked(mu, theta) == expected
     if isinstance(expected, str):
         with pytest.raises(ComputationError, match="chain entropy is -inf"):
             capacity_entropy(mu)
@@ -462,6 +493,35 @@ BLOCK_CASES = {
     **{f"random n={n}": (n, 0, 0.0) for n in (14, 16)},
     **{f"all tie n={n}": (n, 1 / 3) for n in (14, 16)},
 }
+
+
+# The Python side's sizes, in the kinds of LATTICE_CASES.
+PYTHON_LATTICE_CASES = {
+    **{f"random n={n} seed={s}": (n, s, 0.0) for n in range(2, 9) for s in (0, 1)},
+    **{f"zero steps n={n}": (n, 2, 0.5) for n in range(2, 9)},
+    **{f"all tie n={n} m={m:.3g}": (n, m) for n in range(2, 9) for m in TIE_MASSES},
+    **{f"overflow n={n}": (n, 1e307) for n in range(2, 9)},
+}
+
+
+class TestPythonLattice:
+    @pytest.mark.parametrize("case", PYTHON_LATTICE_CASES)
+    def test_matches_the_unpruned_pass(self, case):
+        mu = lattice_case(PYTHON_LATTICE_CASES[case])
+        with computed_on("python"):
+            check_against_unpruned(mu, capacity._theta, python_unpruned_theta)
+        # The forward pass writes _edge_term's expression out. On every
+        # subset some minimizing chain passes through, theta must carry
+        # the oracle's bits, the minimum at the ground set among them.
+        n = mu.ground_size
+        try:
+            best, expected = python_unpruned_passes(mu.values, n)
+        except ComputationError:
+            return
+        theta = capacity._theta(mu.values, n)
+        live = [s for s, (b, t) in enumerate(zip(best, expected)) if b <= t]
+        assert live == [s for s, (b, t) in enumerate(zip(best, theta)) if b <= t]
+        assert [theta[s] for s in live] == [expected[s] for s in live]
 
 
 class TestPrunedLattice:

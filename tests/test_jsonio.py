@@ -178,6 +178,27 @@ class TestLoadJson:
         with pytest.raises(InvalidInputError):
             load_json('{"a":1,"a":2}')
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # the 257th key of an n = 8 capacity repeats an earlier one
+            (
+                canonical_dumps(capacity_to_doc(Capacity.additive([0.125] * 8)))[:-2]
+                + ',"3,5":0.25}}',
+                "3,5",
+            ),
+            ('{"a":{"b":1,"c":{"d":2,"d":3}},"e":4}', "d"),
+            # the first repeat in document order, not the first key repeated
+            ('{"x":1,"y":2,"y":3,"x":4}', "y"),
+            ('{"x":1,"y":2,"x":3,"y":4}', "x"),
+        ],
+        ids=["257th key", "nested", "y repeats first", "x repeats first"],
+    )
+    def test_first_duplicate_key_is_named(self, text, key):
+        with pytest.raises(InvalidInputError) as exc:
+            load_json(text)
+        assert str(exc.value) == f"duplicate object key {key!r}"
+
     def test_non_finite_literals_rejected(self):
         for text in ('{"a":NaN}', '{"a":Infinity}', '{"a":-Infinity}'):
             with pytest.raises(InvalidInputError):
