@@ -35,14 +35,11 @@ prefix step and the map from increments to edge terms; the evaluator, the
 walk and the bisection over bit patterns are written once, here. In both
 backward passes only the subsets that some minimizing chain passes
 through push bounds down their own cover edges: this side subset by
-subset, the numpy side layer by layer. Above _capacity_numpy._KEEP
-elements the numpy side reads those edges alone; below that it keeps
-every edge from call to call, since whole layers cost numpy less than
-finding the live subsets' edges. The ground size alone selects
-the side. numpy's log may differ from math.log in the last bit, and the
-argument above needs the search and the evaluator to see the same terms,
-so _term_map gives every step of one ground size its terms from the same
-log.
+subset, the numpy side layer by layer, in blocks. The ground size alone
+selects the side. numpy's log may differ from math.log in the last bit,
+and the argument above needs the search and the evaluator to see the
+same terms, so _term_map gives every step of one ground size its terms
+from the same log.
 """
 
 import itertools
@@ -66,17 +63,20 @@ __all__ = [
 ]
 
 # The smallest ground size computed with numpy. Below it the Python loops
-# keep up with numpy, and a process spares numpy's import. A benchmark
-# operation (read, validate, both searches, report) in process (2-CPU
-# Xeon, Python 3.11, numpy 2.4; two runs, medians of 9 interleaved rounds
-# of 20 calls), Python against numpy, on the random capacities of seeds
-# 0-5 (median over seeds): 0.67-0.94 against 0.75-1.04 ms at n = 8,
-# 1.09-1.52 against 0.93-1.32 at 9, 2.49-2.71 against 1.66-1.85 at 10;
-# all-tie Capacity.additive([1/3] * n): 1.02-1.12 against 0.67-0.72 at 8,
-# 2.26-2.42 against 1.04-1.11 at 9, 4.9-5.4 against 1.7 at 10. Ties
-# favour numpy from 8 on, random capacities only from 9; at 8, the CLI's
-# own n = 8 calls would also pay numpy's import.
-_NUMPY_FROM = 9
+# keep up with numpy, and a process spares numpy's import: a `graddiv
+# entropy capacity` process at n = 9 took 113 ms on Python floats against
+# 301 ms with numpy (medians of 7, interleaved). A benchmark operation
+# (read, validate, both searches, report) in process (2-CPU Xeon, Python
+# 3.11, numpy 2.4; two runs, medians of 9 interleaved rounds of 20
+# calls), Python against numpy, on the random capacities of seeds 0-5:
+# 0.59-1.10 against 1.18-2.17 ms at n = 8, 1.06-1.76 against 1.51-2.62 at
+# 9, 2.21-3.23 against 2.13-3.48 at 10 (numpy faster on 6 of 12) and
+# 5.27-7.94 against 3.80-5.49 at 11; all-tie Capacity.additive([1/3] * n):
+# 1.12-1.40 against 1.25-1.49 at 8, 2.52-3.41 against 1.57-2.42 at 9,
+# 6.1-8.9 against 3.1-3.7 at 10 and 17.6-18.3 against 5.5-6.2 at 11.
+# All-tie inputs favour numpy at 9, random ones only from 10 on, where
+# the two sides are about even; the switch follows the random ones.
+_NUMPY_FROM = 10
 
 
 def _numpy_path():

@@ -419,12 +419,11 @@ def walked(mu, theta):
     return capacity._chain_value(mu.values, order)[0], tuple(order)
 
 
-# Sizes up to capacity_numpy._KEEP push whole layers over edges kept from
-# call to call; larger ones prune, block by block. Each way is checked.
+# The numpy passes work block by block; each case is checked in the
+# default blocks and in small ones, which split every middle layer.
 WAYS = {
-    "kept": {},
-    "pruned": {"_KEEP": 0},
-    "pruned, small blocks": {"_KEEP": 0, "_BLOCK": 64},
+    "pruned": {},
+    "pruned, small blocks": {"_BLOCK": 64},
 }
 
 LATTICE_CASES = {
@@ -496,11 +495,12 @@ BLOCK_CASES = {
 
 
 # The Python side's sizes, in the kinds of LATTICE_CASES.
+PYTHON_SIZES = range(2, capacity._NUMPY_FROM)
 PYTHON_LATTICE_CASES = {
-    **{f"random n={n} seed={s}": (n, s, 0.0) for n in range(2, 9) for s in (0, 1)},
-    **{f"zero steps n={n}": (n, 2, 0.5) for n in range(2, 9)},
-    **{f"all tie n={n} m={m:.3g}": (n, m) for n in range(2, 9) for m in TIE_MASSES},
-    **{f"overflow n={n}": (n, 1e307) for n in range(2, 9)},
+    **{f"random n={n} seed={s}": (n, s, 0.0) for n in PYTHON_SIZES for s in (0, 1)},
+    **{f"zero steps n={n}": (n, 2, 0.5) for n in PYTHON_SIZES},
+    **{f"all tie n={n} m={m:.3g}": (n, m) for n in PYTHON_SIZES for m in TIE_MASSES},
+    **{f"overflow n={n}": (n, 1e307) for n in PYTHON_SIZES},
 }
 
 
@@ -538,7 +538,6 @@ class TestPrunedLattice:
     def test_matches_the_unpruned_pass_in_default_blocks(self, case):
         spec = BLOCK_CASES[case]
         n = spec[0]
-        assert n > capacity_numpy._KEEP
         assert math.comb(n, n // 2) * (n // 2) > capacity_numpy._BLOCK
         check_against_unpruned(lattice_case(spec))
 
@@ -572,17 +571,9 @@ class TestPrunedLattice:
             return original(inc)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(capacity_numpy, "_KEEP", 0)
             mp.setattr(capacity_numpy, "_edge_terms", counted)
             capacity_numpy.theta(mu.values, n)
         assert sum(read) - n * (1 << n - 1) <= n * (n + 1) // 2
-
-    def test_kept_edges_are_read_only(self):
-        capacity_numpy.theta(Capacity.additive([0.5] * 9).values, 9)
-        layers, into, came, _ = capacity_numpy._kept_edges(9)
-        for arr in (layers[4], into, came):
-            with pytest.raises(ValueError):
-                arr[0] = 0
 
 
 # Edge terms are finite or -inf (an overflowing -d ln d), and so are the

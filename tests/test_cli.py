@@ -26,6 +26,7 @@ from graddiv import (
     chain_divergence,
     divergence_continuous,
 )
+from graddiv.capacity import _NUMPY_FROM
 from graddiv.cli import (
     EXIT_COMPUTATION,
     EXIT_INVALID_INPUT,
@@ -652,8 +653,8 @@ class TestImportCost:
         assert numeric_modules_after([sample_files.get(a, a) for a in argv]) == []
 
     @pytest.mark.parametrize("argv", _CAPACITY_COMMANDS, ids=lambda argv: " ".join(argv[:-1]))
-    @pytest.mark.parametrize("n", [2, 8])
-    def test_capacity_commands_below_nine_elements_load_neither(self, tmp_path, argv, n):
+    @pytest.mark.parametrize("n", [2, _NUMPY_FROM - 1])
+    def test_capacity_commands_below_the_switch_load_neither(self, tmp_path, argv, n):
         assert numeric_modules_after([*argv, capacity_file(tmp_path, n)]) == []
 
     @pytest.mark.skipif(
@@ -700,8 +701,8 @@ assert _largest_prefix(-math.inf, 1.0) == sys.float_info.max
         assert modules_printed_by(script) == []
 
     def test_capacity_entropy_loads_numpy_but_not_scipy(self, tmp_path):
-        # from nine elements on; validate loads the same
-        path = capacity_file(tmp_path, 9)
+        # from capacity._NUMPY_FROM elements on; validate loads the same
+        path = capacity_file(tmp_path, _NUMPY_FROM)
         for argv in _CAPACITY_COMMANDS:
             loaded = numeric_modules_after([*argv, path])
             assert "numpy" in loaded, argv
