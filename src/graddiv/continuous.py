@@ -11,16 +11,17 @@ nothing; where g vanishes but f does not, the divergence is -inf.
 Two independent evaluation routes are provided on purpose. The precise
 one is divergence_continuous, on adaptive quadrature, and the entropies
 run on it: corrected_entropy from the uniform grading, classical_entropy
-from the position grading x -> x (density 1, log 0), and
-symmetric_divergence in both directions. riemann_divergence builds the sum
-directly from a partition of the grade image via cdf inversion, making it
-a structurally different cross-check rather than a faster variant of the
-same code path.
+from the position grading x -> x (density 1, log 0). symmetric_divergence,
+the sum of both directions, is one integral of (f - g) ln(g / f) on the
+same quadrature; it is -inf where either density vanishes under the
+other. riemann_divergence builds the sum directly from a partition of the
+grade image via cdf inversion, making it a structurally different
+cross-check rather than a faster variant of the same code path.
 """
 
 import math
 
-from .discrete import NEGATIVE_INFINITY, DivergenceResult, _result
+from .discrete import DivergenceResult, _result
 from .errors import ComputationError, InvalidInputError
 from .families import ContinuousGrading, PiecewiseLinearCdf, Uniform, invert_cdf
 from .ordered import as_int, log_ratio
@@ -47,29 +48,51 @@ def _out_of_range(detail: str) -> ComputationError:
     return ComputationError(f"the integrand left double range: {detail}")
 
 
-def divergence_continuous(
+def _quadrature(
     F: ContinuousGrading,
     G: ContinuousGrading,
-    spec: QuadratureSpec = QuadratureSpec(),
+    spec: QuadratureSpec,
+    make_integrand,
+    term: str,
+    mass: float,
+    value_rounding: float,
+    mass_rounding: float,
 ) -> DivergenceResult:
-    """Divergence of G from F: integral of f * ln(g/f) over the support.
+    """The quadrature that divergence_continuous and symmetric_divergence
+    share, over F and G's common support.
 
-    The integrand is exp(lf) * (lg - lf) from the two log-densities, and
-    F's density must integrate to its grade span on the same nodes.
+    make_integrand(log_f, log_g, vanished) builds the integrand; it appends
+    x to ``vanished`` where it returns -inf for a vanishing density, so a
+    -inf that is not such a node is a term (named ``term``) beyond double
+    range. The error estimate adds value_rounding |value| + mass_rounding
+    for the rounding of the gradings' log-normalizers.
     """
     a, b = _require_same_support(F, G)
-    log_f, log_g = F.log_density, G.log_density
-    inf, exp = math.inf, math.exp
-    vanishes = False
+    vanished = []
+    outcome = integrate_adaptive(
+        make_integrand(F.log_density, G.log_density, vanished), a, b, spec,
+        breakpoints=F.breakpoints() + G.breakpoints(), mass=mass,
+    )
+    if outcome.negative_infinity:
+        if not vanished:
+            raise _out_of_range(f"a term {term} overflowed to -inf")
+        return _result(-math.inf, outcome.panels, 0.0, True)
+    error = outcome.error_estimate + value_rounding * abs(outcome.value) + mass_rounding
+    return _result(outcome.value, outcome.panels, 0.0, False, error_estimate=error)
 
-    # The value is -inf only where g vanishes under positive, finite f. An
-    # infinite density, a term beyond double range or a float exception
-    # raised by a density is a computation failure, never a -inf
-    # divergence. No sample pays for a test: a term beyond double range is
-    # -inf, which stops the quadrature walk, and is told from a vanishing g
-    # afterwards; a NaN or +inf term fails in integrate_adaptive.
+
+# The value is -inf only where a density vanishes under a positive, finite
+# other. An infinite density, a term beyond double range or a float
+# exception raised by a density is a computation failure, never a -inf
+# divergence. A term beyond double range is -inf, which stops the
+# quadrature walk, and is told from a vanishing density afterwards; a NaN
+# or +inf term fails in integrate_adaptive.
+
+def _directed(log_f, log_g, vanished):
+    """f ln(g / f) and f, with no test on the common path."""
+    inf, exp = math.inf, math.exp
+
     def integrand(x: float, da: float, db: float) -> tuple[float, float]:
-        nonlocal vanishes
         try:
             lf = log_f(x, da, db)
             fx = exp(lf)
@@ -81,23 +104,58 @@ def divergence_continuous(
         if lg == -inf:
             if fx == inf:
                 raise _out_of_range(f"the density of F is infinite at x={x!r}")
-            vanishes = True
+            vanished.append(x)
             return -inf, fx
         return fx * (lg - lf), fx
 
-    outcome = integrate_adaptive(
-        integrand, a, b, spec, breakpoints=F.breakpoints() + G.breakpoints(), mass=F.grade_span
-    )
-    if outcome.negative_infinity:
-        if not vanishes:
-            raise _out_of_range("a term f ln(g / f) overflowed to -inf")
-        return _result(-inf, outcome.panels, 0.0, True)
+    return integrand
+
+
+def _symmetric(log_f, log_g, vanished):
+    """(f - g) ln(g / f) and f + g; written alike in f and g, so swapping
+    them changes no bit. A finite term is the common path: it means both
+    logs are finite."""
+    inf, exp = math.inf, math.exp
+
+    def integrand(x: float, da: float, db: float) -> tuple[float, float]:
+        try:
+            lf = log_f(x, da, db)
+            lg = log_g(x, da, db)
+            fx = exp(lf)
+            gx = exp(lg)
+        except ArithmeticError as exc:
+            raise _out_of_range(f"{exc} at x={x!r}") from None
+        term = (fx - gx) * (lg - lf)
+        if term - term == 0.0:
+            return term, fx + gx
+        if fx == 0.0 and gx == 0.0:
+            return 0.0, 0.0
+        if lf == -inf or lg == -inf:
+            if fx == inf or gx == inf:
+                raise _out_of_range(f"a density is infinite at x={x!r}")
+            vanished.append(x)
+            return -inf, fx + gx
+        return term, fx + gx
+
+    return integrand
+
+
+def divergence_continuous(
+    F: ContinuousGrading,
+    G: ContinuousGrading,
+    spec: QuadratureSpec = QuadratureSpec(),
+) -> DivergenceResult:
+    """Divergence of G from F: integral of f * ln(g/f) over the support.
+
+    The integrand is exp(lf) * (lg - lf) from the two log-densities, and
+    F's density must integrate to its grade span on the same nodes.
+    """
     # A rounded log-normalizer shifts ln f by up to d_f and ln g by up to
     # d_g at every x, which moves the value by up to d_f |value| +
     # (d_f + d_g) times F's mass.
     d_f, d_g = F._log_norm_error, G._log_norm_error
-    error = outcome.error_estimate + d_f * abs(outcome.value) + (d_f + d_g) * F.grade_span
-    return _result(outcome.value, outcome.panels, 0.0, False, error_estimate=error)
+    return _quadrature(F, G, spec, _directed, "f ln(g / f)", F.grade_span,
+                       d_f, (d_f + d_g) * F.grade_span)
 
 
 def riemann_divergence(F: ContinuousGrading, G: ContinuousGrading, n_points: int) -> float:
@@ -161,23 +219,29 @@ def symmetric_divergence(
 ) -> DivergenceResult:
     """Sum of the divergence in both directions; -inf if either side is.
 
-    When the first direction is -inf the second is not computed: the sum
-    is -inf whatever it is, and a density with an undeclared jump (a
-    support that ends inside [a, b]) would make its quadrature converge
-    only at first order. Raises ComputationError when both sides are
-    finite but their sum leaves double range.
+    The sum is one integral, of (f - g) ln(g / f): the negated Jeffreys
+    divergence (Jeffreys, Proc. R. Soc. Lond. A 186, 1946). Its integrand
+    is <= 0 at every x, so the sum does not cancel and one estimate covers
+    it. Each node reads each log density once, and f + g must integrate to
+    the summed grade spans on the same nodes, so a deficit in either
+    density keeps the rule refining. The walk stops at the first node where
+    one density vanishes under a positive, finite other; where both vanish
+    the term is 0. Raises ComputationError when the sum leaves double
+    range.
     """
-    d_fg = divergence_continuous(F, G, spec)
-    if NEGATIVE_INFINITY in d_fg.flags:
-        return d_fg
-    d_gf = divergence_continuous(G, F, spec)
-    return _result(
-        d_fg.value + d_gf.value,
-        d_fg.terms_used + d_gf.terms_used,
-        d_fg.dropped_mass + d_gf.dropped_mass,
-        NEGATIVE_INFINITY in d_fg.flags | d_gf.flags,
-        error_estimate=d_fg.error_estimate + d_gf.error_estimate,
-    )
+    # With ln f and ln g shifted by constants c_f, c_g (|c| <= d) and
+    # spans S_F, S_G, the value moves by c_f D(F||G) + c_g D(G||F) +
+    # (c_g - c_f)(S_F - S_G) to first order. Since ln t <= t - 1,
+    # D(F||G) - (S_G - S_F) and D(G||F) - (S_F - S_G) are both <= 0 and sum
+    # to the value, so the shift is at most max(d_f, d_g) |value| +
+    # 2 (d_f + d_g) |S_F - S_G|. With equal spans the last term is 0, and
+    # what is left of the spans' part is second order, (c_g - c_f)^2 S_F;
+    # (d_f + d_g) max(d_f, d_g) (S_F + S_G) covers it.
+    d_f, d_g = F._log_norm_error, G._log_norm_error
+    s_f, s_g = F.grade_span, G.grade_span
+    d_max = max(d_f, d_g)
+    return _quadrature(F, G, spec, _symmetric, "(f - g) ln(g / f)", s_f + s_g,
+                       d_max, (d_f + d_g) * (2.0 * abs(s_f - s_g) + d_max * (s_f + s_g)))
 
 
 def classical_entropy(

@@ -32,7 +32,12 @@ they hold is below one rounding of the sum, and it still enters the
 estimate as the side's tail, read from half a step past the cut. A zero
 term never ends a side, since a density may vanish across the middle of a
 segment and hold its mass nearer the end; a side whose terms never become
-that small, such as one toward a singular end, keeps its full reach.
+that small, such as one toward a singular end, keeps its full reach. A
+rule that cut a side and does not converge walks again with no side cut,
+since a cut trusts what lies past it to stay below rounding: a density
+with a second peak past a valley, or terms that dip toward 0 and rise
+again, break that trust. The evaluations of both walks are counted, and
+if the second fails too the first one's reason is raised.
 
 The error estimate of level k >= 1 is the sum of
 
@@ -52,7 +57,9 @@ shrinks by less than half from one level to the next fails at once, since
 refining does not move the last node. A sample of -inf short-circuits the walk:
 the divergence integrands return -inf only where the reference density
 vanishes under positive mass, which makes the integral itself -inf. A NaN
-or +inf sample is a ComputationError.
+or +inf sample is a ComputationError. Finite samples whose sum leaves
+double range end the rule at the end of their level: the non-finite sum is
+returned with an infinite estimate, for the caller to refuse.
 
 With ``mass`` given, fn returns a pair (term, density) and the density's
 integral on the same nodes must also come within the budget of ``mass``:
@@ -194,6 +201,8 @@ def integrate_adaptive(
     Raises ComputationError if the estimate, or the density's mass, still
     misses the budget after min(max_depth, _LEVELS) levels, or as soon as
     the tail beyond the last nodes alone exceeds it and stops shrinking.
+    A sum beyond double range is returned at once, with an infinite
+    estimate.
     """
     a, b = as_float(a, "a"), as_float(b, "b")
     if not a < b:
@@ -209,18 +218,38 @@ def integrate_adaptive(
         mass = as_float(mass, "mass")
         pair = fn
 
-    # the integral, the integral of |fn| and the density's mass so far
-    integral = l1 = held = 0.0
-    evaluations = 0
-    last_tail = math.inf
     levels = min(spec.max_depth, _LEVELS)
     # per segment, the level-0 node at which its left and its right side
     # end; level 0 finds them, and inf leaves a side its full reach
-    side_cuts = [(math.inf, math.inf)] * len(segments)
+    uncut = (math.inf, math.inf)
+    side_cuts = [uncut] * len(segments)
+    walked = _walk(pair, segments, spec, mass, levels, side_cuts, True, 0)
+    if isinstance(walked, QuadratureOutcome):
+        return walked
+    failure, evaluations = walked
+    if side_cuts.count(uncut) < len(side_cuts):
+        # A cut trusts the terms past it to stay below rounding, which a
+        # second peak of the density past a valley, or terms that dip
+        # toward 0 and rise again, can break: walk again at full reach.
+        walked = _walk(pair, segments, spec, mass, levels, [uncut] * len(segments),
+                       False, evaluations)
+        if isinstance(walked, QuadratureOutcome):
+            return walked
+    raise ComputationError(failure)
+
+
+def _walk(pair, segments, spec, mass, levels, side_cuts, cutting, evaluations):
+    """One pass of the rule, counting evaluations on from ``evaluations``:
+    its outcome, or why it did not converge and the evaluations so far.
+    Level 0 cuts sides into ``side_cuts`` only when ``cutting``."""
+    # the integral, the integral of |fn| and the density's mass so far
+    integral = l1 = held = 0.0
+    first = evaluations
+    last_tail = math.inf
     try:
         for level in range(levels + 1):
             h, spacing, nodes = _level_nodes(level)
-            searching = level == 0
+            searching = cutting and level == 0
             # the trapezoidal sum reaches half a step past its outermost
             # node, which is within a step of _T_MAX
             end = _T_MAX - 0.5 * h
@@ -291,38 +320,42 @@ def integrate_adaptive(
             # halving the step halves the weight of every earlier node
             previous = integral
             integral = 0.5 * integral + total
+            if integral - integral != 0.0:
+                # finite terms whose sum left double range: no level
+                # brings it back, and the caller refuses the value
+                return QuadratureOutcome(integral, math.inf, evaluations)
             l1 = 0.5 * l1 + abs_total
             held = 0.5 * held + mass_total
             if level == 0:
                 continue
-            estimate = abs(integral - previous) + evaluations * _EPS * l1 + tail
+            estimate = abs(integral - previous) + (evaluations - first) * _EPS * l1 + tail
             budget = max(spec.abs_tol, spec.rel_tol * abs(integral))
             if budget < tail < math.inf and tail > 0.5 * last_tail:
                 # the tail shrinks only as the outermost nodes near _T_MAX,
                 # by less than half a level from here on: it stays
-                raise ComputationError(
+                return (
                     f"integral did not converge: the integrand holds about {tail!r} "
                     f"beyond the last nodes, over the budget {budget!r} (an "
                     "endpoint singularity beyond double resolution)"
-                )
+                ), evaluations
             last_tail = tail
             mass_met = mass is None or abs(held - mass) <= max(
-                spec.abs_tol, spec.rel_tol * abs(mass), evaluations * _EPS * held
+                spec.abs_tol, spec.rel_tol * abs(mass), (evaluations - first) * _EPS * held
             )
             if estimate <= budget and mass_met:
                 return QuadratureOutcome(integral + 0.0, estimate, evaluations)
     except _DivergesToNegInf:
         return QuadratureOutcome(-math.inf, 0.0, evaluations, negative_infinity=True)
     if not mass_met:
-        raise ComputationError(
+        return (
             f"integral did not converge: the nodes hold mass {held!r} of the "
             f"density's {mass!r} after {levels} levels (mass beyond double "
             "resolution of an end, or a spike between the nodes)"
-        )
-    raise ComputationError(
+        ), evaluations
+    return (
         f"integral did not converge: error estimate {estimate!r} exceeds the "
         f"budget {budget!r} after {levels} levels"
-    )
+    ), evaluations
 
 
 def _nonfinite(value: float, x: float) -> None:

@@ -261,3 +261,19 @@ class TestSideCuts:
             lambda x, da, db: (da**8, 1.0), 0.0, 1.0, QuadratureSpec(), mass=1.0
         )
         assert abs(out.value - 1.0 / 9.0) <= out.error_estimate
+
+    def test_a_peak_past_a_valley_is_found_at_full_reach(self):
+        # normal densities at 0.5 (sd 0.02) and 0.05 (sd 0.01): walking left
+        # from the centre, level 0 cuts that side in the valley between
+        # them, where the terms are below rounding, and the nodes miss the
+        # second peak's mass; the rule walks again with no side cut
+        def normal(x, mu, sd):
+            return math.exp(-0.5 * ((x - mu) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+        def fn(x, da, db):
+            density = normal(x, 0.5, 0.02) + normal(x, 0.05, 0.01)
+            return density, density
+
+        mass = 1.0 + 0.5 * math.erfc(-5.0 / math.sqrt(2.0))  # the second is cut at 0
+        out = integrate_adaptive(fn, 0.0, 1.0, QuadratureSpec(), mass=mass)
+        assert abs(out.value - mass) <= out.error_estimate
