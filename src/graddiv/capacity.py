@@ -66,16 +66,17 @@ __all__ = [
 # keep up with numpy, and a process spares numpy's import: a `graddiv
 # entropy capacity` process at n = 9 took 113 ms on Python floats against
 # 301 ms with numpy (medians of 7, interleaved). A benchmark operation
-# (read, validate, both searches, report) in process (2-CPU Xeon, Python
-# 3.11, numpy 2.4; two runs, medians of 9 interleaved rounds of 20
-# calls), Python against numpy, on the random capacities of seeds 0-5:
-# 0.59-1.10 against 1.18-2.17 ms at n = 8, 1.06-1.76 against 1.51-2.62 at
-# 9, 2.21-3.23 against 2.13-3.48 at 10 (numpy faster on 6 of 12) and
-# 5.27-7.94 against 3.80-5.49 at 11; all-tie Capacity.additive([1/3] * n):
-# 1.12-1.40 against 1.25-1.49 at 8, 2.52-3.41 against 1.57-2.42 at 9,
-# 6.1-8.9 against 3.1-3.7 at 10 and 17.6-18.3 against 5.5-6.2 at 11.
-# All-tie inputs favour numpy at 9, random ones only from 10 on, where
-# the two sides are about even; the switch follows the random ones.
+# (read of a mask-ordered document, validate, both searches, report) in
+# process (2-CPU Xeon, Python 3.11, numpy 2.4; two runs, medians of 9
+# interleaved rounds of 20 calls), Python against numpy, on the random
+# capacities of seeds 0-5: 0.58-0.95 against 1.21-2.02 ms at n = 8,
+# 1.29-1.84 against 1.77-2.59 at 9, 2.60-3.70 against 2.41-3.66 at 10
+# (numpy faster on 10 of 12) and 4.61-7.49 against 3.55-5.39 at 11;
+# all-tie Capacity.additive([1/3] * n): 1.33-1.37 against 1.39-1.49 at 8,
+# 4.0-4.3 against 2.3-2.6 at 9, 6.1-8.3 against 3.0-3.5 at 10 and
+# 15.0-16.3 against 5.9-6.1 at 11. All-tie inputs favour numpy at 9,
+# random ones only from 10 on, where the two sides are about even; the
+# switch follows the random ones.
 _NUMPY_FROM = 10
 
 
@@ -428,12 +429,15 @@ def _theta(values: Sequence[float], n: int) -> list[float]:
 
     # Backward: theta[S] is the largest value that any superset S + {e}
     # allows through _largest_prefix. Some chain through S reaches the
-    # minimum exactly when best[S] <= theta[S]. A subset T where none does
-    # is skipped: what it would allow a parent S stays below best[S], since
-    # fl(best[S] + term) >= best[T] > theta[T], so it never sets the value
-    # of a parent on a minimizing chain, and the walk, whose prefix at T is
-    # at least best[T], refuses T all the same. Without ties, only the
-    # subsets on the minimizing chain push to their parents.
+    # minimum exactly when best[S] <= theta[S]: S is live. Only a fit that
+    # reaches best[S] can make S live or set its value, and since
+    # fl(p + term) is nondecreasing in p, it does exactly when
+    # fl(best[S] + term) <= bound. A smaller fit is not computed: the walk,
+    # whose prefix at S is at least best[S], refuses S either way. A subset
+    # T that is not live is skipped for the same reason: what it would
+    # allow a parent S stays below best[S], since fl(best[S] + term) >=
+    # best[T] > theta[T]. Without ties, only the subsets on the minimizing
+    # chain push, each to its parent on that chain: n fits in all.
     theta = [-math.inf] * full + [best[full]]
     for into in range(full, 0, -1):
         bound = theta[into]
@@ -441,9 +445,11 @@ def _theta(values: Sequence[float], n: int) -> list[float]:
             continue
         v = values[into]
         for came in below[into]:
-            fit = _largest_prefix(_edge_term(v - values[came]), bound)
-            if fit > theta[came]:
-                theta[came] = fit
+            term = _edge_term(v - values[came])
+            if best[came] + term <= bound:
+                fit = _largest_prefix(term, bound)
+                if fit > theta[came]:
+                    theta[came] = fit
     return theta
 
 

@@ -15,6 +15,13 @@ Reading judges numbers by the rule the constructors apply
 element once: the grades and weights readers hand the decoded list to the
 constructor, which converts it; the other readers convert their arrays
 themselves.
+
+A capacity document whose keys are the canonical subset keys in mask
+order, as ``capacity_to_doc`` builds it, is read in document order: one
+compare of its key list against the table of canonical keys, then its
+values as they stand. Any other key order is read by one lookup per
+subset. The key tables are cached only below ``capacity._NUMPY_FROM``
+elements, at most 512 keys; a larger one lives for one read.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from functools import cache
 from itertools import islice, repeat
+from json.encoder import encode_basestring_ascii
 from operator import add
 from typing import TYPE_CHECKING, Any
 
@@ -92,7 +101,9 @@ def _write(obj: Any, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        # what json.dumps(obj, ensure_ascii=True) returns for a str, without
+        # the encoder's dispatch on its type
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -104,7 +115,7 @@ def _write(obj: Any, out: list[str]) -> None:
                 raise InvalidInputError(f"object keys must be strings, got {key!r}")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _write(obj[key], out)
         out.append("}")
@@ -260,7 +271,7 @@ def _subset_mask(key: str, ground_size: int) -> int:
     return mask
 
 
-def _subset_keys(n: int) -> list[str]:
+def _key_table(n: int) -> tuple[str, ...]:
     """The canonical key of every subset of {1..n}, indexed by mask.
 
     The key of a mask is the key of the mask without its top element,
@@ -270,7 +281,20 @@ def _subset_keys(n: int) -> list[str]:
     for element in range(1, n + 1):
         top = str(element)
         keys += [f"{key},{top}" if key else top for key in keys]
-    return keys
+    return tuple(keys)
+
+
+_cached_key_table = cache(_key_table)
+
+
+def _subset_keys(n: int) -> tuple[str, ...]:
+    """_key_table(n), kept per ground size below capacity._NUMPY_FROM, where
+    the Python lattice tables are kept too: at most 512 keys. A larger
+    table is built for the call that asks for it, so reading an n = 20
+    document leaves no table of a million keys alive."""
+    from .capacity import _NUMPY_FROM
+
+    return (_cached_key_table if n < _NUMPY_FROM else _key_table)(n)
 
 
 # No container holds 2^63 entries (len is at most sys.maxsize), so from
@@ -293,13 +317,15 @@ def capacity_from_doc(doc: dict) -> Capacity:
     if not isinstance(raw, dict):
         raise InvalidInputError("values must be an object keyed by subset")
     size = 1 << n
-    # With the count right, finding every canonical key means the document
-    # has no other key. Otherwise the slow path below names the fault: a
-    # JSON object has no repeated keys and every accepted key is
-    # canonical, so no two keys name the same subset.
-    keys = _subset_keys(n) if len(raw) == size else []
+    # A document with the canonical keys in mask order gives its values in
+    # that order. Otherwise, with the count right, finding every canonical
+    # key means the document has no other key. Failing both, the slow path
+    # below names the fault: a JSON object has no repeated keys and every
+    # accepted key is canonical, so no two keys name the same subset.
+    keys = _subset_keys(n) if len(raw) == size else ()
     try:
-        values = as_floats(map(raw.__getitem__, keys), "values")
+        in_order = keys and tuple(raw) == keys
+        values = as_floats(raw.values() if in_order else map(raw.__getitem__, keys), "values")
     except (KeyError, InvalidInputError):
         values = ()
     if len(values) != size:

@@ -523,6 +523,38 @@ class TestPythonLattice:
         assert live == [s for s, (b, t) in enumerate(zip(best, theta)) if b <= t]
         assert [theta[s] for s in live] == [expected[s] for s in live]
 
+    @pytest.mark.parametrize("n", PYTHON_SIZES)
+    def test_prefix_step_runs_once_per_chain_edge_without_ties(self, n):
+        # Only a fit that reaches best[S] can set the value of a live
+        # subset S, and without ties only the predecessor on the minimizing
+        # chain gets one: n prefix steps, not the n(n+1)/2 edges below the
+        # live subsets.
+        for seed in (0, 1):
+            assert prefix_steps(seeded_capacity(n, seed)) == n
+
+    @pytest.mark.parametrize("n", PYTHON_SIZES)
+    def test_prefix_step_runs_on_every_edge_when_all_tie(self, n):
+        # Every subset is live and every fit reaches its best, so each of
+        # the n 2^(n-1) cover edges takes one prefix step.
+        assert prefix_steps(Capacity.additive([1 / 3] * n)) == n << n - 1
+
+
+def prefix_steps(mu) -> int:
+    """The number of _largest_prefix calls in one exhaustive search on the
+    Python side."""
+    calls = 0
+    original = capacity._largest_prefix
+
+    def counted(term, bound):
+        nonlocal calls
+        calls += 1
+        return original(term, bound)
+
+    with computed_on("python"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_largest_prefix", counted)
+        capacity_entropy(mu, method="exhaustive")
+    return calls
+
 
 class TestPrunedLattice:
     @pytest.mark.parametrize("way", WAYS)

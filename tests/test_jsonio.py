@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import struct
 import sys
 
@@ -86,6 +87,20 @@ class TestCanonicalDumps:
     def test_deterministic_bytes(self):
         doc = {"z": [1.5, 2], "a": {"y": 0.25, "x": "s"}}
         assert canonical_dumps(doc) == canonical_dumps(doc)
+
+    # Any code point, lone surrogates and control characters included, with
+    # the characters JSON escapes drawn often.
+    @given(
+        st.text(
+            st.characters(exclude_categories=())
+            | st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028\ud800\udfff\U0001f600')
+        )
+    )
+    def test_strings_render_as_json_dumps_does(self, s):
+        quoted = json.dumps(s, ensure_ascii=True)
+        assert canonical_dumps(s) == quoted
+        assert canonical_dumps([s]) == f"[{quoted}]"
+        assert canonical_dumps({s: 1}) == f"{{{quoted}:1}}"
 
 
 def _reference_dumps(obj) -> str:
@@ -309,6 +324,21 @@ class TestWeightAndMassDocs:
             weights_from_doc({"weights": [0.25, 0.25]})
 
 
+DROP = object()
+
+
+class CountingLookups(dict):
+    """A values object that counts the lookups made into it by key."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
 class TestCapacityDocs:
     def test_round_trip(self):
         mu = Capacity(2, (0.0, 0.6, 0.7, 1.0))
@@ -357,7 +387,7 @@ class TestCapacityDocs:
         from graddiv.capacity import _mask_key
         from graddiv.jsonio import _subset_keys
 
-        assert _subset_keys(10) == [_mask_key(m) for m in range(1 << 10)]
+        assert _subset_keys(10) == tuple(_mask_key(m) for m in range(1 << 10))
 
     def test_values_are_read_in_mask_order(self):
         from graddiv.jsonio import _subset_keys
@@ -366,8 +396,75 @@ class TestCapacityDocs:
         values = tuple(bin(m).count("1") / n for m in range(1 << n))
         doc = load_json(canonical_dumps(capacity_to_doc(Capacity(n, values))))
         # canonical documents list the keys sorted, not in mask order
-        assert list(doc["values"]) == sorted(doc["values"]) != _subset_keys(n)
+        assert list(doc["values"]) == sorted(doc["values"]) != list(_subset_keys(n))
         assert capacity_from_doc(doc).values == values
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("order", ["mask", "reversed", "shuffled", "sorted"])
+    def test_key_orders_read_alike(self, n, order):
+        # A mask-ordered document is read in document order, with no key
+        # lookups; any other order looks up each subset's key.
+        mu = Capacity.additive(random.Random(n).choices([0.0, 0.25, 1 / 3, 2.0], k=n))
+        items = list(capacity_to_doc(mu)["values"].items())
+        if order == "reversed":
+            items.reverse()
+        elif order == "shuffled":
+            random.Random(0).shuffle(items)
+        elif order == "sorted":
+            items.sort()
+        values = CountingLookups(items)
+        assert capacity_from_doc({"ground_size": n, "values": values}) == mu
+        assert values.lookups == (0 if order == "mask" else 1 << n)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"1,2": "0.5"}, "values['1,2'] must be a number, got '0.5'"),
+            ({"1,2": None}, "values['1,2'] must be a number, got None"),
+            ({"3": True}, "values['3'] must be a number, got True"),
+            ({"3": 10**400}, "values['3'] is out of float range"),
+            ({"1,3": ("3,1", 0.5)}, "subset key '3,1' must list elements in strictly increasing order"),
+            ({"1,3": ("4", 0.5)}, "subset key '4' names element 4 beyond ground size 3"),
+            ({"1,2,3": DROP}, "values must cover every subset; 1 missing (1,2,3)"),
+            ({"1": -0.5}, "subset values must be finite and >= 0, got -0.5"),
+            ({"2": 0.9}, "capacity is not monotone: value({2})=0.9 > value({1,2})=0.5"),
+        ],
+        ids=["string", "null", "bool", "beyond float range", "unsorted key",
+             "element beyond ground", "missing key", "negative", "not monotone"],
+    )
+    def test_faults_of_a_mask_ordered_document_are_named(self, change, message):
+        # Each edit keeps the other keys in mask order: a new value, a
+        # (key, value) pair in place of the entry, or DROP to leave it out.
+        values = {}
+        for key, value in capacity_to_doc(Capacity.additive([0.25] * 3))["values"].items():
+            edit = change.get(key, value)
+            if edit is DROP:
+                continue
+            if isinstance(edit, tuple):
+                key, edit = edit
+            values[key] = edit
+        with pytest.raises(InvalidInputError) as exc:
+            capacity_from_doc({"ground_size": 3, "values": values})
+        assert str(exc.value) == message
+
+    def test_duplicate_key_of_a_mask_ordered_document_is_named(self):
+        # the count is right, but "2,3" stands where "1,2,3" belongs
+        doc = capacity_to_doc(Capacity.additive([0.25] * 3))
+        text = json.dumps(doc).replace('"1,2,3"', '"2,3"')
+        with pytest.raises(InvalidInputError) as exc:
+            capacity_from_doc(load_json(text))
+        assert str(exc.value) == "duplicate object key '2,3'"
+
+    def test_key_tables_are_kept_only_below_the_numpy_side(self):
+        from graddiv.capacity import _NUMPY_FROM
+        from graddiv.jsonio import _cached_key_table, _subset_keys
+
+        assert _subset_keys(_NUMPY_FROM - 1) is _subset_keys(_NUMPY_FROM - 1)
+        kept = _cached_key_table.cache_info().currsize
+        mu = Capacity.additive([0.5] * _NUMPY_FROM)
+        assert capacity_from_doc(capacity_to_doc(mu)) == mu
+        assert _cached_key_table.cache_info().currsize == kept
+        assert _subset_keys(_NUMPY_FROM) is not _subset_keys(_NUMPY_FROM)
 
     def test_value_beyond_float_range_is_named(self):
         with pytest.raises(InvalidInputError) as exc:
