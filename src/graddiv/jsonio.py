@@ -7,8 +7,14 @@ the same inputs must produce byte-identical result documents, so nothing
 locale- or hash-order-dependent is allowed here.
 
 An array whose elements are all finite exact floats, such as a 1e5-element
-grade list, is rendered by one %-format call; any other array is written
-element by element.
+grade list, is rendered by one %-format call per _FLOAT_CHUNK elements;
+any other array is written element by element. Only the joined document
+has the array's full length: one call over a 1e5-element array grew its
+output buffer by reallocation through a string as long as the document,
+and the freed near-full-size blocks left holes in the C heap that the
+next document text of that size did not fit. Depending on the heap's
+layout, a process that alternated such echoes with reading 1e5-element
+documents grew its resident set by about 2 MB per echo.
 
 Reading judges numbers by the rule the constructors apply
 (``ordered.as_float``, ``as_floats`` and ``as_int``) and converts each
@@ -84,6 +90,27 @@ def _format_float(x: float) -> str:
 
 
 _FLOAT_TYPE = frozenset({float})
+# Elements per %-format call for an array of exact floats; a piece renders
+# to at most 24 KiB.
+_FLOAT_CHUNK = 1024
+_NEXT_FORMAT = ",%.17g" * _FLOAT_CHUNK
+
+
+def _float_pieces(values) -> list[str]:
+    """The text of a float array between its brackets, one piece per
+    _FLOAT_CHUNK elements; each piece after the first starts with its comma.
+
+    "%.17g" is format(x, ".17g"), and + 0.0 turns -0.0 into 0.0 as
+    _format_float does.
+    """
+    n = len(values)
+    head = values[:_FLOAT_CHUNK]
+    pieces = [("%.17g," * len(head))[:-1] % tuple(map(add, head, repeat(0.0)))]
+    for start in range(_FLOAT_CHUNK, n, _FLOAT_CHUNK):
+        chunk = tuple(map(add, values[start:start + _FLOAT_CHUNK], repeat(0.0)))
+        form = _NEXT_FORMAT if len(chunk) == _FLOAT_CHUNK else ",%.17g" * len(chunk)
+        pieces.append(form % chunk)
+    return pieces
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -121,13 +148,12 @@ def _write(obj: Any, out: list[str]) -> None:
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         if _FLOAT_TYPE.issuperset(map(type, obj)):
-            # "%.17g" is format(x, ".17g"), and + 0.0 turns -0.0 into 0.0
-            # as _format_float does. It spells inf and nan with an "n",
-            # which no finite rendering holds; those fall through to the
-            # element loop, which names the first of them.
-            body = ("%.17g," * len(obj))[:-1] % tuple(map(add, obj, repeat(0.0)))
-            if "n" not in body:
-                out += ("[", body, "]")
+            # "%.17g" spells inf and nan with an "n", which no finite
+            # rendering holds; those fall through to the element loop,
+            # which names the first of them.
+            pieces = _float_pieces(obj)
+            if not any("n" in piece for piece in pieces):
+                out += ("[", *pieces, "]")
                 return
         out.append("[")
         for i, item in enumerate(obj):

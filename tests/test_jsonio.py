@@ -3,6 +3,7 @@ import math
 import random
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from graddiv import (
     Uniform,
     capacity_entropy,
 )
+from graddiv import jsonio
 from graddiv.jsonio import (
     canonical_dumps,
     capacity_from_doc,
@@ -186,6 +188,44 @@ class TestCanonicalArrays:
         )
         assert canonical_dumps([]) == "[]"
         assert canonical_dumps(()) == "[]"
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * jsonio._FLOAT_CHUNK + 3])
+    def test_arrays_across_chunk_boundaries_match_the_reference(self, extra):
+        chunk = jsonio._FLOAT_CHUNK
+        rng = random.Random(extra)
+        values = []
+        while len(values) < chunk + extra:
+            x = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+            if math.isfinite(x):
+                values.append(x)
+        for i in (0, chunk - 1, chunk, len(values) - 1):
+            if i < len(values):
+                values[i] = -0.0
+        assert canonical_dumps(values) == _reference_dumps(values)
+        assert canonical_dumps({"grades": tuple(values)}) == _reference_dumps({"grades": values})
+
+    def test_non_finite_element_in_a_later_chunk_is_named(self):
+        chunk = jsonio._FLOAT_CHUNK
+        values = [0.5] * (3 * chunk)
+        values[chunk + 7] = -math.inf
+        values[2 * chunk] = math.nan
+        with pytest.raises(InvalidInputError) as err:
+            canonical_dumps(values)
+        assert str(err.value) == "non-finite number -inf cannot be serialized as a JSON float"
+
+    def test_large_array_holds_about_two_copies_of_its_text(self):
+        # The chunks and the joined document; the one-call rendering held a
+        # third, growing copy in the formatter and an argument tuple besides.
+        rng = random.Random(1)
+        doc = {"grades": [rng.uniform(0.0, 1e5) for _ in range(100_000)]}
+        text = canonical_dumps(doc)
+        tracemalloc.start()
+        try:
+            canonical_dumps(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * len(text)
 
 
 class TestLoadJson:
