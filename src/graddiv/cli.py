@@ -8,28 +8,36 @@ matched to their inputs; elapsed_ms is the only non-deterministic field.
 
 Each command is declared once, in ``_COMMANDS``: its help line, its input
 files with their schemas, the function that computes it and its options.
-``build_parser`` builds every subparser from that table, and ``_execute``
-runs every command the same way. It reads one file and parses it with its
-schema's reader before it reads the next, so the first faulty file is the
-one reported. The quadrature spec is read last, then the function computes
-and its result is serialized.
+``_read_argv`` reads a well-formed command line straight from that table,
+without importing argparse; ``build_parser`` builds every subparser from the
+same table and reads every other command line, so help, usage and version
+text and argparse's lenient forms (abbreviated flags, ``--flag=value``,
+repeated flags, ``--``) all come from argparse. ``_execute`` runs every
+command the same way, however its command line was read. It reads one file
+and parses it with its schema's reader before it reads the next, so the
+first faulty file is the one reported. The quadrature spec is read last,
+then the function computes and its result is serialized.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import sys
 import time
+from collections import namedtuple
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple, TextIO
 
 from . import __version__, jsonio
 from .discrete import NEGATIVE_INFINITY
 from .errors import ComputationError, InvalidInputError
 
+# argparse and contextlib are imported only for a command line that
+# _read_argv leaves to argparse, typing only by type checkers
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
+    from typing import Any, TextIO
+
     from .quadrature import QuadratureSpec
 
 # The interpreter's builtin SHA-256; hashlib would load OpenSSL first, a
@@ -78,16 +86,16 @@ class _Inputs:
         return outer.hexdigest()
 
 
-class _Command(NamedTuple):
-    help: str
-    # (flag, schema, help) of each input file, in the order the function
-    # takes them; the schema None accepts a document of any schema
-    files: tuple[tuple[str, str | None, str], ...]
-    # (module, function name), or None to echo the parsed document
-    compute: tuple[str, str] | None
-    # "method" for --method, "quad" for --quad and --tol; every command
-    # that computes takes --strict
-    options: str = ""
+# help: the command's help line
+# files: (flag, schema, help) of each input file, in the order the function
+#     takes them; the schema None accepts a document of any schema
+# compute: (module, function name), or None to echo the parsed document
+# options: "method" for --method, "quad" for --quad and --tol; every command
+#     that computes takes --strict
+_Command = namedtuple("_Command", "help files compute options", defaults=("",))
+
+# the choices of --method, its default first
+_METHODS = ("exhaustive", "greedy")
 
 
 # A computing module is imported by name when its command runs. capacity
@@ -163,6 +171,8 @@ _GROUPS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="graddiv",
         description="Divergence and entropy of grading functions on ordered sets.",
@@ -182,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, _, text in command.files:
             p.add_argument(f"--{flag}", required=True, metavar="FILE", help=text)
         if command.options == "method":
-            p.add_argument("--method", choices=("exhaustive", "greedy"), default="exhaustive",
+            p.add_argument("--method", choices=_METHODS, default=_METHODS[0],
                            help="chain search strategy (default: exhaustive)")
         if command.options == "quad":
             p.add_argument("--quad", metavar="FILE", help="quadrature_spec JSON document")
@@ -194,34 +204,98 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _quad_spec(args: argparse.Namespace, inputs: _Inputs) -> QuadratureSpec:
+def _read_argv(argv: list[str]) -> tuple[str, dict[str, Any]] | None:
+    """The command and options of a well-formed command line, or None.
+
+    Well formed means: a command's words, then each of its options at most
+    once, as ``--flag value`` with a value that does not start with "-", or
+    as a lone ``--strict``; a --method among its choices, a --tol that float
+    reads, and every file flag present. The options are then the values
+    build_parser's parse_args gives, by destination. Every other command
+    line is left to argparse.
+    """
+    for name, command in _COMMANDS.items():
+        words = name.split(" ")
+        if argv[:len(words)] == words:
+            break
+    else:
+        return None
+    options: dict[str, Any] = {flag: None for flag, _, _ in command.files}
+    if command.options == "method":
+        options["method"] = _METHODS[0]
+    elif command.options == "quad":
+        options.update(quad=None, tol=None)
+    if command.compute is not None:
+        options["strict"] = False
+    given = set()
+    rest = iter(argv[len(words):])
+    for token in rest:
+        key = token[2:]
+        if token[:2] != "--" or key not in options or key in given:
+            return None
+        given.add(key)
+        if key == "strict":
+            options[key] = True
+            continue
+        value = next(rest, "-")  # a flag with no value is left to argparse
+        if value.startswith("-"):
+            return None
+        if key == "tol":
+            try:
+                value = float(value)
+            except ValueError:
+                return None
+        elif key == "method" and value not in _METHODS:
+            return None
+        options[key] = value
+    if any(options[flag] is None for flag, _, _ in command.files):
+        return None
+    return name, options
+
+
+def _parse_args(argv: list[str], stdout: TextIO, stderr: TextIO) -> tuple[str, dict[str, Any]]:
+    """The command and options build_parser reads from argv; SystemExit for
+    help, version and usage errors."""
+    import contextlib
+
+    parser = build_parser()
+    # argparse prints usage and version to the process streams; route them
+    # to the handles the caller gave us.
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        options = vars(parser.parse_args(argv))
+    group = options.pop("command")
+    action = options.pop("action", None)
+    return (f"{group} {action}" if action else group), options
+
+
+def _quad_spec(options: dict[str, Any], inputs: _Inputs) -> QuadratureSpec:
     from .quadrature import QuadratureSpec
 
     spec = QuadratureSpec()
-    if args.quad is not None:
-        spec = jsonio.quadrature_spec_from_doc(inputs.load("quad", args.quad))
-    if args.tol is not None:
-        spec = QuadratureSpec(args.tol, spec.rel_tol, spec.max_depth)
+    if options["quad"] is not None:
+        spec = jsonio.quadrature_spec_from_doc(inputs.load("quad", options["quad"]))
+    if options["tol"] is not None:
+        spec = QuadratureSpec(options["tol"], spec.rel_tol, spec.max_depth)
     return spec
 
 
-def _execute(name: str, args: argparse.Namespace, inputs: _Inputs) -> dict:
+def _execute(name: str, options: dict[str, Any], inputs: _Inputs) -> dict:
     command = _COMMANDS[name]
     operands = []
     for flag, schema, _ in command.files:
         read = jsonio.parse_document if schema is None else getattr(jsonio, f"{schema}_from_doc")
-        operands.append(read(inputs.load(flag, getattr(args, flag))))
+        operands.append(read(inputs.load(flag, options[flag])))
     if command.compute is None:
         schema, parsed = operands[0]
         return {"schema": schema, "document": jsonio.document_for(schema, parsed)}
     if command.options == "quad":
-        operands.append(_quad_spec(args, inputs))
+        operands.append(_quad_spec(options, inputs))
     module, function = command.compute
     compute = getattr(import_module(f".{module}", __package__), function)
     if command.options == "method":
-        return jsonio.capacity_report_to_doc(compute(*operands, method=args.method))
+        return jsonio.capacity_report_to_doc(compute(*operands, method=options["method"]))
     result = compute(*operands)
-    if args.strict and NEGATIVE_INFINITY in result.flags:
+    if options["strict"] and NEGATIVE_INFINITY in result.flags:
         raise ComputationError("divergence diverged to -inf (strict mode)")
     return jsonio.divergence_result_to_doc(result)
 
@@ -249,21 +323,19 @@ def _emit(
 def run(argv: list[str] | None = None, stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
-    parser = build_parser()
-    try:
-        # argparse prints usage and version to the process streams; route
-        # them to the handles the caller gave us.
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parsed = _read_argv(argv)
+    if parsed is None:
+        try:
+            parsed = _parse_args(argv, stdout, stderr)
+        except SystemExit as exc:
+            return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
-    action = getattr(args, "action", None)
-    command = f"{args.command} {action}" if action else args.command
+    command, options = parsed
     inputs = _Inputs()
     started = time.perf_counter()
     try:
-        result = _execute(command, args, inputs)
+        result = _execute(command, options, inputs)
     except InvalidInputError as exc:
         _emit(stdout, command, inputs, started, error=str(exc))
         print(f"graddiv: invalid input: {exc}", file=stderr)

@@ -39,7 +39,6 @@ from functools import cache
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
-from typing import TYPE_CHECKING, Any
 
 from .discrete import DivergenceResult, ProbabilityVector
 from .errors import InvalidInputError
@@ -48,8 +47,12 @@ from .ordered import GradingSample, as_float, as_floats, as_int
 # capacity, families and quadrature are imported by the readers that build
 # their objects, so parsing a discrete document loads none of them; only a
 # capacity document of capacity._NUMPY_FROM or more elements loads numpy,
-# and none loads scipy.
+# and none loads scipy. typing is read by type checkers only: importing it
+# is a few milliseconds of every process.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Any
+
     from .capacity import Capacity, CapacityEntropyReport
     from .families import ContinuousGrading
     from .quadrature import QuadratureSpec

@@ -23,14 +23,19 @@ Beside the rule sits ``_Record``, the base of every public value class: an
 immutable record of the fields it names in ``_fields``.
 """
 
+from __future__ import annotations
+
 import math
 import numbers
 from collections.abc import Iterable
 from itertools import islice
 from operator import lt, sub
-from typing import Any
 
 from .errors import InvalidInputError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # typing for type checkers only, as in jsonio
+    from typing import Any
 
 __all__ = ["GradingSample", "IncrementPair", "increments", "rate_h"]
 

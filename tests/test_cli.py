@@ -1,10 +1,12 @@
 import argparse
 import ast
+import contextlib
 import hashlib
 import importlib.util
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -28,10 +30,12 @@ from graddiv import (
 )
 from graddiv.capacity import _NUMPY_FROM
 from graddiv.cli import (
+    _COMMANDS,
     EXIT_COMPUTATION,
     EXIT_INVALID_INPUT,
     EXIT_OK,
     EXIT_USAGE,
+    _read_argv,
     build_parser,
     run,
 )
@@ -548,6 +552,153 @@ class TestModuleEntryPoint:
         )
 
 
+def without_elapsed(stdout_text):
+    report = report_of(stdout_text)
+    del report["elapsed_ms"]
+    return report
+
+
+def argparse_output(argv):
+    """(exit code, stdout, stderr) of build_parser().parse_args(argv) for an
+    argv that exits: help, version or a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+    return (EXIT_OK if exc.value.code in (0, None) else EXIT_USAGE), out.getvalue(), err.getvalue()
+
+
+class TestArgparseForms:
+    """The command lines that _read_argv leaves to argparse behave as
+    argparse reads them."""
+
+    @pytest.mark.parametrize("form", [
+        ["--dist={u4}"],
+        ["--dis", "{u4}"],
+        ["--dist", "{coin}", "--dist", "{u4}"],  # the last value wins
+    ], ids=["equals", "abbreviation", "repeated"])
+    def test_lenient_forms_run_as_the_exact_form(self, sample_files, form):
+        argv = ["entropy", "shannon", *(a.format(**sample_files) for a in form)]
+        assert _read_argv(argv) is None
+        code, out, err = invoke(argv)
+        assert (code, err) == (EXIT_OK, "")
+        exact = invoke(["entropy", "shannon", "--dist", sample_files["u4"]])[1]
+        assert without_elapsed(out) == without_elapsed(exact)
+
+    def test_strict_twice_runs_as_strict_once(self, sample_files):
+        argv = ["divergence", "discrete", "--f", sample_files["f_grades"],
+                "--g", sample_files["g_grades"], "--strict"]
+        assert _read_argv([*argv, "--strict"]) is None
+        code, out, err = invoke([*argv, "--strict"])
+        assert (code, err) == (EXIT_OK, "")
+        assert without_elapsed(out) == without_elapsed(invoke(argv)[1])
+
+    def test_negative_tol_is_a_usage_error(self, sample_files):
+        argv = ["divergence", "continuous", "--f", sample_files["beta25"],
+                "--g", sample_files["beta52"], "--tol", "-1e-9"]
+        assert _read_argv(argv) is None
+        code, out, err = invoke(argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(": error: argument --tol: expected one argument\n")
+        assert (code, out, err) == argparse_output(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["entropy", "-h"], ["entropy", "capacity", "-h"], ["validate", "-h"],
+        ["--version"],
+    ], ids=" ".join)
+    def test_help_and_version_print_argparse_text(self, argv):
+        assert _read_argv(argv) is None
+        code, out, err = invoke(argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"graddiv {__version__}" if argv == ["--version"] else "usage: graddiv")
+        assert (code, out, err) == argparse_output(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["entropy"], ["entropy", "shannon"], ["entropy", "shannon", "--dist"],
+        ["entropy", "shannon", "--dist", "x", "extra"], ["entropy", "capacity", "--capacity", "x",
+                                                          "--method", "fast"],
+        ["divergence", "continuous", "--f", "x", "--g", "y", "--tol", "abc"],
+        ["validate", "--input", "x", "--strict"], ["entropy", "shannon", "--", "--dist", "x"],
+    ], ids=lambda argv: " ".join(argv) or "empty")
+    def test_usage_errors_print_argparse_text(self, argv):
+        assert _read_argv(argv) is None
+        code, out, err = invoke(argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert (code, out, err) == argparse_output(argv)
+
+
+# Every option of every command, as argparse stores it, by destination.
+_OPTIONS = sorted({flag for c in _COMMANDS.values() for flag, _, _ in c.files}
+                  | {"method", "quad", "tol", "strict"})
+_PATH = "data/in.json"
+_VALUES = ["", "-", "-x", "1e-3", "-1e-3", "nan", "abc", "greedy"]
+# Each option's own kind of value is weighted up, and most command lines are
+# left unedited, so that about two in three drawn command lines are well
+# formed; uniform draws almost never are.
+_ARG_VALUES = st.sampled_from([_PATH] * 24 + _VALUES)
+_NOISE = st.one_of(
+    st.sampled_from(sorted({w for name in _COMMANDS for w in name.split()})),
+    st.sampled_from([f"--{o}" for o in _OPTIONS]),
+    st.sampled_from([f"--{o}"[:k] for o in _OPTIONS for k in range(3, len(o) + 2)]),
+    st.sampled_from(_OPTIONS).flatmap(lambda o: _ARG_VALUES.map(lambda v: f"--{o}={v}")),
+    st.sampled_from(["-h", "--help", "--version", "--"]),
+    _ARG_VALUES,
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command's words and its options in any order, each value drawn
+    from _ARG_VALUES, then up to three tokens inserted, dropped or
+    replaced."""
+    name = draw(st.sampled_from(list(_COMMANDS)))
+    command = _COMMANDS[name]
+    pairs = [[f"--{flag}", draw(_ARG_VALUES)] for flag, _, _ in command.files]
+    optional = {"method": ["--method", draw(st.sampled_from(["greedy", "exhaustive"] * 6 + _VALUES))],
+                "quad": ["--quad", draw(_ARG_VALUES)],
+                "tol": ["--tol", draw(st.sampled_from(["1e-3", "nan"] * 6 + _VALUES))]}
+    for option in {"method": ["method"], "quad": ["quad", "tol"]}.get(command.options, []):
+        if draw(st.booleans()):
+            pairs.append(optional[option])
+    if command.compute is not None and draw(st.booleans()):
+        pairs.append(["--strict"])
+    argv = name.split() + [a for pair in draw(st.permutations(pairs)) for a in pair]
+    for _ in range(draw(st.sampled_from([0] * 12 + [1, 2, 3]))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "drop", "replace"]))
+        if edit == "insert":
+            argv.insert(at, draw(_NOISE))
+        elif at < len(argv):
+            argv[at:at + 1] = [] if edit == "drop" else [draw(_NOISE)]
+    return argv
+
+
+def _floats_by_repr(options):
+    # nan compares unequal to itself
+    return {k: repr(v) if isinstance(v, float) else v for k, v in options.items()}
+
+
+class TestReadArgv:
+    """_read_argv accepts only command lines that argparse reads to the same
+    options."""
+
+    @settings(max_examples=400)
+    @given(_command_lines())
+    def test_an_accepted_command_line_reads_as_argparse_reads_it(self, argv):
+        read = _read_argv(argv)
+        if read is None:
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                options = vars(build_parser().parse_args(argv))
+            except SystemExit:
+                pytest.fail(f"argparse rejects {argv}: {err.getvalue()}")
+        group, action = options.pop("command"), options.pop("action", None)
+        assert read[0] == (f"{group} {action}" if action else group)
+        assert _floats_by_repr(read[1]) == _floats_by_repr(options)
+
+
 _PRINT_LOADED = """
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
 """
@@ -666,6 +817,31 @@ class TestImportCost:
         # hashlib loads OpenSSL's _hashlib; the digest needs only sha256
         script = _RUN_ARGV + 'print(" ".join(m for m in ("hashlib", "_hashlib") if m in sys.modules))'
         assert modules_printed_by(script, *[sample_files.get(a, a) for a in argv]) == []
+
+    @pytest.mark.parametrize(
+        "argv", [*_DISCRETE_COMMANDS, *_CONTINUOUS_COMMANDS], ids=lambda argv: " ".join(argv)
+    )
+    def test_well_formed_commands_load_no_argparse(self, sample_files, argv):
+        # argparse and gettext are 2-3 ms of import and build_parser 3.5-5 ms
+        script = _RUN_ARGV + 'print(" ".join(m for m in ("argparse", "gettext") if m in sys.modules))'
+        assert modules_printed_by(script, *[sample_files.get(a, a) for a in argv]) == []
+
+    @pytest.mark.parametrize("argv", _CAPACITY_COMMANDS, ids=lambda argv: " ".join(argv[:-1]))
+    def test_well_formed_capacity_commands_load_no_argparse(self, tmp_path, argv):
+        script = _RUN_ARGV + 'print(" ".join(m for m in ("argparse", "gettext") if m in sys.modules))'
+        assert modules_printed_by(script, *argv, capacity_file(tmp_path, 2)) == []
+
+    @pytest.mark.parametrize("argv", _DISCRETE_COMMANDS, ids=lambda argv: " ".join(argv))
+    def test_discrete_commands_load_neither_argparse_nor_typing(self, sample_files, argv):
+        # under -S: a site hook may load typing before graddiv does
+        script = _RUN_ARGV + 'print(" ".join(m for m in ("argparse", "typing") if m in sys.modules))'
+        src = str(Path(graddiv.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *[sample_files.get(a, a) for a in argv]],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_import_graddiv_loads_neither_dataclasses_nor_inspect(self):
         assert introspection_modules_after([]) == []
