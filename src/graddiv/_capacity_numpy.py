@@ -4,12 +4,12 @@ The steps that handle the whole subset lattice, for ground sizes from
 capacity._NUMPY_FROM on: validation (faults), the forward and backward
 passes one popcount layer at a time (theta), the vector prefix step
 within the backward pass, and the map from a run of increments to edge
-terms (edge_terms). capacity imports this module on first use, calls
-faults and theta in place of its own _faults and _theta, and takes its
-chain evaluator's and witness walk's terms from edge_terms; the walk, the
-evaluator and the bisection over bit patterns are capacity's own.
-Smaller capacities never load numpy. numpy's log may differ from math.log
-in the last bit, so one ground size never mixes the two.
+terms (edge_terms). capacity._side gives this module, imported on first
+use, in place of the Python-float side; the walk, the evaluator and the
+bisection over bit patterns are capacity's own. numpy's log may differ
+from math.log in the last bit: one call's search, walk and evaluator take
+their terms from one side, and greedy chooses with math.log at every
+size but folds the value it reports with the side's log.
 
 theta's backward pass prunes as capacity._theta does: it carries only the
 live subsets, those on some minimizing chain, down from layer to layer,
@@ -21,7 +21,7 @@ the live subsets.
 """
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 

@@ -35,19 +35,19 @@ prefix step and the map from increments to edge terms; the evaluator, the
 walk and the bisection over bit patterns are written once, here. In both
 backward passes only the subsets that some minimizing chain passes
 through push bounds down their own cover edges: this side subset by
-subset, the numpy side layer by layer, in blocks. The ground size alone
-selects the side. numpy's log may differ from math.log in the last bit,
-and the argument above needs the search and the evaluator to see the
-same terms, so _term_map gives every step of one ground size its terms
-from the same log.
+subset, the numpy side layer by layer, in blocks. _side alone chooses
+the side, by ground size, once per public call: numpy's log may differ
+from math.log in the last bit, and the argument above needs the search,
+the walk and the evaluator to see the same terms. Greedy chooses with
+math.log on either side and folds its value with the side's terms.
 """
 
 import itertools
 import math
 import struct
+from collections.abc import Iterator, Sequence
 from functools import cache, partial
 from operator import le, or_, sub
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .discrete import DivergenceResult
 from .errors import ComputationError, InvalidInputError
@@ -80,12 +80,6 @@ __all__ = [
 _NUMPY_FROM = 10
 
 
-def _numpy_path():
-    from . import _capacity_numpy
-
-    return _capacity_numpy
-
-
 class Capacity(_Record):
     """A monotone nonnegative set function on all subsets of {1..n}.
 
@@ -115,8 +109,7 @@ class Capacity(_Record):
             raise InvalidInputError(
                 f"need {2**n} subset values for ground_size {n}, got {len(vals)}"
             )
-        faults = _faults if n < _NUMPY_FROM else _numpy_path().faults
-        bad, pair = faults(vals, n)
+        bad, pair = _side(n).faults(vals, n)
         if bad is not None:
             raise InvalidInputError(
                 f"subset values must be finite and >= 0, got {vals[bad]!r}"
@@ -259,26 +252,19 @@ def _beyond_range(value: float) -> ComputationError:
     )
 
 
-def _term_map(n: int) -> Callable[[Sequence[float]], Iterable[float]]:
-    """The map from a run of chain increments to their edge terms for a
-    ground size n: _edge_term below _NUMPY_FROM, numpy's _edge_terms from
-    there on. The one place that decides which log a ground size uses; the
-    lattice passes of each side compute their terms with the same log."""
-    if n < _NUMPY_FROM:
-        return partial(map, _edge_term)
-    return _numpy_path().edge_terms
-
-
-def _chain_value(values: Sequence[float], order: Sequence[int]) -> tuple[float, int]:
-    """The chain's entropy, folded left to right from 0.0, and its number
-    of positive increments: the evaluator shared by every reported value.
+def _chain_value(
+    values: Sequence[float], order: Sequence[int], edge_terms
+) -> tuple[float, int]:
+    """The chain's entropy, its edge_terms folded left to right from 0.0,
+    and its number of positive increments: the evaluator shared by every
+    reported value.
 
     Raises ComputationError when the fold is not finite.
     """
     grades = [values[m] for m in itertools.accumulate((1 << (e - 1) for e in order), or_)]
     incs = list(map(sub, grades, [0.0, *grades]))
     value = 0.0
-    for term in _term_map(len(order))(incs):  # a zero increment adds 0.0
+    for term in edge_terms(incs):  # a zero increment adds 0.0
         value += term
     if not math.isfinite(value):
         raise _beyond_range(value)
@@ -293,7 +279,7 @@ def chain_divergence(mu: Capacity, chain: MaximalChain) -> DivergenceResult:
             f"chain of length {len(chain.order)} does not fit ground size "
             f"{mu.ground_size}"
         )
-    value, terms = _chain_value(mu.values, chain.order)
+    value, terms = _chain_value(mu.values, chain.order, _side(mu.ground_size).edge_terms)
     return DivergenceResult(value=value, terms_used=terms)
 
 
@@ -453,11 +439,10 @@ def _theta(values: Sequence[float], n: int) -> list[float]:
     return theta
 
 
-def _walk(values: Sequence[float], theta: Sequence[float], n: int) -> list[int]:
-    """The first chain, in insertion order, whose fold is the minimum: from
-    the empty set, the smallest element whose rounded prefix stays within
-    theta, step by step."""
-    terms = _term_map(n)
+def _walk(values: Sequence[float], theta: Sequence[float], n: int, edge_terms) -> list[int]:
+    """The first chain, in insertion order, whose fold of edge_terms is the
+    minimum: from the empty set, the smallest element whose rounded prefix
+    stays within theta, step by step."""
     order = []
     free = list(range(n))
     mask = 0
@@ -465,7 +450,7 @@ def _walk(values: Sequence[float], theta: Sequence[float], n: int) -> list[int]:
     for _ in range(n):
         v = values[mask]
         steps = [mask | 1 << e for e in free]
-        for i, term in enumerate(terms([values[s] - v for s in steps])):
+        for i, term in enumerate(edge_terms([values[s] - v for s in steps])):
             prefix = acc + term
             if prefix <= theta[steps[i]]:
                 break
@@ -475,20 +460,27 @@ def _walk(values: Sequence[float], theta: Sequence[float], n: int) -> list[int]:
     return order
 
 
-def _exhaustive(mu: Capacity) -> CapacityEntropyReport:
-    n = mu.ground_size
-    bounds = _theta if n < _NUMPY_FROM else _numpy_path().theta
-    order = _walk(mu.values, bounds(mu.values, n), n)
-    return CapacityEntropyReport(
-        entropy=_chain_value(mu.values, order)[0],
-        argmin_chain=MaximalChain(tuple(order)),
-        chains_examined=math.factorial(n),
-        method="exhaustive",
-    )
+class _Python:
+    """The Python-float side, in _capacity_numpy's names."""
+
+    faults = staticmethod(_faults)
+    theta = staticmethod(_theta)
+    edge_terms = staticmethod(partial(map, _edge_term))
 
 
-def _greedy(mu: Capacity) -> CapacityEntropyReport:
-    n = mu.ground_size
+def _side(n: int):
+    """The side that computes a capacity of n elements, as faults, theta and
+    edge_terms: _Python below _NUMPY_FROM, _capacity_numpy from there on.
+    Read once per public call, so every step of a call sees one log's terms."""
+    if n < _NUMPY_FROM:
+        return _Python
+    from . import _capacity_numpy
+
+    return _capacity_numpy
+
+
+def _greedy(values: Sequence[float], n: int) -> list[int]:
+    """The chain that takes, step by step, the cheapest next edge."""
     order: list[int] = []
     remaining = list(range(1, n + 1))
     mask = 0
@@ -496,19 +488,14 @@ def _greedy(mu: Capacity) -> CapacityEntropyReport:
         best_e = None
         best_term = math.inf
         for e in remaining:  # ascending: ties go to the smallest element
-            term = _edge_term(mu.values[mask | 1 << (e - 1)] - mu.values[mask])
+            term = _edge_term(values[mask | 1 << (e - 1)] - values[mask])
             if term < best_term:
                 best_term = term
                 best_e = e
         order.append(best_e)
         remaining.remove(best_e)
         mask |= 1 << (best_e - 1)
-    return CapacityEntropyReport(
-        entropy=_chain_value(mu.values, order)[0],
-        argmin_chain=MaximalChain(tuple(order)),
-        chains_examined=1,
-        method="greedy",
-    )
+    return order
 
 
 def capacity_entropy(mu: Capacity, method: str = "exhaustive") -> CapacityEntropyReport:
@@ -519,8 +506,17 @@ def capacity_entropy(mu: Capacity, method: str = "exhaustive") -> CapacityEntrop
     builds one chain by repeatedly appending the element with the smallest
     incremental term, an O(n^2) upper bound on the true entropy.
     """
+    if method not in ("exhaustive", "greedy"):
+        raise InvalidInputError(f"unknown method {method!r}")
+    n = mu.ground_size
+    side = _side(n)
     if method == "exhaustive":
-        return _exhaustive(mu)
-    if method == "greedy":
-        return _greedy(mu)
-    raise InvalidInputError(f"unknown method {method!r}")
+        order = _walk(mu.values, side.theta(mu.values, n), n, side.edge_terms)
+    else:
+        order = _greedy(mu.values, n)
+    return CapacityEntropyReport(
+        entropy=_chain_value(mu.values, order, side.edge_terms)[0],
+        argmin_chain=MaximalChain(tuple(order)),
+        chains_examined=math.factorial(n) if method == "exhaustive" else 1,
+        method=method,
+    )

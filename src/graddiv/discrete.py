@@ -63,8 +63,7 @@ class ProbabilityVector(_Record):
         w = as_floats(self.weights, "weights")
         if not w:
             raise InvalidInputError("a probability vector cannot be empty")
-        if not (all(map(math.isfinite, w)) and min(w) >= 0):
-            _reject_nonnegative(w, "weights")
+        _nonnegative(w, "weights")
         try:
             total = math.fsum(w)
         except OverflowError:  # a partial sum left double range
@@ -79,11 +78,13 @@ class ProbabilityVector(_Record):
         return len(self.weights)
 
 
-def _reject_nonnegative(values: tuple[float, ...], name: str) -> None:
-    """Raise for the first value that is not finite or is negative."""
-    for x in values:
-        if not math.isfinite(x) or x < 0:
-            raise InvalidInputError(f"{name} must be finite and >= 0, got {x!r}")
+def _nonnegative(values: tuple[float, ...], name: str) -> tuple[float, ...]:
+    """values, when each is finite and >= 0; otherwise InvalidInputError
+    for the first that is not. The one check of weights and masses."""
+    if not (all(map(math.isfinite, values)) and min(values, default=0.0) >= 0):
+        bad = next(x for x in values if not (math.isfinite(x) and x >= 0))
+        raise InvalidInputError(f"{name} must be finite and >= 0, got {bad!r}")
+    return values
 
 
 class DivergenceResult(_Record):
@@ -258,10 +259,7 @@ def partition_entropy(masses) -> DivergenceResult:
     No normalization is required: masses above 1 contribute negative terms,
     so the total may be negative for non-normalized measures.
     """
-    ms = as_floats(masses, "masses")
-    if not (all(map(math.isfinite, ms)) and min(ms, default=0.0) >= 0):
-        _reject_nonnegative(ms, "masses")
-    return _mass_entropy(ms)
+    return _mass_entropy(_nonnegative(as_floats(masses, "masses"), "masses"))
 
 
 def cdf_grading(f: ProbabilityVector) -> GradingSample:

@@ -8,16 +8,22 @@ scipy.special for Beta and TruncatedNormal), so there is no generic
 root-finding fallback: a new family must supply ``inverse`` itself.
 """
 
+from __future__ import annotations
+
 import abc
 import importlib
 import math
 import sys
 from bisect import bisect_right
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable, ClassVar
 
 from .errors import InvalidInputError
 from .ordered import _Record, _store, as_float, as_floats, log_ratio
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # typing for type checkers only, as in jsonio
+    from typing import ClassVar
 
 __all__ = [
     "ContinuousGrading",
@@ -228,7 +234,9 @@ class Uniform(ContinuousGrading):
         _store(self, "_log_norm_error", _log_rounding(log_height))
 
     def cdf(self, x: float) -> float:
-        return (x - self.a) / (self.b - self.a)
+        a, b = self.a, self.b
+        x = a if x < a else b if x > b else x  # outside the support, the image's end
+        return (x - a) / (b - a)
 
     def density(self, x: float) -> float:
         return 1.0 / (self.b - self.a)
@@ -476,6 +484,8 @@ class TruncatedNormal(ContinuousGrading):
 
     def cdf(self, x: float) -> float:
         side = self._side
+        a, b = self.a, self.b
+        x = a if x < a else b if x > b else x  # outside the support, the image's end
         # + 0.0 turns the mirrored side's -0.0 at a into +0.0
         return side * (_phi(side * self._z(x)) - self._lower) / self._mass + 0.0
 

@@ -40,7 +40,7 @@ from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
 
-from .discrete import DivergenceResult, ProbabilityVector
+from .discrete import DivergenceResult, ProbabilityVector, _nonnegative
 from .errors import InvalidInputError
 from .ordered import GradingSample, as_float, as_floats, as_int
 
@@ -266,7 +266,7 @@ def weights_to_doc(vector: ProbabilityVector) -> dict:
 
 def masses_from_doc(doc: dict) -> tuple[float, ...]:
     _require_keys(doc, frozenset({"masses"}), schema="masses")
-    return _floats(doc["masses"], "masses")
+    return _nonnegative(_floats(doc["masses"], "masses"), "masses")
 
 
 def masses_to_doc(masses: tuple[float, ...]) -> dict:

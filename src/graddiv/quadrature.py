@@ -71,7 +71,7 @@ holds mass beyond the last node fails instead of returning a value.
 import functools
 import math
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import ComputationError, InvalidInputError
 from .ordered import _Record, _store, as_float, as_floats, as_int

@@ -506,6 +506,23 @@ class TestValidate:
         assert code == EXIT_OK
         assert report_of(out)["result"]["schema"] == "quadrature_spec"
 
+    @pytest.mark.parametrize(
+        "masses, error",
+        [
+            ([-1, 2.5], "masses must be finite and >= 0, got -1.0"),
+            ([2.5, -1e-300], "masses must be finite and >= 0, got -1e-300"),
+        ],
+    )
+    def test_masses_are_judged_as_entropy_partition_judges_them(self, tmp_path, masses, error):
+        # README calls masses nonnegative; validate may not accept what the
+        # command refuses
+        path = write(tmp_path, "m.json", {"masses": masses})
+        for argv in (["validate", "--input", path], ["entropy", "partition", "--masses", path]):
+            code, out, err = invoke(argv)
+            assert code == EXIT_INVALID_INPUT, argv
+            assert report_of(out)["error"] == error, argv
+            assert err == f"graddiv: invalid input: {error}\n", argv
+
     def test_validate_rejects_unknown_document(self, tmp_path):
         doc = write(tmp_path, "odd.json", {"spam": 1})
         code, _, _ = invoke(["validate", "--input", doc])
@@ -753,6 +770,20 @@ def capacity_file(tmp_path, n):
     return write(tmp_path, f"cap{n}.json", capacity_to_doc(mu))
 
 
+def argparse_or_typing_after(argv):
+    """Which of argparse and typing a fresh `python -S` process has loaded
+    after running the CLI on argv: without the site hooks, which may load
+    typing before graddiv does."""
+    script = _RUN_ARGV + 'print(" ".join(m for m in ("argparse", "typing") if m in sys.modules))'
+    src = str(Path(graddiv.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 _DISCRETE_COMMANDS = [
     ["divergence", "discrete", "--f", "f_grades", "--g", "g_grades"],
     ["entropy", "shannon", "--dist", "u4"],
@@ -833,15 +864,19 @@ class TestImportCost:
 
     @pytest.mark.parametrize("argv", _DISCRETE_COMMANDS, ids=lambda argv: " ".join(argv))
     def test_discrete_commands_load_neither_argparse_nor_typing(self, sample_files, argv):
-        # under -S: a site hook may load typing before graddiv does
-        script = _RUN_ARGV + 'print(" ".join(m for m in ("argparse", "typing") if m in sys.modules))'
-        src = str(Path(graddiv.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", script, *[sample_files.get(a, a) for a in argv]],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == []
+        assert argparse_or_typing_after([sample_files.get(a, a) for a in argv]) == []
+
+    @pytest.mark.parametrize("argv", _CONTINUOUS_COMMANDS, ids=lambda argv: " ".join(argv))
+    def test_continuous_commands_load_neither_argparse_nor_typing(self, sample_files, argv):
+        assert argparse_or_typing_after([sample_files.get(a, a) for a in argv]) == []
+
+    @pytest.mark.parametrize("argv", _CAPACITY_COMMANDS, ids=lambda argv: " ".join(argv[:-1]))
+    @pytest.mark.parametrize("n", [2, _NUMPY_FROM - 1])
+    def test_capacity_commands_below_the_switch_load_neither_argparse_nor_typing(
+        self, tmp_path, argv, n
+    ):
+        # from the switch on numpy loads typing itself
+        assert argparse_or_typing_after([*argv, capacity_file(tmp_path, n)]) == []
 
     def test_import_graddiv_loads_neither_dataclasses_nor_inspect(self):
         assert introspection_modules_after([]) == []

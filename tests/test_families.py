@@ -232,6 +232,18 @@ class TestGradeStructure:
             assert hi == F.cdf(b)
             assert F.grade_span == hi - lo > 0
 
+    @pytest.mark.parametrize(
+        "F",
+        [*CATALOG, TruncatedNormal(0.5, 0.2, 0.0, 1.0), PiecewiseLinearCdf(((0.0, 0.2), (1.0, 0.9)))],
+        ids=repr,
+    )
+    def test_cdf_outside_the_support_is_the_image_end(self, F):
+        a, b = F.support
+        lo, hi = F.image
+        for w in (2.0**-40 * (b - a), 0.5 * (b - a), b - a, math.inf):
+            assert F.cdf(a - w) == lo, w
+            assert F.cdf(b + w) == hi, w
+
     def test_image_is_kept_outside_the_fields(self):
         for F in CATALOG:
             fresh = type(F)(*(getattr(F, name) for name in F._fields))
