@@ -1,15 +1,16 @@
-"""Capacity validation and lattice passes on numpy arrays.
+"""Capacity monotonicity check and lattice passes on numpy arrays.
 
 The steps that handle the whole subset lattice, for ground sizes from
-capacity._NUMPY_FROM on: validation (faults), the forward and backward
-passes one popcount layer at a time (theta), the vector prefix step
-within the backward pass, and the map from a run of increments to edge
-terms (edge_terms). capacity._side gives this module, imported on first
-use, in place of the Python-float side; the walk, the evaluator and the
-bisection over bit patterns are capacity's own. numpy's log may differ
-from math.log in the last bit: one call's search, walk and evaluator take
-their terms from one side, and greedy chooses with math.log at every
-size but folds the value it reports with the side's log.
+capacity._NUMPY_FROM on: the monotonicity check (faults), the forward
+and backward passes one popcount layer at a time (theta), the vector
+prefix step within the backward pass, and the map from a run of
+increments to edge terms (edge_terms). capacity._side gives this module,
+imported on first use, in place of the Python-float side; the walk, the
+evaluator and the bisection over bit patterns are capacity's own. numpy's
+log may differ from math.log in the last bit: one call's search, walk and
+evaluator take their terms from one side, and greedy chooses with
+math.log at every size but folds the value it reports with the side's
+log.
 
 theta's backward pass prunes as capacity._theta does: it carries only the
 live subsets, those on some minimizing chain, down from layer to layer,
@@ -37,13 +38,10 @@ from .capacity import _beyond_range, _bisect_prefix
 _BLOCK = 1 << 14
 
 
-def faults(vals: Sequence[float], n: int) -> tuple[int | None, tuple[int, int] | None]:
-    """capacity._faults on numpy arrays: the index of the first value that
-    is not finite and >= 0, or else the first decreasing cover pair."""
+def faults(vals: Sequence[float], n: int) -> tuple[int, int] | None:
+    """capacity._faults on numpy arrays: the first decreasing cover pair,
+    or None."""
     arr = np.asarray(vals)
-    bad = np.flatnonzero(~(np.isfinite(arr) & (arr >= 0)))
-    if bad.size:
-        return int(bad[0]), None
     for e in range(n):
         bit = 1 << e
         # rows of the view run over the masks above bit e, [:, 0] holds
@@ -53,8 +51,8 @@ def faults(vals: Sequence[float], n: int) -> tuple[int | None, tuple[int, int] |
         if bad.size:
             row, low = divmod(int(bad[0]), bit)
             m = row * 2 * bit + low
-            return None, (m, m | bit)
-    return None, None
+            return m, m | bit
+    return None
 
 
 def _edge_terms(inc: np.ndarray) -> np.ndarray:

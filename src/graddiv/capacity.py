@@ -30,9 +30,10 @@ Two implementations. Below _NUMPY_FROM elements a capacity is computed
 on Python floats with math.log, subset by subset over a table of each
 subset's cover edges built once per ground size, and never loads numpy.
 From there on numpy (module _capacity_numpy, imported on first use) does
-validation, the two passes, a popcount layer at a time, their vector
-prefix step and the map from increments to edge terms; the evaluator, the
-walk and the bisection over bit patterns are written once, here. In both
+the monotonicity check, the two passes, a popcount layer at a time, their
+vector prefix step and the map from increments to edge terms; the
+finite-and-nonnegative rule (ordered.nonnegative), the evaluator, the
+walk and the bisection over bit patterns are written once. In both
 backward passes only the subsets that some minimizing chain passes
 through push bounds down their own cover edges: this side subset by
 subset, the numpy side layer by layer, in blocks. _side alone chooses
@@ -51,7 +52,7 @@ from operator import le, or_, sub
 
 from .discrete import DivergenceResult
 from .errors import ComputationError, InvalidInputError
-from .ordered import _Record, _store, as_floats, as_int
+from .ordered import _Record, _store, as_floats, as_int, nonnegative
 
 __all__ = [
     "Capacity",
@@ -109,13 +110,10 @@ class Capacity(_Record):
             raise InvalidInputError(
                 f"need {2**n} subset values for ground_size {n}, got {len(vals)}"
             )
-        bad, pair = _side(n).faults(vals, n)
-        if bad is not None:
-            raise InvalidInputError(
-                f"subset values must be finite and >= 0, got {vals[bad]!r}"
-            )
+        nonnegative(vals, "subset values")
         if vals[0] != 0.0:
             raise InvalidInputError(f"the empty set must have value 0, got {vals[0]!r}")
+        pair = _side(n).faults(vals, n)
         if pair is not None:
             low, high = pair
             raise InvalidInputError(
@@ -154,14 +152,10 @@ def _mask_name(mask: int) -> str:
     return "{" + _mask_key(mask) + "}"
 
 
-def _faults(vals: Sequence[float], n: int) -> tuple[int | None, tuple[int, int] | None]:
-    """The index of the first value that is not finite and >= 0, or, when
-    every value is, the first cover pair (A, A + {e}) with value(A) >
-    value(A + {e}) as two masks, elements in order, then subsets A in
-    index order. None stands for no such fault."""
-    if not (all(map(math.isfinite, vals)) and min(vals) >= 0):
-        bad = next(i for i, v in enumerate(vals) if not (math.isfinite(v) and v >= 0))
-        return bad, None
+def _faults(vals: Sequence[float], n: int) -> tuple[int, int] | None:
+    """The first cover pair (A, A + {e}) with value(A) > value(A + {e}) as
+    two masks, elements in order, then subsets A in index order, or None
+    when the values, each finite and >= 0, are monotone."""
     size = len(vals)
     for e in range(n):
         bit = 1 << e
@@ -176,8 +170,8 @@ def _faults(vals: Sequence[float], n: int) -> tuple[int | None, tuple[int, int] 
             pieces = ((vals[b:b + bit], vals[b + bit:b + step]) for b in range(0, size, step))
         if not all(all(map(le, without, with_e)) for without, with_e in pieces):
             m = next(m for m in range(size) if not m & bit and vals[m] > vals[m | bit])
-            return None, (m, m | bit)
-    return None, None
+            return m, m | bit
+    return None
 
 
 class MaximalChain(_Record):

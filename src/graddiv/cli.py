@@ -25,7 +25,6 @@ import sys
 import time
 from collections import namedtuple
 from importlib import import_module
-from pathlib import Path
 
 from . import __version__, jsonio
 from .discrete import NEGATIVE_INFINITY
@@ -65,8 +64,11 @@ class _Inputs:
         self.raw: dict[str, bytes] = {}
 
     def load(self, name: str, path: str) -> Any:
+        # open, not pathlib: the error names the path as given, unnormalized,
+        # and a process spares pathlib's import
         try:
-            data = Path(path).read_bytes()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise InvalidInputError(f"cannot read --{name} file {path!r}: {exc}") from exc
         self.raw[name] = data

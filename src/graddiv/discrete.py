@@ -13,7 +13,7 @@ the last bits of about half the terms.
 Every sum is a left-to-right ``+=`` over the terms in input order, so a
 result is reproducible bit for bit; the builtin ``sum`` is avoided because
 it compensates from Python 3.12 on. Weights and masses are converted by
-``ordered.as_floats`` and checked in C-level builtin passes. Every result
+``ordered.as_floats`` and checked by ``ordered.nonnegative``. Every result
 of this module and of ``continuous`` is built by ``_result``, which
 refuses a value that left double range.
 """
@@ -24,7 +24,7 @@ from itertools import accumulate, islice
 from operator import sub
 
 from .errors import ComputationError, InvalidInputError
-from .ordered import GradingSample, _Record, _store, as_floats, as_int
+from .ordered import GradingSample, _Record, _store, as_floats, as_int, nonnegative
 
 __all__ = [
     "ProbabilityVector",
@@ -60,10 +60,9 @@ class ProbabilityVector(_Record):
         self.__post_init__()
 
     def __post_init__(self):
-        w = as_floats(self.weights, "weights")
+        w = nonnegative(as_floats(self.weights, "weights"), "weights")
         if not w:
             raise InvalidInputError("a probability vector cannot be empty")
-        _nonnegative(w, "weights")
         try:
             total = math.fsum(w)
         except OverflowError:  # a partial sum left double range
@@ -76,15 +75,6 @@ class ProbabilityVector(_Record):
 
     def __len__(self) -> int:
         return len(self.weights)
-
-
-def _nonnegative(values: tuple[float, ...], name: str) -> tuple[float, ...]:
-    """values, when each is finite and >= 0; otherwise InvalidInputError
-    for the first that is not. The one check of weights and masses."""
-    if not (all(map(math.isfinite, values)) and min(values, default=0.0) >= 0):
-        bad = next(x for x in values if not (math.isfinite(x) and x >= 0))
-        raise InvalidInputError(f"{name} must be finite and >= 0, got {bad!r}")
-    return values
 
 
 class DivergenceResult(_Record):
@@ -121,8 +111,13 @@ class DivergenceResult(_Record):
         unknown = self.flags - _KNOWN_FLAGS
         if unknown:
             raise InvalidInputError(f"unknown result flags: {sorted(unknown)}")
-        if self.terms_used < 0 or self.dropped_mass < 0:
+        # not >= 0 refuses NaN as well as a negative value
+        if self.terms_used < 0 or not self.dropped_mass >= 0:
             raise InvalidInputError("terms_used and dropped_mass must be >= 0")
+        if not self.error_estimate >= 0:
+            raise InvalidInputError(
+                f"error_estimate must be >= 0, got {self.error_estimate!r}"
+            )
         if math.isfinite(self.value) == (NEGATIVE_INFINITY in self.flags):
             raise InvalidInputError(
                 "value must be finite exactly when negative_infinity is not flagged"
@@ -259,7 +254,7 @@ def partition_entropy(masses) -> DivergenceResult:
     No normalization is required: masses above 1 contribute negative terms,
     so the total may be negative for non-normalized measures.
     """
-    return _mass_entropy(_nonnegative(as_floats(masses, "masses"), "masses"))
+    return _mass_entropy(nonnegative(as_floats(masses, "masses"), "masses"))
 
 
 def cdf_grading(f: ProbabilityVector) -> GradingSample:

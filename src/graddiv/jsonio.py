@@ -17,10 +17,10 @@ layout, a process that alternated such echoes with reading 1e5-element
 documents grew its resident set by about 2 MB per echo.
 
 Reading judges numbers by the rule the constructors apply
-(``ordered.as_float``, ``as_floats`` and ``as_int``) and converts each
-element once: the grades and weights readers hand the decoded list to the
-constructor, which converts it; the other readers convert their arrays
-themselves.
+(``ordered.as_float``, ``as_floats``, ``as_int`` and, for masses,
+``nonnegative``) and converts each element once: the grades and weights
+readers hand the decoded list to the constructor, which converts it; the
+other readers convert their arrays themselves.
 
 A capacity document whose keys are the canonical subset keys in mask
 order, as ``capacity_to_doc`` builds it, is read in document order: one
@@ -40,9 +40,9 @@ from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
 
-from .discrete import DivergenceResult, ProbabilityVector, _nonnegative
+from .discrete import DivergenceResult, ProbabilityVector
 from .errors import InvalidInputError
-from .ordered import GradingSample, as_float, as_floats, as_int
+from .ordered import GradingSample, as_float, as_floats, as_int, nonnegative
 
 # capacity, families and quadrature are imported by the readers that build
 # their objects, so parsing a discrete document loads none of them; only a
@@ -266,7 +266,7 @@ def weights_to_doc(vector: ProbabilityVector) -> dict:
 
 def masses_from_doc(doc: dict) -> tuple[float, ...]:
     _require_keys(doc, frozenset({"masses"}), schema="masses")
-    return _nonnegative(_floats(doc["masses"], "masses"), "masses")
+    return nonnegative(_floats(doc["masses"], "masses"), "masses")
 
 
 def masses_to_doc(masses: tuple[float, ...]) -> dict:

@@ -14,10 +14,13 @@ constructor and reader applies: ``as_float`` for a real, ``as_floats`` for
 an array of reals and ``as_int`` for a count. A real is a ``numbers.Real``
 other than a bool (so ints, floats and numpy scalars) that converts to a
 double; a count is a ``numbers.Integral`` other than a bool. Anything else
-is an InvalidInputError naming where it was found. Arrays are converted
-and checked in C-level builtin passes (``map``, ``all``) rather than a
-Python loop per element; only an array that fails a check is walked again,
-element by element, to name its first offender.
+is an InvalidInputError naming where it was found. ``nonnegative`` is the
+one rule for an array of weights, masses or capacity values: each finite
+and >= 0. Arrays are converted and checked in C-level builtin passes
+(``map``, ``all``, ``min``, ``sum``) rather than a Python loop per element;
+only an array that fails a check is walked again, element by element, to
+name its first offender. ``numbers`` is imported only to judge a value
+that is neither an exact float nor an exact int.
 
 Beside the rule sits ``_Record``, the base of every public value class: an
 immutable record of the fields it names in ``_fields``.
@@ -26,7 +29,6 @@ immutable record of the fields it names in ``_fields``.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from itertools import islice
 from operator import lt, sub
@@ -41,6 +43,10 @@ __all__ = ["GradingSample", "IncrementPair", "increments", "rate_h"]
 
 
 def _is_number_type(t: type) -> bool:
+    if t is float or t is int:
+        return True
+    import numbers
+
     return t is not bool and issubclass(t, numbers.Real)
 
 
@@ -60,6 +66,8 @@ def as_int(value: Any, where: str) -> int:
     """``value`` as an int, or InvalidInputError naming ``where``."""
     if type(value) is int:
         return value
+    import numbers
+
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"{where} must be an integer, got {value!r}")
     return int(value)
@@ -89,6 +97,18 @@ def as_floats(values: Iterable, where: str) -> tuple[float, ...]:
         except OverflowError:
             pass  # the walk below names the integer beyond float range
     return tuple(as_float(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+def nonnegative(values: tuple[float, ...], where: str) -> tuple[float, ...]:
+    """The floats ``values`` when each is finite and >= 0; otherwise
+    InvalidInputError naming the first that is not. A NaN or an infinity
+    leaves the sum not finite; a walk that finds no offender accepts valid
+    values whose sum overflows, such as (1e308, 1e308)."""
+    if not (min(values, default=0.0) >= 0 and math.isfinite(sum(values))):
+        for x in values:
+            if not (math.isfinite(x) and x >= 0):
+                raise InvalidInputError(f"{where} must be finite and >= 0, got {x!r}")
+    return values
 
 
 # stores a field past _Record.__setattr__: constructors and their

@@ -96,6 +96,24 @@ class TestCapacity:
                     f"subset values must be finite and >= 0, got {shown}"
                 ), side
 
+    def test_faults_are_named_in_order(self):
+        # length, then a value not finite and >= 0, then the empty set, then
+        # monotonicity: one input with the last three, mended one at a time
+        faulty = [0.5, 0.7, -0.25, 0.6]
+        steps = [
+            (faulty + [1.0], "need 4 subset values for ground_size 2, got 5"),
+            (faulty, "subset values must be finite and >= 0, got -0.25"),
+            ([0.5, 0.7, 0.8, 0.6], "the empty set must have value 0, got 0.5"),
+            ([0.0, 0.7, 0.8, 0.6], "capacity is not monotone: value({2})=0.8 > value({1,2})=0.6"),
+        ]
+        for side in SIDES:
+            for values, message in steps:
+                with computed_on(side), pytest.raises(InvalidInputError) as exc:
+                    Capacity(2, values)
+                assert str(exc.value) == message, side
+            with computed_on(side):
+                assert Capacity(2, [0.0, 0.7, 0.8, 0.9]).values == (0.0, 0.7, 0.8, 0.9)
+
     def test_values_are_stored_as_python_floats(self):
         mu = Capacity(2, (0, np.float64(0.5), 1, np.float32(1.5)))
         assert mu.values == (0.0, 0.5, 1.0, 1.5)

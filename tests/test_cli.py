@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import io
@@ -159,6 +160,23 @@ class TestExitCodes:
              "--g", sample_files["g_grades"]]
         )
         assert code == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize(
+        "path, code",
+        [("./missing.json", errno.ENOENT), ("", errno.ENOENT), ("a//x", errno.ENOENT),
+         ("u4.json/", errno.ENOTDIR)],
+        ids=["dot slash", "empty", "double slash", "trailing slash after a file"],
+    )
+    def test_unreadable_file_is_named_as_given(self, tmp_path, monkeypatch, path, code):
+        # open() reports the path as the command line gives it, unnormalized:
+        # "" is no file, not the directory ".", and "u4.json/" is no directory
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "u4.json", {"weights": [0.25, 0.25, 0.25, 0.25]})
+        exit_code, out, err = invoke(["entropy", "shannon", "--dist", path])
+        error = f"cannot read --dist file {path!r}: [Errno {code}] {os.strerror(code)}: {path!r}"
+        assert exit_code == EXIT_INVALID_INPUT
+        assert report_of(out)["error"] == error
+        assert err == f"graddiv: invalid input: {error}\n"
 
     def test_invalid_input_bad_sample(self, tmp_path, sample_files):
         bad = write(tmp_path, "bad_sample.json", {"grades": [1.0, 1.0]})
@@ -771,10 +789,14 @@ def capacity_file(tmp_path, n):
 
 
 def argparse_or_typing_after(argv):
-    """Which of argparse and typing a fresh `python -S` process has loaded
+    return clean_modules_after(argv, ("argparse", "typing"))
+
+
+def clean_modules_after(argv, names):
+    """Which of the modules names a fresh `python -S` process has loaded
     after running the CLI on argv: without the site hooks, which may load
-    typing before graddiv does."""
-    script = _RUN_ARGV + 'print(" ".join(m for m in ("argparse", "typing") if m in sys.modules))'
+    typing and pathlib before graddiv does."""
+    script = _RUN_ARGV + f'print(" ".join(m for m in {names!r} if m in sys.modules))'
     src = str(Path(graddiv.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script, *argv],
@@ -865,6 +887,13 @@ class TestImportCost:
     @pytest.mark.parametrize("argv", _DISCRETE_COMMANDS, ids=lambda argv: " ".join(argv))
     def test_discrete_commands_load_neither_argparse_nor_typing(self, sample_files, argv):
         assert argparse_or_typing_after([sample_files.get(a, a) for a in argv]) == []
+
+    @pytest.mark.parametrize("argv", _DISCRETE_COMMANDS, ids=lambda argv: " ".join(argv))
+    def test_discrete_commands_load_neither_numbers_nor_pathlib(self, sample_files, argv):
+        # numbers is 0.7 ms of import and pathlib about 5 ms under -S; the
+        # sample files hold ints as well as floats, which skip numbers too
+        names = ("numbers", "pathlib")
+        assert clean_modules_after([sample_files.get(a, a) for a in argv], names) == []
 
     @pytest.mark.parametrize("argv", _CONTINUOUS_COMMANDS, ids=lambda argv: " ".join(argv))
     def test_continuous_commands_load_neither_argparse_nor_typing(self, sample_files, argv):

@@ -142,6 +142,20 @@ class TestDivergenceResult:
         with pytest.raises(InvalidInputError):
             DivergenceResult(value=0.0, terms_used=1, dropped_mass=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("dropped_mass", _NAN), ("error_estimate", -1.0), ("error_estimate", _NAN),
+         ("error_estimate", -5e-324)],
+    )
+    def test_diagnostics_that_bound_nothing_rejected(self, field, bad):
+        # a NaN or a negative estimate cannot bound any error
+        with pytest.raises(InvalidInputError, match=field):
+            DivergenceResult(value=0.0, terms_used=1, **{field: bad})
+
+    def test_zero_and_infinite_diagnostics_accepted(self):
+        r = DivergenceResult(value=0.0, terms_used=1, dropped_mass=-0.0, error_estimate=_INF)
+        assert (r.dropped_mass, r.error_estimate) == (0.0, _INF)
+
 
 class TestDivergenceDiscrete:
     def test_doubling_grading(self):

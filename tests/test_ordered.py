@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from graddiv import (
     Beta,
     Capacity,
+    ComputationError,
     GradingSample,
     IncrementPair,
     InvalidInputError,
@@ -30,8 +31,9 @@ from graddiv import (
     rate_h,
     riemann_divergence,
 )
+from graddiv.capacity import _NUMPY_FROM
 from graddiv.jsonio import masses_from_doc
-from graddiv.ordered import as_floats
+from graddiv.ordered import as_floats, nonnegative
 
 from conftest import grading_samples
 
@@ -263,6 +265,90 @@ class TestScalarIntake:
         P2 = Power(2.0)
         assert riemann_divergence(P2, _U, np.int64(10)) == riemann_divergence(P2, _U, 10)
         assert [c.order for c in enumerate_chains(np.int64(2))] == [(1, 2), (2, 1)]
+
+
+def _first_offender(values):
+    """The plain-loop oracle of ordered.nonnegative: the first value that is
+    not finite and >= 0, or None."""
+    for x in values:
+        if not (math.isfinite(x) and x >= 0):
+            return x
+    return None
+
+
+# NaN, both infinities, the negatives nearest zero, both zeros, subnormals
+# and values that are valid alone but whose sum overflows, mixed with any
+# float at all
+_EDGES = [math.nan, math.inf, -math.inf, -5e-324, -1e-308, -1.0, -0.0, 0.0, 5e-324,
+          2.2250738585072014e-308, 1.0, 1e308, 1.7976931348623157e308]
+_MIXED = st.lists(st.one_of(st.sampled_from(_EDGES), st.floats()), max_size=7)
+_RULE_EXAMPLES = [[1e308, 1e308], [1.7976931348623157e308] * 3, [-0.0, 5e-324],
+                  [1e308, 1e308, math.nan], [2.0, math.nan, -1.0], [math.nan, -5e-324],
+                  [1e308, -5e-324, math.inf], []]
+
+
+def _with_examples(test):
+    for values in _RULE_EXAMPLES:
+        test = example(values)(test)
+    return test
+
+
+def _refusal(build, values):
+    """The message of the InvalidInputError that build(values) raises, or
+    None when it raises none (a ComputationError counts as none)."""
+    try:
+        build(values)
+    except InvalidInputError as exc:
+        return str(exc)
+    except ComputationError:
+        pass
+    return None
+
+
+def _capacity_of(n):
+    """A Capacity of n elements whose values at masks 1, 2, ... are the
+    given values; the rest are valid, and monotone."""
+    def build(values):
+        vals = [float(bin(m).count("1")) for m in range(1 << n)]
+        vals[1:1 + len(values)] = values
+        return Capacity(n, vals)
+    return build
+
+
+class TestNonnegative:
+    """ordered.nonnegative is the one rule for weights, masses and capacity
+    values: each finite and >= 0, else the first that is not is named."""
+
+    @given(_MIXED)
+    @_with_examples
+    def test_accepts_exactly_finite_nonnegative_values(self, values):
+        values = tuple(values)
+        bad = _first_offender(values)
+        if bad is None:
+            assert nonnegative(values, "v") is values
+        else:
+            with pytest.raises(InvalidInputError) as exc:
+                nonnegative(values, "v")
+            assert str(exc.value) == f"v must be finite and >= 0, got {bad!r}"
+
+    @given(_MIXED)
+    @_with_examples
+    def test_every_caller_names_the_same_offender(self, values):
+        bad = _first_offender(values)
+        callers = [
+            ("weights", ProbabilityVector),
+            ("masses", lambda v: masses_from_doc({"masses": v})),
+            ("masses", partition_entropy),
+            ("subset values", _capacity_of(3)),
+            ("subset values", _capacity_of(_NUMPY_FROM)),
+        ]
+        for where, build in callers:
+            refusal = _refusal(build, list(values))
+            if bad is None:
+                # refused, if at all, for a fault other than the rule's
+                assert refusal is None or "finite and >= 0" not in refusal, where
+            else:
+                assert refusal == f"{where} must be finite and >= 0, got {bad!r}", where
 
 
 class TestIncrements:
