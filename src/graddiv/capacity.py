@@ -52,7 +52,7 @@ from operator import le, or_, sub
 
 from .discrete import DivergenceResult
 from .errors import ComputationError, InvalidInputError
-from .ordered import _Record, _store, as_floats, as_int, nonnegative
+from .ordered import _Record, _store, as_float, as_floats, as_int, nonnegative
 
 __all__ = [
     "Capacity",
@@ -278,7 +278,11 @@ def chain_divergence(mu: Capacity, chain: MaximalChain) -> DivergenceResult:
 
 
 class CapacityEntropyReport(_Record):
-    """Capacity entropy plus the chain witnessing the reported value."""
+    """Capacity entropy plus the chain witnessing the reported value.
+
+    entropy is a finite real (``ordered.as_float``), argmin_chain a
+    MaximalChain and chains_examined a count (``ordered.as_int``).
+    """
 
     entropy: float
     argmin_chain: MaximalChain
@@ -296,6 +300,14 @@ class CapacityEntropyReport(_Record):
         self.__post_init__()
 
     def __post_init__(self):
+        _store(self, "entropy", as_float(self.entropy, "entropy"))
+        if not math.isfinite(self.entropy):
+            raise InvalidInputError(f"entropy must be finite, got {self.entropy!r}")
+        if not isinstance(self.argmin_chain, MaximalChain):
+            raise InvalidInputError(
+                f"argmin_chain must be a MaximalChain, got {self.argmin_chain!r}"
+            )
+        _store(self, "chains_examined", as_int(self.chains_examined, "chains_examined"))
         if self.method not in ("exhaustive", "greedy"):
             raise InvalidInputError(f"unknown method {self.method!r}")
         total = math.factorial(len(self.argmin_chain.order))

@@ -24,7 +24,7 @@ from itertools import accumulate, islice
 from operator import sub
 
 from .errors import ComputationError, InvalidInputError
-from .ordered import GradingSample, _Record, _store, as_floats, as_int, nonnegative
+from .ordered import GradingSample, _Record, _store, as_float, as_floats, as_int, nonnegative
 
 __all__ = [
     "ProbabilityVector",
@@ -85,7 +85,8 @@ class DivergenceResult(_Record):
     attached to terms that could not enter it: zero-mass terms contribute
     nothing, and terms whose reference increment is zero force the value
     to -inf, recorded by the ``negative_infinity`` flag. error_estimate
-    is nonzero only for quadrature-backed results.
+    is nonzero only for quadrature-backed results. The reals are judged by
+    ``ordered.as_float`` and terms_used by ``as_int``.
     """
 
     value: float
@@ -107,6 +108,10 @@ class DivergenceResult(_Record):
         self.__post_init__()
 
     def __post_init__(self):
+        _store(self, "value", as_float(self.value, "value"))
+        _store(self, "terms_used", as_int(self.terms_used, "terms_used"))
+        _store(self, "dropped_mass", as_float(self.dropped_mass, "dropped_mass"))
+        _store(self, "error_estimate", as_float(self.error_estimate, "error_estimate"))
         _store(self, "flags", frozenset(self.flags))
         unknown = self.flags - _KNOWN_FLAGS
         if unknown:

@@ -19,7 +19,7 @@ from collections.abc import Callable
 from functools import cached_property
 
 from .errors import InvalidInputError
-from .ordered import _Record, _store, as_float, as_floats, log_ratio
+from .ordered import _Record, _store, as_float, as_floats, interval, log_ratio
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # typing for type checkers only, as in jsonio
@@ -110,18 +110,6 @@ def _log_beta_rounding(alpha: float, beta: float) -> float:
     return 8.0 * _EPS * (1.0 + size)
 
 
-def _check_interval(a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidInputError(f"support endpoints must be finite, got [{a!r}, {b!r}]")
-    if not a < b:
-        raise InvalidInputError(f"support must satisfy a < b, got [{a!r}, {b!r}]")
-    # every density and cdf divides by the width, so it must be a double
-    if not math.isfinite(b - a):
-        raise InvalidInputError(
-            f"support [{a!r}, {b!r}] overflows: its width is not a finite double"
-        )
-
-
 class ContinuousGrading(_Record, abc.ABC):
     """A cdf/density pair acting as a grading function on [a, b].
 
@@ -152,7 +140,7 @@ class ContinuousGrading(_Record, abc.ABC):
     def __post_init__(self):
         for name in self._fields:
             _store(self, name, as_float(getattr(self, name), name))
-        _check_interval(*self.support)
+        interval(*self.support, "support")
         self._validate()
 
     def _validate(self) -> None:
@@ -595,11 +583,8 @@ class PiecewiseLinearCdf(ContinuousGrading):
                     f"got {knots[k - 1]!r} then {knots[k]!r}"
                 )
         (x0, y0), (xn, yn) = knots[0], knots[-1]
-        _check_interval(x0, xn)
-        if not math.isfinite(yn - y0):
-            raise InvalidInputError(
-                f"grade span [{y0!r}, {yn!r}] overflows: its width is not a finite double"
-            )
+        interval(x0, xn, "support")
+        interval(y0, yn, "grade span")
         _store(self, "knots", knots)
         # knot coordinates for bisection, ln of each segment's slope, which
         # may overflow where its logarithm does not, and the largest

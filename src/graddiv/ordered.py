@@ -16,11 +16,13 @@ other than a bool (so ints, floats and numpy scalars) that converts to a
 double; a count is a ``numbers.Integral`` other than a bool. Anything else
 is an InvalidInputError naming where it was found. ``nonnegative`` is the
 one rule for an array of weights, masses or capacity values: each finite
-and >= 0. Arrays are converted and checked in C-level builtin passes
-(``map``, ``all``, ``min``, ``sum``) rather than a Python loop per element;
-only an array that fails a check is walked again, element by element, to
-name its first offender. ``numbers`` is imported only to judge a value
-that is neither an exact float nor an exact int.
+and >= 0. ``interval`` is the one rule for a support, a grade span or an
+integration interval [a, b]: finite ends, a < b and a width that is a
+finite double. Arrays are converted and checked in C-level builtin passes
+(``map``, ``all``, ``min``, ``sum``) rather than a Python loop per
+element; only an array that fails a check is walked again, element by
+element, to name its first offender. ``numbers`` is imported only to
+judge a value that is neither an exact float nor an exact int.
 
 Beside the rule sits ``_Record``, the base of every public value class: an
 immutable record of the fields it names in ``_fields``.
@@ -109,6 +111,21 @@ def nonnegative(values: tuple[float, ...], where: str) -> tuple[float, ...]:
             if not (math.isfinite(x) and x >= 0):
                 raise InvalidInputError(f"{where} must be finite and >= 0, got {x!r}")
     return values
+
+
+def interval(a: float, b: float, where: str) -> tuple[float, float]:
+    """The floats (a, b) when both are finite, a < b and the width b - a is
+    a finite double; otherwise InvalidInputError naming ``where``."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidInputError(f"{where} endpoints must be finite, got [{a!r}, {b!r}]")
+    if not a < b:
+        raise InvalidInputError(f"{where} must satisfy a < b, got [{a!r}, {b!r}]")
+    # densities, cdfs and quadrature nodes divide or scale by the width
+    if not math.isfinite(b - a):
+        raise InvalidInputError(
+            f"{where} [{a!r}, {b!r}] overflows: its width is not a finite double"
+        )
+    return a, b
 
 
 # stores a field past _Record.__setattr__: constructors and their
@@ -220,10 +237,7 @@ def _reject_grades(grades: tuple[float, ...]) -> None:
                 f"grades[{k}]={grades[k]!r} <= grades[{k - 1}]={grades[k - 1]!r}"
             )
     # every increment is at most the span, so one check keeps them finite
-    raise InvalidInputError(
-        f"grade span [{grades[0]!r}, {grades[-1]!r}] overflows: its width "
-        "is not a finite double"
-    )
+    interval(grades[0], grades[-1], "grade span")
 
 
 class IncrementPair(_Record):

@@ -74,7 +74,7 @@ import sys
 from collections.abc import Callable, Sequence
 
 from .errors import ComputationError, InvalidInputError
-from .ordered import _Record, _store, as_float, as_floats, as_int
+from .ordered import _Record, _store, as_float, as_floats, as_int, interval, nonnegative
 
 __all__ = ["QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"]
 
@@ -202,11 +202,10 @@ def integrate_adaptive(
     misses the budget after min(max_depth, _LEVELS) levels, or as soon as
     the tail beyond the last nodes alone exceeds it and stops shrinking.
     A sum beyond double range is returned at once, with an infinite
-    estimate.
+    estimate. An interval that ordered.interval refuses, or a mass that is
+    not finite and >= 0, is an InvalidInputError before fn is called.
     """
-    a, b = as_float(a, "a"), as_float(b, "b")
-    if not a < b:
-        raise InvalidInputError(f"integration interval needs a < b, got [{a!r}, {b!r}]")
+    a, b = interval(as_float(a, "a"), as_float(b, "b"), "integration interval")
     cuts = sorted({c for c in as_floats(breakpoints, "breakpoints") if a < c < b})
     bounds = [a, *cuts, b]
     # (lo, hi, width, lo - a, b - hi) per segment
@@ -216,6 +215,7 @@ def integrate_adaptive(
             return fn(x, da, db), 0.0
     else:
         mass = as_float(mass, "mass")
+        nonnegative((mass,), "mass")
         pair = fn
 
     levels = min(spec.max_depth, _LEVELS)

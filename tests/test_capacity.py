@@ -725,6 +725,20 @@ class TestLargestPrefix:
 
 
 class TestCapacityEntropyReport:
+    @pytest.mark.parametrize(
+        "entropy, chain, examined, message",
+        [
+            (math.nan, MaximalChain((2, 1)), 2, "entropy must be finite, got nan"),
+            (-math.inf, MaximalChain((2, 1)), 2, "entropy must be finite, got -inf"),
+            (0.5, (2, 1), 2, "argmin_chain must be a MaximalChain, got (2, 1)"),
+            (0.5, MaximalChain((2, 1)), 2.0, "chains_examined must be an integer, got 2.0"),
+        ],
+    )
+    def test_fields_follow_the_number_rule(self, entropy, chain, examined, message):
+        with pytest.raises(InvalidInputError) as exc:
+            CapacityEntropyReport(entropy, chain, examined, "exhaustive")
+        assert str(exc.value) == message
+
     def test_exhaustive_report_requires_full_count(self):
         with pytest.raises(InvalidInputError):
             CapacityEntropyReport(

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from graddiv import (
     Beta,
     Capacity,
+    CapacityEntropyReport,
     ComputationError,
+    DivergenceResult,
     GradingSample,
     IncrementPair,
     InvalidInputError,
@@ -32,8 +34,8 @@ from graddiv import (
     riemann_divergence,
 )
 from graddiv.capacity import _NUMPY_FROM
-from graddiv.jsonio import masses_from_doc
-from graddiv.ordered import as_floats, nonnegative
+from graddiv.jsonio import continuous_grading_from_doc, masses_from_doc
+from graddiv.ordered import as_floats, interval, nonnegative
 
 from conftest import grading_samples
 
@@ -185,6 +187,7 @@ class TestIntake:
 # each argument judged by as_float (a real) or as_int (a count): a call
 # that puts a value in that argument, and the name the error gives it
 _U = Uniform(0.0, 1.0)
+_CHAIN = MaximalChain((2, 1))
 _REALS = [
     ("Uniform", lambda v: Uniform(0.0, v), "b"),
     ("Triangular", lambda v: Triangular(0.0, v, 1.0), "c"),
@@ -199,6 +202,12 @@ _REALS = [
     ("integrate_adaptive", lambda v: integrate_adaptive(abs, 0.0, v, QuadratureSpec()), "b"),
     ("integrate_adaptive.breakpoints",
      lambda v: integrate_adaptive(abs, -1.0, 1.0, QuadratureSpec(), (v,)), "breakpoints[0]"),
+    ("DivergenceResult.value", lambda v: DivergenceResult(v, 1), "value"),
+    ("DivergenceResult.dropped_mass", lambda v: DivergenceResult(0.0, 1, v), "dropped_mass"),
+    ("DivergenceResult.error_estimate", lambda v: DivergenceResult(0.0, 1, 0.0, v),
+     "error_estimate"),
+    ("CapacityEntropyReport", lambda v: CapacityEntropyReport(v, _CHAIN, 2, "exhaustive"),
+     "entropy"),
 ]
 _COUNTS = [
     ("QuadratureSpec.max_depth", lambda v: QuadratureSpec(max_depth=v), "max_depth"),
@@ -207,6 +216,9 @@ _COUNTS = [
     ("position_grading", position_grading, "n"),
     ("enumerate_chains", lambda v: list(enumerate_chains(v)), "n"),
     ("riemann_divergence", lambda v: riemann_divergence(_U, _U, v), "n_points"),
+    ("DivergenceResult", lambda v: DivergenceResult(0.0, v), "terms_used"),
+    ("CapacityEntropyReport", lambda v: CapacityEntropyReport(1.0, _CHAIN, v, "exhaustive"),
+     "chains_examined"),
 ]
 _NOT_A_NUMBER = [
     pytest.param(build, bad, f"{name} must be a number, got {bad!r}", id=f"{label}-{bad!r}")
@@ -250,6 +262,10 @@ class TestScalarIntake:
             (Capacity(np.int64(1), (0.0, 1.0)), Capacity(1, (0.0, 1.0))),
             (MaximalChain((np.int64(2), np.int8(1))), MaximalChain((2, 1))),
             (position_grading(np.int64(3)), position_grading(3)),
+            (DivergenceResult(np.float32(0.5), np.int64(2), np.int8(0), np.float64(1e-9)),
+             DivergenceResult(0.5, 2, 0.0, 1e-9)),
+            (CapacityEntropyReport(np.float32(0.5), _CHAIN, np.int64(2), "exhaustive"),
+             CapacityEntropyReport(0.5, _CHAIN, 2, "exhaustive")),
         ]
         for got, want in built:
             # a numpy scalar kept in a field would show in the repr
@@ -349,6 +365,116 @@ class TestNonnegative:
                 assert refusal is None or "finite and >= 0" not in refusal, where
             else:
                 assert refusal == f"{where} must be finite and >= 0, got {bad!r}", where
+
+
+_FAMILY_PARAMS = {
+    "uniform": {},
+    "triangular": {"c": 0.5},
+    "beta": {"alpha": 2.0, "beta": 5.0},
+    "truncated_normal": {"mu": 0.0, "sigma": 1.0},
+    "power": {"p": 2.0},
+}
+
+
+# each entry point of ordered.interval: a call that puts [a, b] where the
+# rule reads it, the name the rule gives it, and for the knots and grades,
+# whose elements are judged first, the texts of that element rule for the
+# infinite, NaN and a >= b cases below
+_KNOT_X = {
+    "infinite": "knots must be finite, got (inf, 1.0)",
+    "nan": "knots must be finite, got (nan, 0.0)",
+    "a>=b": "knots must be strictly increasing in both coordinates, "
+            "got (1.0, 0.0) then (1.0, 1.0)",
+}
+_INTERVALS = [
+    pytest.param(Uniform, "support", {}, id="Uniform"),
+    pytest.param(lambda a, b: Triangular(a, 0.5, b), "support", {}, id="Triangular"),
+    pytest.param(lambda a, b: Beta(2.0, 5.0, a, b), "support", {}, id="Beta"),
+    pytest.param(lambda a, b: TruncatedNormal(0.0, 1.0, a, b), "support", {},
+                 id="TruncatedNormal"),
+    pytest.param(lambda a, b: Power(2.0, a, b), "support", {}, id="Power"),
+    *[
+        pytest.param(lambda a, b, family=family, params=params: continuous_grading_from_doc(
+            {"family": family, "params": params, "support": [a, b]}), "support", {},
+            id=f"from_doc-{family}")
+        for family, params in _FAMILY_PARAMS.items()
+    ],
+    pytest.param(lambda a, b: continuous_grading_from_doc(
+        {"family": "piecewise_linear_cdf", "params": {"knots": [[a, 0.0], [b, 1.0]]},
+         "support": [a, b]}), "support", _KNOT_X, id="from_doc-piecewise_linear_cdf"),
+    pytest.param(lambda a, b: PiecewiseLinearCdf(((a, 0.0), (b, 1.0))), "support", _KNOT_X,
+                 id="PiecewiseLinearCdf-x"),
+    pytest.param(lambda a, b: PiecewiseLinearCdf(((0.0, a), (1.0, b))), "grade span", {
+        "infinite": "knots must be finite, got (1.0, inf)",
+        "nan": "knots must be finite, got (0.0, nan)",
+        "a>=b": "knots must be strictly increasing in both coordinates, "
+                "got (0.0, 1.0) then (1.0, 1.0)",
+    }, id="PiecewiseLinearCdf-y"),
+    pytest.param(lambda a, b: GradingSample((a, b)), "grade span", {
+        "infinite": "grades must be finite, got inf",
+        "nan": "grades must be finite, got nan",
+        "a>=b": "grades must be strictly increasing: grades[1]=1.0 <= grades[0]=1.0",
+    }, id="GradingSample"),
+    pytest.param(lambda a, b: integrate_adaptive(lambda x, da, db: 1.0, a, b, QuadratureSpec()),
+                 "integration interval", {}, id="integrate_adaptive"),
+]
+_BAD_INTERVALS = [
+    pytest.param(0.0, math.inf, "infinite", "{} endpoints must be finite, got [0.0, inf]",
+                 id="infinite"),
+    pytest.param(math.nan, 1.0, "nan", "{} endpoints must be finite, got [nan, 1.0]", id="nan"),
+    pytest.param(1.0, 1.0, "a>=b", "{} must satisfy a < b, got [1.0, 1.0]", id="a>=b"),
+    pytest.param(-1e308, 1e308, "overflow",
+                 "{} [-1e+308, 1e+308] overflows: its width is not a finite double",
+                 id="overflow"),
+]
+
+
+class TestInterval:
+    """ordered.interval is the one rule for a support, a grade span or an
+    integration interval: finite ends, a < b and a finite width."""
+
+    @pytest.mark.parametrize("build, where, element", _INTERVALS)
+    @pytest.mark.parametrize("a, b, case, rule", _BAD_INTERVALS)
+    def test_every_entry_point_names_the_fault(self, build, where, element, a, b, case, rule):
+        with pytest.raises(InvalidInputError) as exc:
+            build(a, b)
+        assert str(exc.value) == element.get(case, rule.format(where))
+
+    @given(st.floats(), st.floats())
+    @example(-1e308, 1e308)
+    @example(-0.0, 0.0)
+    @example(-math.inf, math.inf)
+    def test_accepts_exactly_finite_increasing_spans(self, a, b):
+        if math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a):
+            assert interval(a, b, "v") == (a, b)
+        else:
+            with pytest.raises(InvalidInputError, match=r"^v"):
+                interval(a, b, "v")
+
+    @pytest.mark.parametrize(
+        "a, b, mass, message",
+        [
+            # before the rule, exp(-x) ran here and met x = nan or x = -inf
+            (0.0, math.inf, None, "integration interval endpoints must be finite, got [0.0, inf]"),
+            (-1e308, 1e308, None,
+             "integration interval [-1e+308, 1e+308] overflows: its width is not a finite double"),
+            # nan and -1.0 ran all 12 levels before the rule; any deficit met inf
+            (0.0, 1.0, math.nan, "mass must be finite and >= 0, got nan"),
+            (0.0, 1.0, -1.0, "mass must be finite and >= 0, got -1.0"),
+            (0.0, 1.0, math.inf, "mass must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_integrate_adaptive_refuses_before_calling_fn(self, a, b, mass, message):
+        calls = []
+
+        def fn(x, da, db):
+            calls.append(x)
+            return math.exp(-x) if mass is None else (math.exp(-x), 1.0)
+
+        with pytest.raises(InvalidInputError) as exc:
+            integrate_adaptive(fn, a, b, QuadratureSpec(), mass=mass)
+        assert str(exc.value) == message
+        assert calls == []
 
 
 class TestIncrements:
