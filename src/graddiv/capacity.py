@@ -96,11 +96,6 @@ class Capacity(_Record):
     _fields = ("ground_size", "values")
     __slots__ = _fields
 
-    def __init__(self, ground_size, values):
-        _store(self, "ground_size", ground_size)
-        _store(self, "values", values)
-        self.__post_init__()
-
     def __post_init__(self):
         n = as_int(self.ground_size, "ground_size")
         if n < 1:
@@ -185,10 +180,6 @@ class MaximalChain(_Record):
 
     _fields = ("order",)
     __slots__ = _fields
-
-    def __init__(self, order):
-        _store(self, "order", order)
-        self.__post_init__()
 
     def __post_init__(self):
         try:
@@ -291,13 +282,6 @@ class CapacityEntropyReport(_Record):
 
     _fields = ("entropy", "argmin_chain", "chains_examined", "method")
     __slots__ = _fields
-
-    def __init__(self, entropy, argmin_chain, chains_examined, method):
-        _store(self, "entropy", entropy)
-        _store(self, "argmin_chain", argmin_chain)
-        _store(self, "chains_examined", chains_examined)
-        _store(self, "method", method)
-        self.__post_init__()
 
     def __post_init__(self):
         _store(self, "entropy", as_float(self.entropy, "entropy"))

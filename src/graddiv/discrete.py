@@ -55,10 +55,6 @@ class ProbabilityVector(_Record):
     _fields = ("weights",)
     __slots__ = _fields
 
-    def __init__(self, weights):
-        _store(self, "weights", weights)
-        self.__post_init__()
-
     def __post_init__(self):
         w = nonnegative(as_floats(self.weights, "weights"), "weights")
         if not w:
@@ -96,16 +92,8 @@ class DivergenceResult(_Record):
     flags: frozenset[str]
 
     _fields = ("value", "terms_used", "dropped_mass", "error_estimate", "flags")
+    _defaults = (0.0, 0.0, frozenset())
     __slots__ = _fields
-
-    def __init__(self, value, terms_used, dropped_mass=0.0, error_estimate=0.0,
-                 flags=frozenset()):
-        _store(self, "value", value)
-        _store(self, "terms_used", terms_used)
-        _store(self, "dropped_mass", dropped_mass)
-        _store(self, "error_estimate", error_estimate)
-        _store(self, "flags", flags)
-        self.__post_init__()
 
     def __post_init__(self):
         _store(self, "value", as_float(self.value, "value"))

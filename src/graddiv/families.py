@@ -115,7 +115,9 @@ class ContinuousGrading(_Record, abc.ABC):
 
     A parametric family is an immutable record (``ordered._Record``) with
     fields a and b for its support and one field for each name in
-    ``params``, its shape parameters in constructor order. Construction
+    ``params``, its shape parameters in constructor order. It declares
+    ``_fields`` and any trailing ``_defaults``, and ``_Record`` builds its
+    constructor, which stores the fields and calls ``__post_init__``: that
     converts every field by ``ordered.as_float``, in field order, checks
     the support, and then runs the family's ``_validate``. The constants a
     family keeps, and its ``image``, live in the instance dict outside the
@@ -210,11 +212,6 @@ class Uniform(ContinuousGrading):
     _fields = ("a", "b")
     __slots__ = _fields
 
-    def __init__(self, a, b):
-        _store(self, "a", a)
-        _store(self, "b", b)
-        self.__post_init__()
-
     def _validate(self) -> None:
         # ln of the density and its rounding, kept outside the fields
         log_height = log_ratio(1.0, self.b - self.a)
@@ -248,12 +245,6 @@ class Triangular(ContinuousGrading):
 
     _fields = ("a", "c", "b")
     __slots__ = _fields
-
-    def __init__(self, a, c, b):
-        _store(self, "a", a)
-        _store(self, "c", c)
-        _store(self, "b", b)
-        self.__post_init__()
 
     def _validate(self) -> None:
         if not self.a <= self.c <= self.b:
@@ -326,14 +317,8 @@ class Beta(ContinuousGrading):
     params: ClassVar[tuple[str, ...]] = ("alpha", "beta")
 
     _fields = ("alpha", "beta", "a", "b")
+    _defaults = (0.0, 1.0)
     __slots__ = _fields
-
-    def __init__(self, alpha, beta, a=0.0, b=1.0):
-        _store(self, "alpha", alpha)
-        _store(self, "beta", beta)
-        _store(self, "a", a)
-        _store(self, "b", b)
-        self.__post_init__()
 
     def _validate(self) -> None:
         alpha, beta = self.alpha, self.beta
@@ -420,13 +405,6 @@ class TruncatedNormal(ContinuousGrading):
     _fields = ("mu", "sigma", "a", "b")
     __slots__ = _fields
 
-    def __init__(self, mu, sigma, a, b):
-        _store(self, "mu", mu)
-        _store(self, "sigma", sigma)
-        _store(self, "a", a)
-        _store(self, "b", b)
-        self.__post_init__()
-
     def _validate(self) -> None:
         mu, sigma, a, b = self.mu, self.sigma, self.a, self.b
         if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
@@ -502,13 +480,8 @@ class Power(ContinuousGrading):
     params: ClassVar[tuple[str, ...]] = ("p",)
 
     _fields = ("p", "a", "b")
+    _defaults = (0.0, 1.0)
     __slots__ = _fields
-
-    def __init__(self, p, a=0.0, b=1.0):
-        _store(self, "p", p)
-        _store(self, "a", a)
-        _store(self, "b", b)
-        self.__post_init__()
 
     def _validate(self) -> None:
         if not (math.isfinite(self.p) and self.p > 0):
@@ -559,10 +532,6 @@ class PiecewiseLinearCdf(ContinuousGrading):
 
     _fields = ("knots",)
     __slots__ = _fields
-
-    def __init__(self, knots):
-        _store(self, "knots", knots)
-        self.__post_init__()
 
     def __post_init__(self):
         try:

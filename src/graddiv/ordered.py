@@ -25,7 +25,10 @@ element, to name its first offender. ``numbers`` is imported only to
 judge a value that is neither an exact float nor an exact int.
 
 Beside the rule sits ``_Record``, the base of every public value class: an
-immutable record of the fields it names in ``_fields``.
+immutable record declared by its ``_fields``, ``__slots__ = _fields``, the
+trailing ``_defaults`` and an optional ``__post_init__`` that converts and
+validates the fields. ``_Record`` builds every record's constructor from
+that declaration; no record class writes its own ``__init__``.
 """
 
 from __future__ import annotations
@@ -133,16 +136,36 @@ def interval(a: float, b: float, where: str) -> tuple[float, float]:
 _store = object.__setattr__
 
 
+def _constructor(cls: type) -> Any:
+    """The ``__init__`` of a record class: built from source, as
+    ``collections.namedtuple`` builds ``__new__``, so that its parameters
+    are the names in ``_fields`` and its defaults the class's ``_defaults``."""
+    names = cls._fields
+    stores = "".join(f"    _store(self, {name!r}, {name})\n" for name in names)
+    source = f"def __init__(self, {', '.join(names)}):\n{stores}    self.__post_init__()\n"
+    namespace = {"_store": _store}
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = vars(cls).get("_defaults")
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
+
+
 class _Record:
     """An immutable record of the fields its subclass names in ``_fields``.
 
-    Two records are equal when they are of the same class and their field
-    tuples are equal; the hash is the field tuple's, and the repr names
-    every field, ``Beta(alpha=2.0, beta=5.0, a=0.0, b=1.0)``; the fields
-    are also the positional ``__match_args__``. A subclass lists
-    ``_fields`` as its ``__slots__`` too, and its ``__init__`` stores
-    each field with ``_store`` and then calls ``self.__post_init__()``,
-    where it has one: the hook that converts and validates the fields.
+    A subclass declares the whole record: ``_fields``, the field names in
+    constructor order; ``__slots__ = _fields``; optionally ``_defaults``,
+    the defaults of the trailing fields; and optionally ``__post_init__``,
+    the hook that converts and validates the fields and stores the results
+    with ``_store``. From these ``__init_subclass__`` builds the
+    constructor, ``__init__(self, *_fields)``, which stores each argument
+    as its field and then calls ``self.__post_init__()``, looked up on the
+    instance at each call. Two records are equal when they are of the same
+    class and their field tuples are equal; the hash is the field tuple's,
+    and the repr names every field, ``Beta(alpha=2.0, beta=5.0, a=0.0,
+    b=1.0)``; the fields are also the positional ``__match_args__``.
     Pickling and copying rebuild a record through its constructor.
     """
 
@@ -152,6 +175,11 @@ class _Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__match_args__ = cls._fields
+        if "_fields" in vars(cls) and "__init__" not in vars(cls):
+            cls.__init__ = _constructor(cls)
+
+    def __post_init__(self):
+        """Convert and validate the fields; a record with no rule keeps them."""
 
     def _field_tuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -192,12 +220,8 @@ class GradingSample(_Record):
     labels: tuple[str, ...] | None
 
     _fields = ("grades", "labels")
+    _defaults = (None,)
     __slots__ = _fields
-
-    def __init__(self, grades, labels=None):
-        _store(self, "grades", grades)
-        _store(self, "labels", labels)
-        self.__post_init__()
 
     def __post_init__(self):
         grades = as_floats(self.grades, "grades")
@@ -253,19 +277,11 @@ class IncrementPair(_Record):
     _fields = ("delta_g", "delta_f")
     __slots__ = _fields
 
-    def __init__(self, delta_g, delta_f):
-        _store(self, "delta_g", delta_g)
-        _store(self, "delta_f", delta_f)
-        self.__post_init__()
-
     def __post_init__(self):
         for name in self._fields:
             _store(self, name, as_float(getattr(self, name), name))
-        for name, v in (("delta_g", self.delta_g), ("delta_f", self.delta_f)):
-            if not math.isfinite(v):
-                raise InvalidInputError(f"{name} must be finite, got {v!r}")
-            if v < 0:
-                raise InvalidInputError(f"{name} must be >= 0, got {v!r}")
+        for name in self._fields:
+            nonnegative((getattr(self, name),), name)
 
 
 def increments(sample: GradingSample) -> list[float]:

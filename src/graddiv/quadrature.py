@@ -106,13 +106,8 @@ class QuadratureSpec(_Record):
     max_depth: int
 
     _fields = ("abs_tol", "rel_tol", "max_depth")
+    _defaults = (1e-10, 1e-8, 60)
     __slots__ = _fields
-
-    def __init__(self, abs_tol=1e-10, rel_tol=1e-8, max_depth=60):
-        _store(self, "abs_tol", abs_tol)
-        _store(self, "rel_tol", rel_tol)
-        _store(self, "max_depth", max_depth)
-        self.__post_init__()
 
     def __post_init__(self):
         abs_tol = as_float(self.abs_tol, "abs_tol")
@@ -131,7 +126,8 @@ class QuadratureSpec(_Record):
 
 class QuadratureOutcome(_Record):
     """The integral, its error estimate, and the integrand evaluations
-    (``panels``) it took."""
+    (``panels``) it took. The reals are judged by ``ordered.as_float``,
+    panels by ``as_int``, and negative_infinity must be a bool."""
 
     value: float
     error_estimate: float
@@ -139,13 +135,17 @@ class QuadratureOutcome(_Record):
     negative_infinity: bool
 
     _fields = ("value", "error_estimate", "panels", "negative_infinity")
+    _defaults = (False,)
     __slots__ = _fields
 
-    def __init__(self, value, error_estimate, panels, negative_infinity=False):
-        _store(self, "value", value)
-        _store(self, "error_estimate", error_estimate)
-        _store(self, "panels", panels)
-        _store(self, "negative_infinity", negative_infinity)
+    def __post_init__(self):
+        _store(self, "value", as_float(self.value, "value"))
+        _store(self, "error_estimate", as_float(self.error_estimate, "error_estimate"))
+        _store(self, "panels", as_int(self.panels, "panels"))
+        if type(self.negative_infinity) is not bool:
+            raise InvalidInputError(
+                f"negative_infinity must be a bool, got {self.negative_infinity!r}"
+            )
 
 
 @functools.cache

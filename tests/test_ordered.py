@@ -503,18 +503,27 @@ class TestIncrements:
 
 class TestIncrementPair:
     def test_negative_delta_g(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             IncrementPair(-1.0, 1.0)
+        assert str(exc.value) == "delta_g must be finite and >= 0, got -1.0"
 
     def test_negative_delta_f(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             IncrementPair(1.0, -1.0)
+        assert str(exc.value) == "delta_f must be finite and >= 0, got -1.0"
 
     def test_non_finite(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             IncrementPair(math.inf, 1.0)
-        with pytest.raises(InvalidInputError):
+        assert str(exc.value) == "delta_g must be finite and >= 0, got inf"
+        with pytest.raises(InvalidInputError) as exc:
             IncrementPair(1.0, math.nan)
+        assert str(exc.value) == "delta_f must be finite and >= 0, got nan"
+
+    def test_both_fields_are_converted_before_either_is_judged(self):
+        with pytest.raises(InvalidInputError) as exc:
+            IncrementPair(-1.0, "x")
+        assert str(exc.value) == "delta_f must be a number, got 'x'"
 
     def test_zero_allowed(self):
         pair = IncrementPair(0.0, 0.0)

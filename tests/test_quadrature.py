@@ -2,6 +2,7 @@ import math
 import time
 
 import mpmath
+import numpy as np
 import pytest
 
 from graddiv import (
@@ -182,6 +183,33 @@ class TestIntegrateAdaptive:
         out = QuadratureOutcome(1.0, 0.0, 3)
         with pytest.raises(AttributeError):
             out.value = 2.0
+
+
+class TestQuadratureOutcome:
+    @pytest.mark.parametrize(
+        "value, estimate, panels, negative_infinity, message",
+        [
+            ("x", 0.0, 3, False, "value must be a number, got 'x'"),
+            (1.0, None, 3, False, "error_estimate must be a number, got None"),
+            (True, 0.0, 3, False, "value must be a number, got True"),
+            (1.0, 0.0, 1.5, False, "panels must be an integer, got 1.5"),
+            (1.0, 0.0, True, False, "panels must be an integer, got True"),
+            (1.0, 0.0, 3, "yes", "negative_infinity must be a bool, got 'yes'"),
+            (1.0, 0.0, 3, 1, "negative_infinity must be a bool, got 1"),
+            ("x", None, 1.5, "yes", "value must be a number, got 'x'"),
+        ],
+    )
+    def test_fields_follow_the_number_rule(self, value, estimate, panels,
+                                           negative_infinity, message):
+        with pytest.raises(InvalidInputError) as exc:
+            QuadratureOutcome(value, estimate, panels, negative_infinity)
+        assert str(exc.value) == message
+
+    def test_numbers_are_converted(self):
+        out = QuadratureOutcome(np.float64(1.5), 0, np.int64(3))
+        assert type(out.value) is float and type(out.error_estimate) is float
+        assert type(out.panels) is int
+        assert out == QuadratureOutcome(1.5, 0.0, 3, False)
 
 
 def _hex_levels(levels):

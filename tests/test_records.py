@@ -2,12 +2,16 @@
 repr, equality, hash, constructor signature, pickling and copying are the
 same whatever machinery defines them."""
 
+import ast
 import copy
+import importlib
 import inspect
 import pickle
+from pathlib import Path
 
 import pytest
 
+import graddiv
 from graddiv import (
     Beta,
     Capacity,
@@ -25,6 +29,7 @@ from graddiv import (
     TruncatedNormal,
     Uniform,
 )
+from graddiv.ordered import _Record
 
 _CHAIN = MaximalChain((2, 1))
 
@@ -178,6 +183,39 @@ class TestRecordContract:
         required = values[: len(names) - len(defaults)]
         assert cls(*required) == cls(*required, *defaults)
         assert [getattr(cls(*required), n) for n in names[len(required):]] == list(defaults)
+
+    def test_the_generated_constructor_calls_post_init_once(self, cls, monkeypatch):
+        # the benchmark's tracing wraps __post_init__ to see each construction
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+        _, _, floats, _, text = RECORDS[cls]
+        original = cls.__post_init__
+        calls = []
+
+        def traced(self):
+            calls.append(type(self))
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", traced)
+        record = cls(*floats)
+        assert calls == [cls]
+        assert repr(record) == text
+
+
+def test_no_record_class_defines_its_own_init():
+    offenders = []
+    for path in sorted(Path(graddiv.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"graddiv.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(module, node.name, None)
+            if isinstance(cls, type) and issubclass(cls, _Record) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                for item in node.body
+            ):
+                offenders.append(f"{path.name}: {node.name}")
+    assert offenders == []
 
 
 def test_divergence_result_flags_default_to_the_empty_frozenset():
