@@ -26,7 +26,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .capacity import _beyond_range, _bisect_prefix
+from .capacity import _bisect_prefix
+from .errors import beyond_range
 
 # The passes work through their rows in blocks of about _BLOCK cover
 # edges, so a block's temporaries stay in cache and none grows with the
@@ -165,7 +166,7 @@ def theta(values: Sequence[float], n: int) -> np.ndarray:
             best[into] = cand.min(axis=0)
     # the evaluator would refuse the minimizing chain's fold
     if not math.isfinite(best[-1]):
-        raise _beyond_range(float(best[-1]))
+        raise beyond_range("chain entropy", float(best[-1]))
     # Backward: theta[S] is the largest value that a live superset S + {e}
     # allows through _largest_prefix, from the full set down, each live
     # subset pushing down its own cover edges. Without ties the live

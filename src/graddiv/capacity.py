@@ -51,8 +51,8 @@ from functools import cache, partial
 from operator import le, or_, sub
 
 from .discrete import DivergenceResult
-from .errors import ComputationError, InvalidInputError
-from .ordered import _Record, _store, as_float, as_floats, as_int, nonnegative
+from .errors import InvalidInputError, beyond_range
+from .ordered import _Record, _store, as_floats, as_int, nonnegative, result
 
 __all__ = [
     "Capacity",
@@ -230,13 +230,6 @@ def _edge_term(d: float) -> float:
     return -d * math.log(d) if d > 0.0 else 0.0
 
 
-def _beyond_range(value: float) -> ComputationError:
-    return ComputationError(
-        f"the chain entropy is {value!r}: a term or the running total "
-        "overflowed double precision"
-    )
-
-
 def _chain_value(
     values: Sequence[float], order: Sequence[int], edge_terms
 ) -> tuple[float, int]:
@@ -252,7 +245,7 @@ def _chain_value(
     for term in edge_terms(incs):  # a zero increment adds 0.0
         value += term
     if not math.isfinite(value):
-        raise _beyond_range(value)
+        raise beyond_range("chain entropy", value)
     return value, sum(d > 0.0 for d in incs)
 
 
@@ -271,8 +264,9 @@ def chain_divergence(mu: Capacity, chain: MaximalChain) -> DivergenceResult:
 class CapacityEntropyReport(_Record):
     """Capacity entropy plus the chain witnessing the reported value.
 
-    entropy is a finite real (``ordered.as_float``), argmin_chain a
-    MaximalChain and chains_examined a count (``ordered.as_int``).
+    entropy (finite) and chains_examined (a count) follow ``ordered.result``,
+    argmin_chain is a MaximalChain, and the method fixes the count: n! for
+    exhaustive, 1 for greedy.
     """
 
     entropy: float
@@ -284,21 +278,14 @@ class CapacityEntropyReport(_Record):
     __slots__ = _fields
 
     def __post_init__(self):
-        _store(self, "entropy", as_float(self.entropy, "entropy"))
-        if not math.isfinite(self.entropy):
-            raise InvalidInputError(f"entropy must be finite, got {self.entropy!r}")
+        result(self, "entropy", False, ("chains_examined",))
         if not isinstance(self.argmin_chain, MaximalChain):
             raise InvalidInputError(
                 f"argmin_chain must be a MaximalChain, got {self.argmin_chain!r}"
             )
-        _store(self, "chains_examined", as_int(self.chains_examined, "chains_examined"))
         if self.method not in ("exhaustive", "greedy"):
             raise InvalidInputError(f"unknown method {self.method!r}")
         total = math.factorial(len(self.argmin_chain.order))
-        if not 0 <= self.chains_examined <= total:
-            raise InvalidInputError(
-                f"chains_examined must be in 0..{total}, got {self.chains_examined}"
-            )
         if self.method == "exhaustive" and self.chains_examined != total:
             raise InvalidInputError(
                 f"exhaustive search must examine all {total} chains"
@@ -401,7 +388,7 @@ def _theta(values: Sequence[float], n: int) -> list[float]:
         best[s] = low
     # the evaluator would refuse the minimizing chain's fold
     if not math.isfinite(best[full]):
-        raise _beyond_range(best[full])
+        raise beyond_range("chain entropy", best[full])
 
     # Backward: theta[S] is the largest value that any superset S + {e}
     # allows through _largest_prefix. Some chain through S reaches the

@@ -23,8 +23,8 @@ import sys
 from itertools import accumulate, islice
 from operator import sub
 
-from .errors import ComputationError, InvalidInputError
-from .ordered import GradingSample, _Record, _store, as_float, as_floats, as_int, nonnegative
+from .errors import InvalidInputError, beyond_range
+from .ordered import GradingSample, _Record, _store, as_floats, as_int, nonnegative, result
 
 __all__ = [
     "ProbabilityVector",
@@ -81,8 +81,8 @@ class DivergenceResult(_Record):
     attached to terms that could not enter it: zero-mass terms contribute
     nothing, and terms whose reference increment is zero force the value
     to -inf, recorded by the ``negative_infinity`` flag. error_estimate
-    is nonzero only for quadrature-backed results. The reals are judged by
-    ``ordered.as_float`` and terms_used by ``as_int``.
+    is nonzero only for quadrature-backed results. flags is any iterable
+    of flag names but a str; the other fields follow ``ordered.result``.
     """
 
     value: float
@@ -96,25 +96,20 @@ class DivergenceResult(_Record):
     __slots__ = _fields
 
     def __post_init__(self):
-        _store(self, "value", as_float(self.value, "value"))
-        _store(self, "terms_used", as_int(self.terms_used, "terms_used"))
-        _store(self, "dropped_mass", as_float(self.dropped_mass, "dropped_mass"))
-        _store(self, "error_estimate", as_float(self.error_estimate, "error_estimate"))
-        _store(self, "flags", frozenset(self.flags))
-        unknown = self.flags - _KNOWN_FLAGS
-        if unknown:
-            raise InvalidInputError(f"unknown result flags: {sorted(unknown)}")
-        # not >= 0 refuses NaN as well as a negative value
-        if self.terms_used < 0 or not self.dropped_mass >= 0:
-            raise InvalidInputError("terms_used and dropped_mass must be >= 0")
-        if not self.error_estimate >= 0:
+        try:  # a str is one name, not a collection of names
+            flags = None if isinstance(self.flags, str) else frozenset(self.flags)
+        except TypeError:  # not iterable, or a member that cannot be hashed
+            flags = None
+        if flags is None:
             raise InvalidInputError(
-                f"error_estimate must be >= 0, got {self.error_estimate!r}"
+                f"flags must be an iterable of flag names, got {self.flags!r}"
             )
-        if math.isfinite(self.value) == (NEGATIVE_INFINITY in self.flags):
-            raise InvalidInputError(
-                "value must be finite exactly when negative_infinity is not flagged"
-            )
+        unknown = flags - _KNOWN_FLAGS
+        if unknown:  # sorted by str: a non-str flag is unknown, not a TypeError
+            raise InvalidInputError(f"unknown result flags: {sorted(unknown, key=str)}")
+        _store(self, "flags", flags)
+        result(self, "value", NEGATIVE_INFINITY in flags, ("terms_used",),
+               ("dropped_mass", "error_estimate"))
 
     @property
     def kl(self) -> float:
@@ -130,10 +125,7 @@ def _result(value: float, terms: int, dropped: float, neg_inf: bool,
         flags.add(NEGATIVE_INFINITY)
         value = -math.inf
     elif not math.isfinite(value):
-        raise ComputationError(
-            f"the sum is {value!r}: a term or the running total overflowed "
-            "double precision"
-        )
+        raise beyond_range("sum", value)
     if empty:
         flags.add(EMPTY)
     # + 0.0 turns a -0.0 accumulator into +0.0

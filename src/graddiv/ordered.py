@@ -18,11 +18,15 @@ is an InvalidInputError naming where it was found. ``nonnegative`` is the
 one rule for an array of weights, masses or capacity values: each finite
 and >= 0. ``interval`` is the one rule for a support, a grade span or an
 integration interval [a, b]: finite ends, a < b and a width that is a
-finite double. Arrays are converted and checked in C-level builtin passes
-(``map``, ``all``, ``min``, ``sum``) rather than a Python loop per
-element; only an array that fails a check is walked again, element by
-element, to name its first offender. ``numbers`` is imported only to
-judge a value that is neither an exact float nor an exact int.
+finite double. ``result`` is the one rule for the result records
+(DivergenceResult, QuadratureOutcome, CapacityEntropyReport): each count
+>= 0, each estimate or dropped mass >= 0 and not NaN, and the value
+finite, or exactly -inf when the record flags negative_infinity. Arrays
+are converted and checked in C-level builtin passes (``map``, ``all``,
+``min``, ``sum``) rather than a Python loop per element; only an array
+that fails a check is walked again, element by element, to name its
+first offender. ``numbers`` is imported only to judge a value that is
+neither an exact float nor an exact int.
 
 Beside the rule sits ``_Record``, the base of every public value class: an
 immutable record declared by its ``_fields``, ``__slots__ = _fields``, the
@@ -134,6 +138,27 @@ def interval(a: float, b: float, where: str) -> tuple[float, float]:
 # stores a field past _Record.__setattr__: constructors and their
 # __post_init__ hooks write each field through it
 _store = object.__setattr__
+
+
+def result(record: Any, value: str, negative_infinity: bool,
+           counts: tuple[str, ...] = (), bounds: tuple[str, ...] = ()) -> None:
+    """Store a result record's ``value`` and ``bounds`` (estimates, dropped
+    masses) by as_float and its ``counts`` by as_int, in field order; then
+    require each count and bound >= 0 (+inf allowed, NaN not) and the value
+    finite, or exactly -inf when ``negative_infinity`` is flagged."""
+    for name in record._fields:
+        if name in counts:
+            _store(record, name, as_int(getattr(record, name), name))
+        elif name == value or name in bounds:
+            _store(record, name, as_float(getattr(record, name), name))
+    for name in counts + bounds:
+        x = getattr(record, name)
+        if not x >= 0:  # refuses NaN as well as a negative value
+            raise InvalidInputError(f"{name} must be >= 0, got {x!r}")
+    v = getattr(record, value)
+    if v != -math.inf if negative_infinity else not math.isfinite(v):
+        must = "-inf when negative_infinity is flagged" if negative_infinity else "finite"
+        raise InvalidInputError(f"{value} must be {must}, got {v!r}")
 
 
 def _constructor(cls: type) -> Any:

@@ -58,8 +58,9 @@ refining does not move the last node. A sample of -inf short-circuits the walk:
 the divergence integrands return -inf only where the reference density
 vanishes under positive mass, which makes the integral itself -inf. A NaN
 or +inf sample is a ComputationError. Finite samples whose sum leaves
-double range end the rule at the end of their level: the non-finite sum is
-returned with an infinite estimate, for the caller to refuse.
+double range end the rule at the end of their level with a
+ComputationError too, since no finer level brings the sum back; so every
+outcome holds a finite value, or -inf with its flag.
 
 With ``mass`` given, fn returns a pair (term, density) and the density's
 integral on the same nodes must also come within the budget of ``mass``:
@@ -73,8 +74,8 @@ import math
 import sys
 from collections.abc import Callable, Sequence
 
-from .errors import ComputationError, InvalidInputError
-from .ordered import _Record, _store, as_float, as_floats, as_int, interval, nonnegative
+from .errors import ComputationError, InvalidInputError, beyond_range
+from .ordered import _Record, _store, as_float, as_floats, as_int, interval, nonnegative, result
 
 __all__ = ["QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"]
 
@@ -126,8 +127,9 @@ class QuadratureSpec(_Record):
 
 class QuadratureOutcome(_Record):
     """The integral, its error estimate, and the integrand evaluations
-    (``panels``) it took. The reals are judged by ``ordered.as_float``,
-    panels by ``as_int``, and negative_infinity must be a bool."""
+    (``panels``) it took. negative_infinity must be a bool; the other
+    fields follow ``ordered.result``, with value -inf exactly when it is
+    True."""
 
     value: float
     error_estimate: float
@@ -139,9 +141,7 @@ class QuadratureOutcome(_Record):
     __slots__ = _fields
 
     def __post_init__(self):
-        _store(self, "value", as_float(self.value, "value"))
-        _store(self, "error_estimate", as_float(self.error_estimate, "error_estimate"))
-        _store(self, "panels", as_int(self.panels, "panels"))
+        result(self, "value", self.negative_infinity is True, ("panels",), ("error_estimate",))
         if type(self.negative_infinity) is not bool:
             raise InvalidInputError(
                 f"negative_infinity must be a bool, got {self.negative_infinity!r}"
@@ -201,8 +201,8 @@ def integrate_adaptive(
     Raises ComputationError if the estimate, or the density's mass, still
     misses the budget after min(max_depth, _LEVELS) levels, or as soon as
     the tail beyond the last nodes alone exceeds it and stops shrinking.
-    A sum beyond double range is returned at once, with an infinite
-    estimate. An interval that ordered.interval refuses, or a mass that is
+    A sum beyond double range raises ComputationError at the end of its
+    level. An interval that ordered.interval refuses, or a mass that is
     not finite and >= 0, is an InvalidInputError before fn is called.
     """
     a, b = interval(as_float(a, "a"), as_float(b, "b"), "integration interval")
@@ -321,9 +321,8 @@ def _walk(pair, segments, spec, mass, levels, side_cuts, cutting, evaluations):
             previous = integral
             integral = 0.5 * integral + total
             if integral - integral != 0.0:
-                # finite terms whose sum left double range: no level
-                # brings it back, and the caller refuses the value
-                return QuadratureOutcome(integral, math.inf, evaluations)
+                # finite terms whose sum left double range: no level brings it back
+                raise beyond_range("sum", integral)
             l1 = 0.5 * l1 + abs_total
             held = 0.5 * held + mass_total
             if level == 0:

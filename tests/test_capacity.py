@@ -23,6 +23,7 @@ from graddiv import (
 
 import graddiv._capacity_numpy as capacity_numpy
 import graddiv.capacity as capacity
+from graddiv.errors import beyond_range
 
 from conftest import (
     TIE_MASSES,
@@ -408,7 +409,7 @@ def unpruned_theta(values, n):
             cand = best[came] + capacity_numpy._edge_terms(vals[into] - vals[came])
             best[layers[k]] = cand.min(axis=1)
         if not math.isfinite(best[full]):
-            raise capacity._beyond_range(float(best[full]))
+            raise beyond_range("chain entropy", float(best[full]))
         theta = best
         for k in range(n - 1, -1, -1):
             came = layers[k][:, None]
@@ -522,7 +523,7 @@ def python_unpruned_passes(values, n):
             if s >> e & 1
         )
     if not math.isfinite(best[full]):
-        raise capacity._beyond_range(best[full])
+        raise beyond_range("chain entropy", best[full])
     theta = best[:]
     for s in range(full - 1, -1, -1):
         theta[s] = max(
@@ -739,23 +740,37 @@ class TestCapacityEntropyReport:
             CapacityEntropyReport(entropy, chain, examined, "exhaustive")
         assert str(exc.value) == message
 
-    def test_exhaustive_report_requires_full_count(self):
-        with pytest.raises(InvalidInputError):
+    @pytest.mark.parametrize(
+        "examined, message",
+        [(1, "exhaustive search must examine all 2 chains"),
+         (3, "exhaustive search must examine all 2 chains"),
+         (-1, "chains_examined must be >= 0, got -1")],
+    )
+    def test_exhaustive_report_requires_full_count(self, examined, message):
+        with pytest.raises(InvalidInputError) as exc:
             CapacityEntropyReport(
                 entropy=0.5,
                 argmin_chain=MaximalChain((1, 2)),
-                chains_examined=1,
+                chains_examined=examined,
                 method="exhaustive",
             )
+        assert str(exc.value) == message
 
-    def test_greedy_report_examines_one(self):
-        with pytest.raises(InvalidInputError):
+    @pytest.mark.parametrize(
+        "examined, message",
+        [(0, "greedy search builds exactly one chain"),
+         (2, "greedy search builds exactly one chain"),
+         (-1, "chains_examined must be >= 0, got -1")],
+    )
+    def test_greedy_report_examines_one(self, examined, message):
+        with pytest.raises(InvalidInputError) as exc:
             CapacityEntropyReport(
                 entropy=0.5,
                 argmin_chain=MaximalChain((1, 2)),
-                chains_examined=2,
+                chains_examined=examined,
                 method="greedy",
             )
+        assert str(exc.value) == message
 
     def test_valid_report(self):
         rep = CapacityEntropyReport(

@@ -156,6 +156,44 @@ class TestDivergenceResult:
         r = DivergenceResult(value=0.0, terms_used=1, dropped_mass=-0.0, error_estimate=_INF)
         assert (r.dropped_mass, r.error_estimate) == (0.0, _INF)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"value": _INF, "flags": {NEGATIVE_INFINITY}},
+             "value must be -inf when negative_infinity is flagged, got inf"),
+            ({"value": _NAN, "flags": {NEGATIVE_INFINITY}},
+             "value must be -inf when negative_infinity is flagged, got nan"),
+            ({"value": 0.0, "flags": {NEGATIVE_INFINITY}},
+             "value must be -inf when negative_infinity is flagged, got 0.0"),
+            ({"value": -_INF}, "value must be finite, got -inf"),
+            ({"value": _NAN}, "value must be finite, got nan"),
+            ({"terms_used": -1}, "terms_used must be >= 0, got -1"),
+            ({"dropped_mass": -0.1}, "dropped_mass must be >= 0, got -0.1"),
+            ({"dropped_mass": _NAN}, "dropped_mass must be >= 0, got nan"),
+            ({"error_estimate": -5e-324}, "error_estimate must be >= 0, got -5e-324"),
+            ({"flags": None}, "flags must be an iterable of flag names, got None"),
+            ({"flags": 3}, "flags must be an iterable of flag names, got 3"),
+            ({"flags": "empty"}, "flags must be an iterable of flag names, got 'empty'"),
+            ({"flags": [["empty"]]},
+             "flags must be an iterable of flag names, got [['empty']]"),
+            ({"flags": {"bogus", 3}}, "unknown result flags: [3, 'bogus']"),
+        ],
+    )
+    def test_refusals_name_the_field(self, fields, message):
+        with pytest.raises(InvalidInputError) as exc:
+            DivergenceResult(**{"value": 0.0, "terms_used": 1, **fields})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["empty"], ("empty",), {"empty": 1}, iter(["empty", "empty"]),
+         frozenset({"empty"})],
+        ids=["list", "tuple", "dict", "iterator", "frozenset"],
+    )
+    def test_any_iterable_of_flag_names_is_accepted(self, flags):
+        r = DivergenceResult(0.5, 1, flags=flags)
+        assert r.flags == frozenset({EMPTY}) and type(r.flags) is frozenset
+
 
 class TestDivergenceDiscrete:
     def test_doubling_grading(self):

@@ -179,6 +179,22 @@ class TestIntegrateAdaptive:
         assert out.panels == len(calls)
         assert out.value == pytest.approx(7.5, abs=1e-13)
 
+    def test_a_sum_beyond_double_range_raises(self):
+        # every term is finite; the weighted sum of -1e308 over a width of 8
+        # is not, and no finer level brings it back
+        calls = []
+
+        def fn(x, da, db):
+            calls.append(x)
+            return -1e308
+
+        with pytest.raises(ComputationError) as exc:
+            integrate_adaptive(fn, 0.0, 8.0, QuadratureSpec())
+        assert str(exc.value) == (
+            "the sum is -inf: a term or the running total overflowed double precision"
+        )
+        assert len(calls) == 5  # level 0 alone, with no second walk
+
     def test_outcome_is_frozen(self):
         out = QuadratureOutcome(1.0, 0.0, 3)
         with pytest.raises(AttributeError):
@@ -204,6 +220,37 @@ class TestQuadratureOutcome:
         with pytest.raises(InvalidInputError) as exc:
             QuadratureOutcome(value, estimate, panels, negative_infinity)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "value, estimate, panels, negative_infinity, message",
+        [
+            (1.0, 0.0, -3, False, "panels must be >= 0, got -3"),
+            (1.0, -1.0, 3, False, "error_estimate must be >= 0, got -1.0"),
+            (1.0, -5e-324, 3, False, "error_estimate must be >= 0, got -5e-324"),
+            (-math.inf, math.nan, 3, False, "error_estimate must be >= 0, got nan"),
+            (-math.inf, 0.0, 3, False, "value must be finite, got -inf"),
+            (math.inf, 0.0, 3, False, "value must be finite, got inf"),
+            (math.nan, 0.0, 3, False, "value must be finite, got nan"),
+            (math.inf, 0.0, 3, True,
+             "value must be -inf when negative_infinity is flagged, got inf"),
+            (math.nan, 0.0, 3, True,
+             "value must be -inf when negative_infinity is flagged, got nan"),
+            (1.0, 0.0, 3, True,
+             "value must be -inf when negative_infinity is flagged, got 1.0"),
+            # the rule runs first, reading only True as the flag
+            (-math.inf, 0.0, 3, 1, "value must be finite, got -inf"),
+        ],
+    )
+    def test_fields_follow_the_result_rule(self, value, estimate, panels,
+                                           negative_infinity, message):
+        with pytest.raises(InvalidInputError) as exc:
+            QuadratureOutcome(value, estimate, panels, negative_infinity)
+        assert str(exc.value) == message
+
+    def test_flagged_negative_infinity_and_an_infinite_estimate_are_accepted(self):
+        out = QuadratureOutcome(-math.inf, math.inf, 0, True)
+        assert (out.value, out.error_estimate, out.panels) == (-math.inf, math.inf, 0)
+        assert QuadratureOutcome(-0.0, -0.0, 0).value == 0.0
 
     def test_numbers_are_converted(self):
         out = QuadratureOutcome(np.float64(1.5), 0, np.int64(3))

@@ -111,8 +111,9 @@ RECORDS = {
     ),
     QuadratureOutcome: (
         ("value", "error_estimate", "panels", "negative_infinity"), (False,),
-        (1.0, 0.0, 3, True), (1, 0, 3, True),
-        "QuadratureOutcome(value=1.0, error_estimate=0.0, panels=3, negative_infinity=True)",
+        # a finite value unflagged: the trailing default, False, keeps it valid
+        (1.0, 0.0, 3, False), (1, 0, 3, False),
+        "QuadratureOutcome(value=1.0, error_estimate=0.0, panels=3, negative_infinity=False)",
     ),
 }
 
