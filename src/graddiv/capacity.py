@@ -52,7 +52,7 @@ from operator import le, or_, sub
 
 from .discrete import DivergenceResult
 from .errors import InvalidInputError, beyond_range
-from .ordered import _Record, _store, as_floats, as_int, nonnegative, result
+from .ordered import _Record, _store, as_floats, as_int, count, nonnegative, result
 
 __all__ = [
     "Capacity",
@@ -97,9 +97,7 @@ class Capacity(_Record):
     __slots__ = _fields
 
     def __post_init__(self):
-        n = as_int(self.ground_size, "ground_size")
-        if n < 1:
-            raise InvalidInputError(f"ground_size must be >= 1, got {n}")
+        n = count(self.ground_size, "ground_size")
         vals = as_floats(self.values, "values")
         if len(vals) != 2**n:
             raise InvalidInputError(
@@ -210,9 +208,7 @@ def enumerate_chains(n: int, limit: int = 10) -> Iterator[MaximalChain]:
     A brute-force oracle for small n; limit guards against asking for an
     astronomically long enumeration by accident.
     """
-    n = as_int(n, "n")
-    if not 1 <= n <= limit:
-        raise InvalidInputError(f"n must be in 1..{limit}, got {n}")
+    n = count(n, "n", 1, count(limit, "limit"))
     for perm in itertools.permutations(range(1, n + 1)):
         yield MaximalChain(perm)
 

@@ -24,7 +24,7 @@ import math
 from .discrete import DivergenceResult, _result
 from .errors import ComputationError, InvalidInputError
 from .families import ContinuousGrading, PiecewiseLinearCdf, Uniform, invert_cdf
-from .ordered import as_int, log_ratio
+from .ordered import count, log_ratio
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = [
@@ -166,9 +166,7 @@ def riemann_divergence(F: ContinuousGrading, G: ContinuousGrading, n_points: int
     the cells. Shares no code with the quadrature route; converges at
     first order in 1/n.
     """
-    n_points = as_int(n_points, "n_points")
-    if n_points < 2:
-        raise InvalidInputError(f"need an integer n_points >= 2, got {n_points!r}")
+    n_points = count(n_points, "n_points", 2)
     _require_same_support(F, G)
     lo, hi = F.image
     log, inf = math.log, math.inf

@@ -24,7 +24,7 @@ from itertools import accumulate, islice
 from operator import sub
 
 from .errors import InvalidInputError, beyond_range
-from .ordered import GradingSample, _Record, _store, as_floats, as_int, nonnegative, result
+from .ordered import GradingSample, _Record, _store, as_floats, count, nonnegative, result
 
 __all__ = [
     "ProbabilityVector",
@@ -252,7 +252,4 @@ def cdf_grading(f: ProbabilityVector) -> GradingSample:
 
 def position_grading(n: int) -> GradingSample:
     """The position function 0, 1, ..., n on an enumerated set."""
-    n = as_int(n, "n")
-    if n < 1:
-        raise InvalidInputError(f"need at least one element, got n={n}")
-    return GradingSample(tuple(map(float, range(n + 1))))
+    return GradingSample(tuple(map(float, range(count(n, "n") + 1))))

@@ -19,7 +19,9 @@ from collections.abc import Callable
 from functools import cached_property
 
 from .errors import InvalidInputError
-from .ordered import _Record, _store, as_float, as_floats, interval, log_ratio
+from .ordered import (
+    _Record, _store, as_float, as_floats, increasing, interval, log_ratio, nonnegative, positive,
+)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # typing for type checkers only, as in jsonio
@@ -181,6 +183,7 @@ class ContinuousGrading(_Record, abc.ABC):
         return hi - lo
 
     def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
+        (tol,) = nonnegative((as_float(tol, "tol"),), "tol")
         lo, hi = self.image
         return abs(lo) <= tol and abs(hi - 1.0) <= tol
 
@@ -321,11 +324,7 @@ class Beta(ContinuousGrading):
     __slots__ = _fields
 
     def _validate(self) -> None:
-        alpha, beta = self.alpha, self.beta
-        if not (alpha > 0 and beta > 0 and math.isfinite(alpha) and math.isfinite(beta)):
-            raise InvalidInputError(
-                f"shape parameters must be positive and finite, got ({alpha!r}, {beta!r})"
-            )
+        alpha, beta = positive(self.alpha, "alpha"), positive(self.beta, "beta")
         # log of the normalizing beta function, that plus the log of the
         # width, and the rounding of the sum, kept outside the fields
         log_norm = _log_beta(alpha, beta)
@@ -406,11 +405,10 @@ class TruncatedNormal(ContinuousGrading):
     __slots__ = _fields
 
     def _validate(self) -> None:
-        mu, sigma, a, b = self.mu, self.sigma, self.a, self.b
-        if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
-            raise InvalidInputError(
-                f"need finite mu and sigma > 0, got ({mu!r}, {sigma!r})"
-            )
+        mu, a, b = self.mu, self.a, self.b
+        if not math.isfinite(mu):
+            raise InvalidInputError(f"mu must be finite, got {mu!r}")
+        sigma = positive(self.sigma, "sigma")
         # Above the mean, Phi rounds to 1 deep in the tail and the window's
         # mass to 0, so such a window is measured on the mirrored lower
         # tail, Phi(-z) = 1 - Phi(z), which keeps its relative precision;
@@ -484,10 +482,8 @@ class Power(ContinuousGrading):
     __slots__ = _fields
 
     def _validate(self) -> None:
-        if not (math.isfinite(self.p) and self.p > 0):
-            raise InvalidInputError(f"exponent must be positive and finite, got {self.p!r}")
         # ln(p / width) and its rounding, kept outside the fields
-        log_p, log_width = math.log(self.p), math.log(self.b - self.a)
+        log_p, log_width = math.log(positive(self.p, "p")), math.log(self.b - self.a)
         _store(self, "_log_factor", log_p - log_width)
         _store(self, "_log_norm_error", _log_rounding(log_p, log_width))
 
@@ -543,17 +539,9 @@ class PiecewiseLinearCdf(ContinuousGrading):
         for i, knot in enumerate(knots):
             if len(knot) != 2:
                 raise InvalidInputError(f"knots[{i}] must be a pair (x, y), got {knot!r}")
-            if not all(map(math.isfinite, knot)):
-                raise InvalidInputError(f"knots must be finite, got {knot!r}")
-        for k in range(1, len(knots)):
-            if knots[k][0] <= knots[k - 1][0] or knots[k][1] <= knots[k - 1][1]:
-                raise InvalidInputError(
-                    "knots must be strictly increasing in both coordinates, "
-                    f"got {knots[k - 1]!r} then {knots[k]!r}"
-                )
-        (x0, y0), (xn, yn) = knots[0], knots[-1]
-        interval(x0, xn, "support")
-        interval(y0, yn, "grade span")
+        xs, ys = zip(*knots)
+        increasing(xs, "knot x", "support")
+        increasing(ys, "knot y", "grade span")
         _store(self, "knots", knots)
         # knot coordinates for bisection, ln of each segment's slope, which
         # may overflow where its logarithm does not, and the largest
@@ -561,8 +549,8 @@ class PiecewiseLinearCdf(ContinuousGrading):
         log_slopes = tuple(
             log_ratio(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(knots, knots[1:])
         )
-        _store(self, "_xs", tuple(x for x, _ in knots))
-        _store(self, "_ys", tuple(y for _, y in knots))
+        _store(self, "_xs", xs)
+        _store(self, "_ys", ys)
         _store(self, "_log_slopes", log_slopes)
         _store(self, "_log_norm_error", max(map(_log_rounding, log_slopes)))
 

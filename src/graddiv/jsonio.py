@@ -17,10 +17,11 @@ layout, a process that alternated such echoes with reading 1e5-element
 documents grew its resident set by about 2 MB per echo.
 
 Reading judges numbers by the rule the constructors apply
-(``ordered.as_float``, ``as_floats``, ``as_int`` and, for masses,
-``nonnegative``) and converts each element once: the grades and weights
-readers hand the decoded list to the constructor, which converts it; the
-other readers convert their arrays themselves.
+(``ordered.as_float``, ``as_floats``, ``count`` and, for masses,
+``nonnegative``) and converts each element once: the grades, weights and
+knots readers hand their decoded arrays to the constructor, which
+converts and checks them; the other readers convert their arrays
+themselves.
 
 A capacity document whose keys are the canonical subset keys in mask
 order, as ``capacity_to_doc`` builds it, is read in document order: one
@@ -42,7 +43,7 @@ from operator import add
 
 from .discrete import DivergenceResult, ProbabilityVector
 from .errors import InvalidInputError
-from .ordered import GradingSample, as_float, as_floats, as_int, nonnegative
+from .ordered import GradingSample, as_float, as_floats, count, nonnegative
 
 # capacity, families and quadrature are imported by the readers that build
 # their objects, so parsing a discrete document loads none of them; only a
@@ -335,9 +336,7 @@ def capacity_from_doc(doc: dict) -> Capacity:
     from .capacity import Capacity, _mask_key
 
     _require_keys(doc, frozenset({"ground_size", "values"}), schema="capacity")
-    n = as_int(doc["ground_size"], "ground_size")
-    if n < 1:
-        raise InvalidInputError(f"ground_size must be >= 1, got {n}")
+    n = count(doc["ground_size"], "ground_size")
     if n >= _UNHOLDABLE_GROUND_SIZE:
         raise InvalidInputError(
             f"ground_size {n} has 2^{n} subsets, more values than a document can hold"
@@ -400,16 +399,7 @@ def continuous_grading_from_doc(doc: dict) -> ContinuousGrading:
     _require_keys(params, frozenset(cls.params), schema=f"{family} params")
     if cls is not PiecewiseLinearCdf:
         return cls(a=a, b=b, **{k: as_float(params[k], f"params.{k}") for k in cls.params})
-    raw_knots = params["knots"]
-    if not isinstance(raw_knots, list):
-        raise InvalidInputError("params.knots must be an array of [x, y] pairs")
-    knots = []
-    for i, pair in enumerate(raw_knots):
-        coords = _floats(pair, f"params.knots[{i}]")
-        if len(coords) != 2:
-            raise InvalidInputError(f"params.knots[{i}] must be a pair [x, y]")
-        knots.append(coords)
-    grading = PiecewiseLinearCdf(tuple(knots))
+    grading = PiecewiseLinearCdf(params["knots"])
     if grading.support != (a, b):
         raise InvalidInputError(
             f"support [{a!r}, {b!r}] disagrees with knot endpoints {grading.support!r}"

@@ -18,14 +18,20 @@ is an InvalidInputError naming where it was found. ``nonnegative`` is the
 one rule for an array of weights, masses or capacity values: each finite
 and >= 0. ``interval`` is the one rule for a support, a grade span or an
 integration interval [a, b]: finite ends, a < b and a width that is a
-finite double. ``result`` is the one rule for the result records
-(DivergenceResult, QuadratureOutcome, CapacityEntropyReport): each count
->= 0, each estimate or dropped mass >= 0 and not NaN, and the value
-finite, or exactly -inf when the record flags negative_infinity. Arrays
-are converted and checked in C-level builtin passes (``map``, ``all``,
-``min``, ``sum``) rather than a Python loop per element; only an array
-that fails a check is walked again, element by element, to name its
-first offender. ``numbers`` is imported only to judge a value that is
+finite double. ``increasing`` is the one rule for grades and for each
+coordinate of a piecewise-linear grading's knots: each value finite and
+greater than the one before, and a span that ``interval`` accepts.
+``positive`` is the one rule for a tolerance, a shape or a scale: a real
+that is finite and > 0. ``count`` is the one rule for a count argument:
+an integer at least its least value (1 unless given) and, where it has
+one, at most its largest. ``result`` is the one rule for the result
+records (DivergenceResult, QuadratureOutcome, CapacityEntropyReport):
+each count >= 0, each estimate or dropped mass >= 0 and not NaN, and the
+value finite, or exactly -inf when the record flags negative_infinity.
+Arrays are converted and checked in C-level builtin passes (``map``,
+``all``, ``min``, ``sum``) rather than a Python loop per element; only an
+array that fails a check is walked again, element by element, to name
+its first offender. ``numbers`` is imported only to judge a value that is
 neither an exact float nor an exact int.
 
 Beside the rule sits ``_Record``, the base of every public value class: an
@@ -133,6 +139,50 @@ def interval(a: float, b: float, where: str) -> tuple[float, float]:
             f"{where} [{a!r}, {b!r}] overflows: its width is not a finite double"
         )
     return a, b
+
+
+def increasing(values: tuple[float, ...], where: str, span: str) -> tuple[float, ...]:
+    """The two or more floats ``values`` when each is finite, each is
+    greater than the one before and their span [values[0], values[-1]]
+    passes ``interval``; otherwise InvalidInputError naming the first fault:
+    a value that is not finite, then the first ``where[k] <= where[k - 1]``,
+    then the span under the name ``span``."""
+    # A NaN fails every comparison, and between finite end values every
+    # value is finite, so one pass and one span check validate it all.
+    if not (all(map(lt, values, islice(values, 1, None)))
+            and math.isfinite(values[-1] - values[0])):
+        for x in values:
+            if not math.isfinite(x):
+                raise InvalidInputError(f"{where} must be finite, got {x!r}")
+        for k in range(1, len(values)):
+            if values[k] <= values[k - 1]:
+                raise InvalidInputError(
+                    f"{where} must be strictly increasing: "
+                    f"{where}[{k}]={values[k]!r} <= {where}[{k - 1}]={values[k - 1]!r}"
+                )
+        # every increment is at most the span, so one check keeps them finite
+        interval(values[0], values[-1], span)
+    return values
+
+
+def positive(value: Any, where: str) -> float:
+    """``value`` as a float when it is finite and > 0; otherwise
+    InvalidInputError naming ``where``."""
+    x = as_float(value, where)
+    if not 0.0 < x < math.inf:
+        raise InvalidInputError(f"{where} must be finite and > 0, got {x!r}")
+    return x
+
+
+def count(value: Any, where: str, least: int = 1, most: int | None = None) -> int:
+    """``value`` as an int when it is >= ``least`` and, where ``most`` is
+    given, <= ``most``; otherwise InvalidInputError naming ``where``."""
+    n = as_int(value, where)
+    if most is not None and not least <= n <= most:
+        raise InvalidInputError(f"{where} must be in {least}..{most}, got {n}")
+    if n < least:
+        raise InvalidInputError(f"{where} must be >= {least}, got {n}")
+    return n
 
 
 # stores a field past _Record.__setattr__: constructors and their
@@ -260,11 +310,7 @@ class GradingSample(_Record):
             raise InvalidInputError(
                 f"a grading sample needs at least 2 grades, got {len(grades)}"
             )
-        # A NaN fails every comparison, and between finite end grades every
-        # grade is finite, so one pass and one span check validate it all.
-        if not (all(map(lt, grades, islice(grades, 1, None)))
-                and math.isfinite(grades[-1] - grades[0])):
-            _reject_grades(grades)
+        increasing(grades, "grades", "grade span")
         if labels is not None and len(labels) != len(grades):
             raise InvalidInputError(f"{len(labels)} labels for {len(grades)} grades")
         _store(self, "grades", grades)
@@ -272,21 +318,6 @@ class GradingSample(_Record):
 
     def __len__(self) -> int:
         return len(self.grades)
-
-
-def _reject_grades(grades: tuple[float, ...]) -> None:
-    """Raise for the first fault of grades that failed the one-pass check."""
-    for g in grades:
-        if not math.isfinite(g):
-            raise InvalidInputError(f"grades must be finite, got {g!r}")
-    for k in range(1, len(grades)):
-        if grades[k] <= grades[k - 1]:
-            raise InvalidInputError(
-                "grades must be strictly increasing: "
-                f"grades[{k}]={grades[k]!r} <= grades[{k - 1}]={grades[k - 1]!r}"
-            )
-    # every increment is at most the span, so one check keeps them finite
-    interval(grades[0], grades[-1], "grade span")
 
 
 class IncrementPair(_Record):

@@ -75,7 +75,9 @@ import sys
 from collections.abc import Callable, Sequence
 
 from .errors import ComputationError, InvalidInputError, beyond_range
-from .ordered import _Record, _store, as_float, as_floats, as_int, interval, nonnegative, result
+from .ordered import (
+    _Record, _store, as_float, as_floats, count, interval, nonnegative, positive, result,
+)
 
 __all__ = ["QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"]
 
@@ -111,18 +113,9 @@ class QuadratureSpec(_Record):
     __slots__ = _fields
 
     def __post_init__(self):
-        abs_tol = as_float(self.abs_tol, "abs_tol")
-        rel_tol = as_float(self.rel_tol, "rel_tol")
-        max_depth = as_int(self.max_depth, "max_depth")
-        if not (math.isfinite(abs_tol) and abs_tol > 0):
-            raise InvalidInputError(f"abs_tol must be finite and positive, got {abs_tol!r}")
-        if not (math.isfinite(rel_tol) and rel_tol > 0):
-            raise InvalidInputError(f"rel_tol must be finite and positive, got {rel_tol!r}")
-        if max_depth < 1:
-            raise InvalidInputError(f"max_depth must be an integer >= 1, got {max_depth!r}")
-        _store(self, "abs_tol", abs_tol)
-        _store(self, "rel_tol", rel_tol)
-        _store(self, "max_depth", max_depth)
+        _store(self, "abs_tol", positive(self.abs_tol, "abs_tol"))
+        _store(self, "rel_tol", positive(self.rel_tol, "rel_tol"))
+        _store(self, "max_depth", count(self.max_depth, "max_depth"))
 
 
 class QuadratureOutcome(_Record):

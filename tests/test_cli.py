@@ -389,7 +389,7 @@ class TestCommands:
             argv += ["--quad", str(quad)]
         code, out, _ = invoke(argv)
         assert code == EXIT_INVALID_INPUT
-        assert report_of(out)["error"] == "abs_tol must be finite and positive, got inf"
+        assert report_of(out)["error"] == "abs_tol must be finite and > 0, got inf"
 
     def test_tol_override(self, sample_files):
         code, out, _ = invoke(

@@ -651,7 +651,7 @@ _REFUSALS = [
     (_grading("beta", {"alpha": "x", "beta": "y"}), "params.alpha must be a number, got 'x'"),
     (_grading("beta", {"alpha": 10**400, "beta": 1}), "params.alpha is out of float range"),
     (_grading("beta", {"alpha": -1, "beta": 1}),
-     "shape parameters must be positive and finite, got (-1.0, 1.0)"),
+     "alpha must be finite and > 0, got -1.0"),
     (_grading("beta", {"alpha": 1, "beta": 1}, (1, 0)), "support must satisfy a < b, got [1.0, 0.0]"),
     (_grading("beta", {"alpha": -1, "beta": 1}, (1, 0)),
      "support must satisfy a < b, got [1.0, 0.0]"),
@@ -662,30 +662,30 @@ _REFUSALS = [
     (_grading("triangular", {"c": None}), "params.c must be a number, got None"),
     (_grading("triangular", {}), "triangular params document is missing keys ['c']"),
     (_grading("truncated_normal", {"mu": 0, "sigma": 0}),
-     "need finite mu and sigma > 0, got (0.0, 0.0)"),
+     "sigma must be finite and > 0, got 0.0"),
     (_grading("truncated_normal", {"mu": "a", "sigma": "b"}), "params.mu must be a number, got 'a'"),
     (_grading("truncated_normal", {"mu": 0, "sigma": "s"}), "params.sigma must be a number, got 's'"),
     (_grading("truncated_normal", {"mu": 0, "sigma": 1}, (60, 61)),
      "the interval carries no normal mass at this mu/sigma (truncation window too deep in a tail)"),
     (_grading("truncated_normal", {"sigma": 1}),
      "truncated_normal params document is missing keys ['mu']"),
-    (_grading("power", {"p": 0}), "exponent must be positive and finite, got 0.0"),
+    (_grading("power", {"p": 0}), "p must be finite and > 0, got 0.0"),
     (_grading("power", {"p": -1}, (0, 0)), "support must satisfy a < b, got [0.0, 0.0]"),
     (_grading("power", {"p": [1]}), "params.p must be a number, got [1]"),
     (_grading("power", {"q": 1}), "power params document is missing keys ['p']"),
     (_grading(_KNOTS, {"knots": [[0, 0], [1, 1]]}, (0, 2)),
      "support [0.0, 2.0] disagrees with knot endpoints (0.0, 1.0)"),
-    (_grading(_KNOTS, {"knots": "x"}), "params.knots must be an array of [x, y] pairs"),
-    (_grading(_KNOTS, {"knots": [[0, 0], [1]]}), "params.knots[1] must be a pair [x, y]"),
-    (_grading(_KNOTS, {"knots": [[0, 0], 1]}), "params.knots[1] must be an array of numbers"),
+    (_grading(_KNOTS, {"knots": "x"}), "knots[0][0] must be a number, got 'x'"),
+    (_grading(_KNOTS, {"knots": [[0, 0], [1]]}), "knots[1] must be a pair (x, y), got (1.0,)"),
+    (_grading(_KNOTS, {"knots": [[0, 0], 1]}), "knots[1] must be an array of numbers"),
     (_grading(_KNOTS, {"knots": [[0, 0]]}, (0, 0)), "need at least 2 knots"),
     (_grading(_KNOTS, {"knots": []}), "need at least 2 knots"),
     (_grading(_KNOTS, {"knots": [[0, 0], [0, 1]]}, (0, 0)),
-     "knots must be strictly increasing in both coordinates, got (0.0, 0.0) then (0.0, 1.0)"),
-    (_grading(_KNOTS, {"knots": [[0, 0], [1, math.inf]]}), "knots must be finite, got (1.0, inf)"),
+     "knot x must be strictly increasing: knot x[1]=0.0 <= knot x[0]=0.0"),
+    (_grading(_KNOTS, {"knots": [[0, 0], [1, math.inf]]}), "knot y must be finite, got inf"),
     (_grading(_KNOTS, {}), "piecewise_linear_cdf params document is missing keys ['knots']"),
     (_grading(_KNOTS, {"knots": [[0, "a"], [1, 1]]}),
-     "params.knots[0][1] must be a number, got 'a'"),
+     "knots[0][1] must be a number, got 'a'"),
     # the family-by-family reader raised TypeError on these
     (_grading(["beta"], {}), f"unknown family ['beta'] {_KNOWN}"),
     (_grading({"a": 1}, {}), f"unknown family {{'a': 1}} {_KNOWN}"),

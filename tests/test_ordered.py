@@ -34,8 +34,8 @@ from graddiv import (
     riemann_divergence,
 )
 from graddiv.capacity import _NUMPY_FROM
-from graddiv.jsonio import continuous_grading_from_doc, masses_from_doc
-from graddiv.ordered import as_floats, interval, nonnegative
+from graddiv.jsonio import capacity_from_doc, continuous_grading_from_doc, masses_from_doc
+from graddiv.ordered import as_floats, count, increasing, interval, nonnegative, positive
 
 from conftest import grading_samples
 
@@ -199,6 +199,7 @@ _REALS = [
     ("QuadratureSpec.rel_tol", lambda v: QuadratureSpec(rel_tol=v), "rel_tol"),
     ("IncrementPair", lambda v: IncrementPair(1.0, v), "delta_f"),
     ("invert_cdf", lambda v: invert_cdf(_U, v), "u"),
+    ("is_probability", _U.is_probability, "tol"),
     ("integrate_adaptive", lambda v: integrate_adaptive(abs, 0.0, v, QuadratureSpec()), "b"),
     ("integrate_adaptive.breakpoints",
      lambda v: integrate_adaptive(abs, -1.0, 1.0, QuadratureSpec(), (v,)), "breakpoints[0]"),
@@ -215,6 +216,7 @@ _COUNTS = [
     ("MaximalChain", lambda v: MaximalChain((1, v)), "order[1]"),
     ("position_grading", position_grading, "n"),
     ("enumerate_chains", lambda v: list(enumerate_chains(v)), "n"),
+    ("enumerate_chains.limit", lambda v: list(enumerate_chains(1, v)), "limit"),
     ("riemann_divergence", lambda v: riemann_divergence(_U, _U, v), "n_points"),
     ("DivergenceResult", lambda v: DivergenceResult(0.0, v), "terms_used"),
     ("CapacityEntropyReport", lambda v: CapacityEntropyReport(1.0, _CHAIN, v, "exhaustive"),
@@ -378,13 +380,12 @@ _FAMILY_PARAMS = {
 
 # each entry point of ordered.interval: a call that puts [a, b] where the
 # rule reads it, the name the rule gives it, and for the knots and grades,
-# whose elements are judged first, the texts of that element rule for the
-# infinite, NaN and a >= b cases below
+# whose elements ordered.increasing judges first, the texts it gives for
+# the infinite, NaN and a >= b cases below
 _KNOT_X = {
-    "infinite": "knots must be finite, got (inf, 1.0)",
-    "nan": "knots must be finite, got (nan, 0.0)",
-    "a>=b": "knots must be strictly increasing in both coordinates, "
-            "got (1.0, 0.0) then (1.0, 1.0)",
+    "infinite": "knot x must be finite, got inf",
+    "nan": "knot x must be finite, got nan",
+    "a>=b": "knot x must be strictly increasing: knot x[1]=1.0 <= knot x[0]=1.0",
 }
 _INTERVALS = [
     pytest.param(Uniform, "support", {}, id="Uniform"),
@@ -405,10 +406,9 @@ _INTERVALS = [
     pytest.param(lambda a, b: PiecewiseLinearCdf(((a, 0.0), (b, 1.0))), "support", _KNOT_X,
                  id="PiecewiseLinearCdf-x"),
     pytest.param(lambda a, b: PiecewiseLinearCdf(((0.0, a), (1.0, b))), "grade span", {
-        "infinite": "knots must be finite, got (1.0, inf)",
-        "nan": "knots must be finite, got (0.0, nan)",
-        "a>=b": "knots must be strictly increasing in both coordinates, "
-                "got (0.0, 1.0) then (1.0, 1.0)",
+        "infinite": "knot y must be finite, got inf",
+        "nan": "knot y must be finite, got nan",
+        "a>=b": "knot y must be strictly increasing: knot y[1]=1.0 <= knot y[0]=1.0",
     }, id="PiecewiseLinearCdf-y"),
     pytest.param(lambda a, b: GradingSample((a, b)), "grade span", {
         "infinite": "grades must be finite, got inf",
@@ -475,6 +475,129 @@ class TestInterval:
             integrate_adaptive(fn, a, b, QuadratureSpec(), mass=mass)
         assert str(exc.value) == message
         assert calls == []
+
+
+def _increasing_oracle(values, where, span):
+    """The plain-loop oracle of ordered.increasing: None when the values are
+    finite, strictly increasing and span a finite width, else the text of
+    the first fault."""
+    for x in values:
+        if not math.isfinite(x):
+            return f"{where} must be finite, got {x!r}"
+    for k in range(1, len(values)):
+        if values[k] <= values[k - 1]:
+            return (f"{where} must be strictly increasing: "
+                    f"{where}[{k}]={values[k]!r} <= {where}[{k - 1}]={values[k - 1]!r}")
+    if not math.isfinite(values[-1] - values[0]):
+        return f"{span} [{values[0]!r}, {values[-1]!r}] overflows: its width is not a finite double"
+    return None
+
+
+# repeats, NaN, both infinities, both zeros and ends whose span passes
+# 1.8e308, mixed with any float, in any order or sorted
+_GRADE_EDGES = [math.nan, math.inf, -math.inf, -1.7976931348623157e308, -1e308, -1.0, -0.0,
+                0.0, 5e-324, 1.0, 1e308, 1.7976931348623157e308]
+_SEQUENCES = st.lists(st.one_of(st.sampled_from(_GRADE_EDGES), st.floats()),
+                      min_size=2, max_size=6)
+
+
+class TestIncreasing:
+    """ordered.increasing is the one rule for grades and for each knot
+    coordinate: every value finite, each above the one before, and a span
+    whose width is a finite double."""
+
+    @given(st.one_of(_SEQUENCES, _SEQUENCES.map(sorted)))
+    @example([1.0, 1.0])
+    @example([-1e308, 0.0, 1e308])
+    @example([0.0, math.nan, -1.0])
+    @example([2.0, 1.0, math.inf])
+    @example([-0.0, 0.0])
+    def test_grades_and_both_knot_coordinates_agree(self, values):
+        values = tuple(values)
+        fault = _increasing_oracle(values, "v", "s")
+        if fault is None:
+            assert increasing(values, "v", "s") is values
+        else:
+            with pytest.raises(InvalidInputError) as exc:
+                increasing(values, "v", "s")
+            assert str(exc.value) == fault
+        steps = tuple(map(float, range(len(values))))
+        callers = [
+            ("grades", "grade span", GradingSample),
+            ("knot x", "support", lambda v: PiecewiseLinearCdf(tuple(zip(v, steps)))),
+            ("knot y", "grade span", lambda v: PiecewiseLinearCdf(tuple(zip(steps, v)))),
+        ]
+        for where, span, build in callers:
+            assert _refusal(build, values) == _increasing_oracle(values, where, span), where
+
+
+# each entry point of ordered.positive and ordered.count, and the rules
+# beside them, with the text of a value they refuse
+_BOUNDS = [
+    (lambda: QuadratureSpec(abs_tol=0.0), "abs_tol must be finite and > 0, got 0.0"),
+    (lambda: QuadratureSpec(abs_tol=-1e-8), "abs_tol must be finite and > 0, got -1e-08"),
+    (lambda: QuadratureSpec(rel_tol=math.nan), "rel_tol must be finite and > 0, got nan"),
+    (lambda: QuadratureSpec(rel_tol=math.inf), "rel_tol must be finite and > 0, got inf"),
+    (lambda: QuadratureSpec(max_depth=0), "max_depth must be >= 1, got 0"),
+    (lambda: Beta(0.0, 1.0), "alpha must be finite and > 0, got 0.0"),
+    (lambda: Beta(1.0, math.inf), "beta must be finite and > 0, got inf"),
+    (lambda: TruncatedNormal(0.0, -1.0, -1.0, 1.0), "sigma must be finite and > 0, got -1.0"),
+    (lambda: TruncatedNormal(math.nan, 1.0, -1.0, 1.0), "mu must be finite, got nan"),
+    (lambda: Power(-2.0), "p must be finite and > 0, got -2.0"),
+    (lambda: Power(math.nan), "p must be finite and > 0, got nan"),
+    (lambda: riemann_divergence(_U, _U, 1), "n_points must be >= 2, got 1"),
+    (lambda: position_grading(0), "n must be >= 1, got 0"),
+    (lambda: list(enumerate_chains(0)), "n must be in 1..10, got 0"),
+    (lambda: list(enumerate_chains(11)), "n must be in 1..10, got 11"),
+    (lambda: list(enumerate_chains(3, 2)), "n must be in 1..2, got 3"),
+    (lambda: list(enumerate_chains(3, 0)), "limit must be >= 1, got 0"),
+    # a bare TypeError from comparing n with the limit before the rule
+    (lambda: list(enumerate_chains(3, "x")), "limit must be an integer, got 'x'"),
+    (lambda: list(enumerate_chains(3, 10.5)), "limit must be an integer, got 10.5"),
+    (lambda: Capacity(0, (0.0,)), "ground_size must be >= 1, got 0"),
+    (lambda: capacity_from_doc({"ground_size": -1, "values": {}}),
+     "ground_size must be >= 1, got -1"),
+    # a bare TypeError from comparing the tolerance before the rule
+    (lambda: _U.is_probability("x"), "tol must be a number, got 'x'"),
+    (lambda: _U.is_probability(math.nan), "tol must be finite and >= 0, got nan"),
+    (lambda: _U.is_probability(-1e-12), "tol must be finite and >= 0, got -1e-12"),
+]
+
+
+class TestPositiveAndCount:
+    """ordered.positive is the one rule for a tolerance, shape or scale and
+    ordered.count the one rule for a count."""
+
+    @pytest.mark.parametrize("build, message", _BOUNDS)
+    def test_every_entry_point_names_the_bound(self, build, message):
+        with pytest.raises(InvalidInputError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    @given(st.one_of(st.floats(), st.integers(-3, 3)))
+    @example(5e-324)
+    @example(-0.0)
+    def test_positive_accepts_exactly_finite_values_above_zero(self, x):
+        if 0 < x < math.inf:
+            assert positive(x, "v") == float(x)
+        else:
+            with pytest.raises(InvalidInputError) as exc:
+                positive(x, "v")
+            assert str(exc.value) == f"v must be finite and > 0, got {float(x)!r}"
+
+    @given(st.integers(-5, 20))
+    def test_count_accepts_exactly_its_range(self, n):
+        for least, most, text in ((2, None, f"v must be >= 2, got {n}"),
+                                  (1, 10, f"v must be in 1..10, got {n}")):
+            if least <= n and (most is None or n <= most):
+                assert count(n, "v", least, most) == n
+            else:
+                assert _refusal(lambda v: count(v, "v", least, most), n) == text
+
+    def test_zero_tolerance_and_limit_at_n_are_accepted(self):
+        assert _U.is_probability(0.0)
+        assert not PiecewiseLinearCdf(((0.0, 0.0), (1.0, 2.0))).is_probability(0)
+        assert len(list(enumerate_chains(3, 3))) == 6
 
 
 class TestIncrements:

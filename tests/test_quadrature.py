@@ -31,7 +31,7 @@ class TestQuadratureSpec:
 
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     def test_infinite_tolerance_is_not_finite(self, field):
-        with pytest.raises(InvalidInputError, match=f"{field} must be finite and positive, got inf"):
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite and > 0, got inf"):
             QuadratureSpec(**{field: math.inf})
 
     def test_rejects_bad_depth(self):
