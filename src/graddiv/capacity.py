@@ -46,13 +46,14 @@ math.log on either side and folds its value with the side's terms.
 import itertools
 import math
 import struct
+import sys
 from collections.abc import Iterator, Sequence
 from functools import cache, partial
 from operator import le, or_, sub
 
 from .discrete import DivergenceResult
 from .errors import InvalidInputError, beyond_range
-from .ordered import _Record, _store, as_floats, as_int, count, nonnegative, result
+from .ordered import _Record, _store, array, as_floats, as_int, count, nonnegative, result
 
 __all__ = [
     "Capacity",
@@ -80,6 +81,10 @@ __all__ = [
 # switch follows the random ones.
 _NUMPY_FROM = 10
 
+# The largest ground size: no container holds the 2^63 subset values of 63
+# elements, since a length is at most sys.maxsize.
+_MOST_ELEMENTS = sys.maxsize.bit_length() - 1
+
 
 class Capacity(_Record):
     """A monotone nonnegative set function on all subsets of {1..n}.
@@ -97,12 +102,8 @@ class Capacity(_Record):
     __slots__ = _fields
 
     def __post_init__(self):
-        n = count(self.ground_size, "ground_size")
-        vals = as_floats(self.values, "values")
-        if len(vals) != 2**n:
-            raise InvalidInputError(
-                f"need {2**n} subset values for ground_size {n}, got {len(vals)}"
-            )
+        n = count(self.ground_size, "ground_size", 1, _MOST_ELEMENTS)
+        vals = as_floats(self.values, "values", 1 << n, 1 << n)
         nonnegative(vals, "subset values")
         if vals[0] != 0.0:
             raise InvalidInputError(f"the empty set must have value 0, got {vals[0]!r}")
@@ -119,10 +120,8 @@ class Capacity(_Record):
     @classmethod
     def additive(cls, masses) -> "Capacity":
         """The additive capacity whose subset values are sums of masses."""
-        ms = as_floats(masses, "masses")
+        ms = as_floats(masses, "masses", 1, _MOST_ELEMENTS)
         n = len(ms)
-        if n < 1:
-            raise InvalidInputError("need at least one mass")
         vals = [0.0] * (2**n)
         for mask in range(1, 2**n):
             low = mask & (mask - 1)  # mask without its lowest set bit
@@ -180,14 +179,9 @@ class MaximalChain(_Record):
     __slots__ = _fields
 
     def __post_init__(self):
-        try:
-            raw = tuple(self.order)
-        except TypeError:
-            raise InvalidInputError("order must be an array of integers") from None
+        raw = array(self.order, "order", 1)
         order = tuple(as_int(e, f"order[{i}]") for i, e in enumerate(raw))
         n = len(order)
-        if n < 1:
-            raise InvalidInputError("a maximal chain needs at least one element")
         if sorted(order) != list(range(1, n + 1)):
             raise InvalidInputError(
                 f"order must be a permutation of 1..{n}, got {order!r}"

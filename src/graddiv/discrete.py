@@ -56,9 +56,7 @@ class ProbabilityVector(_Record):
     __slots__ = _fields
 
     def __post_init__(self):
-        w = nonnegative(as_floats(self.weights, "weights"), "weights")
-        if not w:
-            raise InvalidInputError("a probability vector cannot be empty")
+        w = nonnegative(as_floats(self.weights, "weights", 1), "weights")
         try:
             total = math.fsum(w)
         except OverflowError:  # a partial sum left double range

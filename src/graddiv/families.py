@@ -20,7 +20,8 @@ from functools import cached_property
 
 from .errors import InvalidInputError
 from .ordered import (
-    _Record, _store, as_float, as_floats, increasing, interval, log_ratio, nonnegative, positive,
+    _Record, _store, array, as_float, as_floats, increasing, interval, log_ratio, nonnegative,
+    positive,
 )
 
 TYPE_CHECKING = False
@@ -530,15 +531,8 @@ class PiecewiseLinearCdf(ContinuousGrading):
     __slots__ = _fields
 
     def __post_init__(self):
-        try:
-            knots = tuple(as_floats(k, f"knots[{i}]") for i, k in enumerate(self.knots))
-        except TypeError:
-            raise InvalidInputError("knots must be an array of (x, y) pairs") from None
-        if len(knots) < 2:
-            raise InvalidInputError("need at least 2 knots")
-        for i, knot in enumerate(knots):
-            if len(knot) != 2:
-                raise InvalidInputError(f"knots[{i}] must be a pair (x, y), got {knot!r}")
+        knots = tuple(as_floats(k, f"knots[{i}]", 2, 2)
+                      for i, k in enumerate(array(self.knots, "knots", 2)))
         xs, ys = zip(*knots)
         increasing(xs, "knot x", "support")
         increasing(ys, "knot y", "grade span")

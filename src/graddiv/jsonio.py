@@ -16,12 +16,11 @@ next document text of that size did not fit. Depending on the heap's
 layout, a process that alternated such echoes with reading 1e5-element
 documents grew its resident set by about 2 MB per echo.
 
-Reading judges numbers by the rule the constructors apply
-(``ordered.as_float``, ``as_floats``, ``count`` and, for masses,
-``nonnegative``) and converts each element once: the grades, weights and
-knots readers hand their decoded arrays to the constructor, which
-converts and checks them; the other readers convert their arrays
-themselves.
+Reading judges arrays and numbers by the rule the constructors apply
+(``ordered.array``, ``as_float``, ``as_floats``, ``count`` and, for
+masses, ``nonnegative``) and converts each element once: each reader
+hands a decoded array, unchecked, to the constructor or the rule that
+converts and checks it.
 
 A capacity document whose keys are the canonical subset keys in mask
 order, as ``capacity_to_doc`` builds it, is read in document order: one
@@ -223,30 +222,17 @@ def _require_keys(
         raise InvalidInputError(f"{schema} document has unknown keys {extra}")
 
 
-def _number_list(value: Any, where: str) -> list:
-    """The decoded array itself; its elements are judged where they are
-    converted, by ``as_floats``."""
-    if not isinstance(value, list):
-        raise InvalidInputError(f"{where} must be an array of numbers")
-    return value
-
-
-def _floats(value: Any, where: str) -> tuple[float, ...]:
-    return as_floats(_number_list(value, where), where)
-
-
 # ---------------------------------------------------------------- schemas
 
 
 def grading_sample_from_doc(doc: dict) -> GradingSample:
     _require_keys(doc, frozenset({"grades"}), frozenset({"labels"}), "grading_sample")
-    grades = _number_list(doc["grades"], "grades")
     if "labels" not in doc:
-        return GradingSample(grades)
+        return GradingSample(doc["grades"])
     # The constructor judges the labels. To it None means no labels, so a
     # JSON null is handed over as the non-string it is.
     labels = doc["labels"]
-    return GradingSample(grades, labels=(None,) if labels is None else labels)
+    return GradingSample(doc["grades"], labels=(None,) if labels is None else labels)
 
 
 def grading_sample_to_doc(sample: GradingSample) -> dict:
@@ -258,7 +244,7 @@ def grading_sample_to_doc(sample: GradingSample) -> dict:
 
 def weights_from_doc(doc: dict) -> ProbabilityVector:
     _require_keys(doc, frozenset({"weights"}), schema="weights")
-    return ProbabilityVector(_number_list(doc["weights"], "weights"))
+    return ProbabilityVector(doc["weights"])
 
 
 def weights_to_doc(vector: ProbabilityVector) -> dict:
@@ -267,7 +253,7 @@ def weights_to_doc(vector: ProbabilityVector) -> dict:
 
 def masses_from_doc(doc: dict) -> tuple[float, ...]:
     _require_keys(doc, frozenset({"masses"}), schema="masses")
-    return nonnegative(_floats(doc["masses"], "masses"), "masses")
+    return nonnegative(as_floats(doc["masses"], "masses"), "masses")
 
 
 def masses_to_doc(masses: tuple[float, ...]) -> dict:
@@ -327,20 +313,11 @@ def _subset_keys(n: int) -> tuple[str, ...]:
     return (_cached_key_table if n < _NUMPY_FROM else _key_table)(n)
 
 
-# No container holds 2^63 entries (len is at most sys.maxsize), so from
-# this ground size on a document always misses subsets.
-_UNHOLDABLE_GROUND_SIZE = sys.maxsize.bit_length()
-
-
 def capacity_from_doc(doc: dict) -> Capacity:
-    from .capacity import Capacity, _mask_key
+    from .capacity import _MOST_ELEMENTS, Capacity, _mask_key
 
     _require_keys(doc, frozenset({"ground_size", "values"}), schema="capacity")
-    n = count(doc["ground_size"], "ground_size")
-    if n >= _UNHOLDABLE_GROUND_SIZE:
-        raise InvalidInputError(
-            f"ground_size {n} has 2^{n} subsets, more values than a document can hold"
-        )
+    n = count(doc["ground_size"], "ground_size", 1, _MOST_ELEMENTS)
     raw = doc["values"]
     if not isinstance(raw, dict):
         raise InvalidInputError("values must be an object keyed by subset")
@@ -391,10 +368,7 @@ def continuous_grading_from_doc(doc: dict) -> ContinuousGrading:
     if cls is None:
         known = ", ".join(sorted(FAMILIES))
         raise InvalidInputError(f"unknown family {family!r} (known: {known})")
-    support = _floats(doc["support"], "support")
-    if len(support) != 2:
-        raise InvalidInputError("support must be an array [a, b]")
-    a, b = support
+    a, b = as_floats(doc["support"], "support", 2, 2)
     params = doc["params"]
     _require_keys(params, frozenset(cls.params), schema=f"{family} params")
     if cls is not PiecewiseLinearCdf:

@@ -9,10 +9,13 @@ direct use; no kernel calls it, since each computes the rate inline in its
 own loop. log_ratio gives ln(d / w) also where the ratio underflows to 0
 or overflows; the continuous kernels fall back on it.
 
-It also holds the package's one rule for numeric input, which every
-constructor and reader applies: ``as_float`` for a real, ``as_floats`` for
-an array of reals and ``as_int`` for a count. A real is a ``numbers.Real``
-other than a bool (so ints, floats and numpy scalars) that converts to a
+It also holds the package's one rule for input, which every constructor
+and reader applies: ``array`` for an array, ``as_float`` for a real,
+``as_floats`` for an array of reals and ``as_int`` for a count. An array
+is an ordered sequence: any iterable but a str, bytes, bytearray, mapping
+or set, whose length ``count`` judges against the least and, where given,
+the largest length its caller allows. A real is a ``numbers.Real`` other
+than a bool (so ints, floats and numpy scalars) that converts to a
 double; a count is a ``numbers.Integral`` other than a bool. Anything else
 is an InvalidInputError naming where it was found. ``nonnegative`` is the
 one rule for an array of weights, masses or capacity values: each finite
@@ -44,7 +47,7 @@ that declaration; no record class writes its own ``__init__``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Set
 from itertools import islice
 from operator import lt, sub
 
@@ -88,21 +91,44 @@ def as_int(value: Any, where: str) -> int:
     return int(value)
 
 
+# an iterable that is no ordered sequence: characters, keys, or members
+# in hash order
+_NOT_ARRAYS = (str, bytes, bytearray, Mapping, Set)
+
+
+def array(values: Iterable, where: str, least: int = 0, most: int | None = None) -> tuple:
+    """``values`` as a tuple when it is an array whose length ``count``
+    accepts between ``least`` and ``most``; otherwise InvalidInputError
+    naming ``where``. A tuple is returned as it is, and a tuple or a list
+    skips the checks that refuse a str, bytes, mapping or set."""
+    kind = type(values)
+    if kind is list:
+        values = tuple(values)
+    elif kind is not tuple:
+        try:
+            values = None if isinstance(values, _NOT_ARRAYS) else tuple(values)
+        except TypeError:  # not iterable
+            values = None
+        if values is None:
+            raise InvalidInputError(f"{where} must be an array, got {kind.__name__}")
+    count(len(values), f"{where} length", least, most)
+    return values
+
+
 _FLOAT_TYPE = frozenset({float})
 
 
-def as_floats(values: Iterable, where: str) -> tuple[float, ...]:
-    """``values`` as a tuple of floats, or InvalidInputError naming the
-    first offender as ``where[i]``.
+def as_floats(values: Iterable, where: str, least: int = 0,
+              most: int | None = None) -> tuple[float, ...]:
+    """``values``, an ``array`` of ``least`` to ``most`` elements, as a
+    tuple of floats, or InvalidInputError naming the first offender as
+    ``where[i]``.
 
     A tuple of exact floats is returned as it is, without a copy. Other
     numbers are converted by one ``map(float, ...)``; the element types are
     judged once per distinct type, not once per element.
     """
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise InvalidInputError(f"{where} must be an array of numbers") from None
+    values = array(values, where, least, most)
     types = set(map(type, values))
     if types <= _FLOAT_TYPE:
         return values
@@ -179,7 +205,8 @@ def count(value: Any, where: str, least: int = 1, most: int | None = None) -> in
     given, <= ``most``; otherwise InvalidInputError naming ``where``."""
     n = as_int(value, where)
     if most is not None and not least <= n <= most:
-        raise InvalidInputError(f"{where} must be in {least}..{most}, got {n}")
+        bounds = least if least == most else f"in {least}..{most}"
+        raise InvalidInputError(f"{where} must be {bounds}, got {n}")
     if n < least:
         raise InvalidInputError(f"{where} must be >= {least}, got {n}")
     return n
@@ -287,8 +314,8 @@ class GradingSample(_Record):
     ``grades[k]`` is the grade of the k-th element. Strict monotonicity is
     the defining property of a grading function and is enforced eagerly:
     a repeated grade would make downstream increment ratios undefined.
-    ``labels``, when given, is a list or tuple of one string per grade; a
-    label that is no string is refused, not converted.
+    ``labels``, when given, is an array of one string per grade; a label
+    that is no string is refused, not converted.
     """
 
     grades: tuple[float, ...]
@@ -299,17 +326,12 @@ class GradingSample(_Record):
     __slots__ = _fields
 
     def __post_init__(self):
-        grades = as_floats(self.grades, "grades")
+        grades = as_floats(self.grades, "grades", 2)
         labels = self.labels
         if labels is not None:
-            if not (isinstance(labels, (list, tuple))
-                    and all(isinstance(s, str) for s in labels)):
+            labels = array(labels, "labels")
+            if not all(isinstance(s, str) for s in labels):
                 raise InvalidInputError("labels must be an array of strings")
-            labels = tuple(labels)
-        if len(grades) < 2:
-            raise InvalidInputError(
-                f"a grading sample needs at least 2 grades, got {len(grades)}"
-            )
         increasing(grades, "grades", "grade span")
         if labels is not None and len(labels) != len(grades):
             raise InvalidInputError(f"{len(labels)} labels for {len(grades)} grades")

@@ -102,7 +102,7 @@ class TestCapacity:
         # monotonicity: one input with the last three, mended one at a time
         faulty = [0.5, 0.7, -0.25, 0.6]
         steps = [
-            (faulty + [1.0], "need 4 subset values for ground_size 2, got 5"),
+            (faulty + [1.0], "values length must be 4, got 5"),
             (faulty, "subset values must be finite and >= 0, got -0.25"),
             ([0.5, 0.7, 0.8, 0.6], "the empty set must have value 0, got 0.5"),
             ([0.0, 0.7, 0.8, 0.6], "capacity is not monotone: value({2})=0.8 > value({1,2})=0.6"),
@@ -167,7 +167,7 @@ class TestMaximalChain:
             MaximalChain((0, 1))
         with pytest.raises(InvalidInputError):
             MaximalChain(())
-        with pytest.raises(InvalidInputError, match="^order must be an array of integers$"):
+        with pytest.raises(InvalidInputError, match="^order must be an array, got int$"):
             MaximalChain(5)
 
     def test_rejects_gap(self):

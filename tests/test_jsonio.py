@@ -319,11 +319,20 @@ class TestGradingSampleDocs:
             grading_sample_from_doc({"grades": grades, "labels": [1, 2, 3]})
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("labels", [None, "ab", {"a": 0, "b": 1}, ["a", 2]])
-    def test_labels_not_an_array_of_strings(self, labels):
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (None, "labels must be an array of strings"),
+            ("ab", "labels must be an array, got str"),
+            ({"a": 0, "b": 1}, "labels must be an array, got dict"),
+            (["a", 2], "labels must be an array of strings"),
+        ],
+        ids=["None", "ab", "labels2", "labels3"],
+    )
+    def test_labels_not_an_array_of_strings(self, labels, message):
         with pytest.raises(InvalidInputError) as exc:
             grading_sample_from_doc({"grades": [0, 1], "labels": labels})
-        assert str(exc.value) == "labels must be an array of strings"
+        assert str(exc.value) == message
 
     def test_integer_beyond_float_range_is_named(self):
         huge = 10**400
@@ -516,9 +525,8 @@ class TestCapacityDocs:
         [
             (40, "values must cover every subset; 1099511627775 missing (1, 2, 1,2, 3, ...)"),
             (62, "values must cover every subset; 4611686018427387903 missing (1, 2, 1,2, 3, ...)"),
-            (63, "ground_size 63 has 2^63 subsets, more values than a document can hold"),
-            (10**30, f"ground_size {10**30} has 2^{10**30} subsets, "
-                     "more values than a document can hold"),
+            (63, "ground_size must be in 1..62, got 63"),
+            (10**30, f"ground_size must be in 1..62, got {10**30}"),
         ],
         ids=["40", "62", "63", "1e30"],
     )
@@ -636,8 +644,8 @@ _REFUSALS = [
     (_grading("gamma", {}), f"unknown family 'gamma' {_KNOWN}"),
     (_grading(3, {}), f"unknown family 3 {_KNOWN}"),
     (_grading(None, {}), f"unknown family None {_KNOWN}"),
-    (_grading("beta", _BETA, (0, 1, 2)), "support must be an array [a, b]"),
-    ({**_grading("beta", _BETA), "support": "x"}, "support must be an array of numbers"),
+    (_grading("beta", _BETA, (0, 1, 2)), "support length must be 2, got 3"),
+    ({**_grading("beta", _BETA), "support": "x"}, "support must be an array, got str"),
     (_grading("beta", _BETA, (0, True)), "support[1] must be a number, got True"),
     (_grading("beta", _BETA, (0, "1")), "support[1] must be a number, got '1'"),
     (_grading("beta", _BETA, (0, 10**400)), "support[1] is out of float range"),
@@ -675,11 +683,11 @@ _REFUSALS = [
     (_grading("power", {"q": 1}), "power params document is missing keys ['p']"),
     (_grading(_KNOTS, {"knots": [[0, 0], [1, 1]]}, (0, 2)),
      "support [0.0, 2.0] disagrees with knot endpoints (0.0, 1.0)"),
-    (_grading(_KNOTS, {"knots": "x"}), "knots[0][0] must be a number, got 'x'"),
-    (_grading(_KNOTS, {"knots": [[0, 0], [1]]}), "knots[1] must be a pair (x, y), got (1.0,)"),
-    (_grading(_KNOTS, {"knots": [[0, 0], 1]}), "knots[1] must be an array of numbers"),
-    (_grading(_KNOTS, {"knots": [[0, 0]]}, (0, 0)), "need at least 2 knots"),
-    (_grading(_KNOTS, {"knots": []}), "need at least 2 knots"),
+    (_grading(_KNOTS, {"knots": "x"}), "knots must be an array, got str"),
+    (_grading(_KNOTS, {"knots": [[0, 0], [1]]}), "knots[1] length must be 2, got 1"),
+    (_grading(_KNOTS, {"knots": [[0, 0], 1]}), "knots[1] must be an array, got int"),
+    (_grading(_KNOTS, {"knots": [[0, 0]]}, (0, 0)), "knots length must be >= 2, got 1"),
+    (_grading(_KNOTS, {"knots": []}), "knots length must be >= 2, got 0"),
     (_grading(_KNOTS, {"knots": [[0, 0], [0, 1]]}, (0, 0)),
      "knot x must be strictly increasing: knot x[1]=0.0 <= knot x[0]=0.0"),
     (_grading(_KNOTS, {"knots": [[0, 0], [1, math.inf]]}), "knot y must be finite, got inf"),

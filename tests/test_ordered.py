@@ -54,12 +54,22 @@ class TestGradingSample:
         assert s.labels == ("a", "b", "c")
         assert GradingSample((0.0, 1.0), labels=["a", "b"]).labels == ("a", "b")
 
-    @pytest.mark.parametrize("labels", [5, "ab", [1, 2], ("a", None), {"a": 0, "b": 1}])
-    def test_labels_not_an_array_of_strings(self, labels):
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (5, "labels must be an array, got int"),
+            ("ab", "labels must be an array, got str"),
+            ([1, 2], "labels must be an array of strings"),
+            (("a", None), "labels must be an array of strings"),
+            ({"a": 0, "b": 1}, "labels must be an array, got dict"),
+        ],
+        ids=["5", "ab", "labels2", "labels3", "labels4"],
+    )
+    def test_labels_not_an_array_of_strings(self, labels, message):
         # neither split, converted nor read as keys
         with pytest.raises(InvalidInputError) as err:
             GradingSample((0.0, 1.0), labels=labels)
-        assert str(err.value) == "labels must be an array of strings"
+        assert str(err.value) == message
 
     def test_too_few_grades(self):
         with pytest.raises(InvalidInputError):
@@ -80,8 +90,8 @@ class TestGradingSample:
     @pytest.mark.parametrize(
         "grades, message",
         [
-            ((0.0,), "a grading sample needs at least 2 grades, got 1"),
-            ((), "a grading sample needs at least 2 grades, got 0"),
+            ((0.0,), "grades length must be >= 2, got 1"),
+            ((), "grades length must be >= 2, got 0"),
             # a non-finite grade is named before an earlier non-increasing pair
             ((0.0, math.nan, -1.0), "grades must be finite, got nan"),
             ((1.0, 0.0, math.inf), "grades must be finite, got inf"),
@@ -222,6 +232,26 @@ _COUNTS = [
     ("CapacityEntropyReport", lambda v: CapacityEntropyReport(1.0, _CHAIN, v, "exhaustive"),
      "chains_examined"),
 ]
+# each entry point that takes an array: a call that puts a value in the
+# array's place, the name the error gives it and a valid array of elements
+_ARRAYS = [
+    ("GradingSample", GradingSample, "grades", [0.0, 0.5, 2.0]),
+    ("labels", lambda v: GradingSample((0.0, 1.0), v), "labels", ["a", "b"]),
+    ("ProbabilityVector", ProbabilityVector, "weights", [0.25, 0.75]),
+    ("partition_entropy", partition_entropy, "masses", [0.25, 2.0]),
+    ("Capacity", lambda v: Capacity(1, v), "values", [0.0, 0.5]),
+    ("additive", Capacity.additive, "masses", [0.25, 0.5]),
+    ("PiecewiseLinearCdf", PiecewiseLinearCdf, "knots", [(0.0, 0.0), (1.0, 2.0)]),
+    ("knot", lambda v: PiecewiseLinearCdf(((0.0, 0.0), v)), "knots[1]", [1.0, 2.0]),
+    ("MaximalChain", MaximalChain, "order", [2, 1, 3]),
+    ("breakpoints", lambda v: integrate_adaptive(lambda x, da, db: abs(x), -1.0, 1.0,
+                                                 QuadratureSpec(), v),
+     "breakpoints", [0.0, 0.5]),
+]
+# what is no array: no iterable, characters, bytes, keys or members in hash order
+_NOT_ARRAYS = [("5", 5), ("str", "01"), ("bytes", b"01"), ("bytearray", bytearray(b"01")),
+               ("dict", {0: 1}), ("set", {0, 1}), ("frozenset", frozenset({0, 1})),
+               ("keys", {0: 1}.keys())]
 _NOT_A_NUMBER = [
     pytest.param(build, bad, f"{name} must be a number, got {bad!r}", id=f"{label}-{bad!r}")
     for label, build, name in _REALS
@@ -231,27 +261,31 @@ _NOT_A_NUMBER = [
     for label, build, name in _COUNTS
     for bad in (True, "2", None, 2.5)
 ] + [
-    pytest.param(build, 5, f"{name} must be an array of {what}", id=f"{build.__name__}-5")
-    for build, name, what in (
-        (GradingSample, "grades", "numbers"),
-        (ProbabilityVector, "weights", "numbers"),
-        (Capacity.additive, "masses", "numbers"),
-        (partition_entropy, "masses", "numbers"),
-        (PiecewiseLinearCdf, "knots", "(x, y) pairs"),
-    )
+    pytest.param(build, bad, f"{name} must be an array, got {type(bad).__name__}",
+                 id=f"{label}-{kind}")
+    for label, build, name, _ in _ARRAYS
+    for kind, bad in _NOT_ARRAYS
 ]
 
 
 class TestScalarIntake:
-    """Every real argument goes through as_float and every count through
-    as_int: InvalidInputError naming the argument, never a silent
-    conversion or a raw TypeError."""
+    """Every real argument goes through as_float, every count through
+    as_int and every array through array: InvalidInputError naming the
+    argument, never a silent conversion or a raw TypeError."""
 
     @pytest.mark.parametrize("build, bad, message", _NOT_A_NUMBER)
     def test_bad_argument_is_named(self, build, bad, message):
         with pytest.raises(InvalidInputError) as exc:
             build(bad)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("label, build, name, elements", _ARRAYS,
+                             ids=[row[0] for row in _ARRAYS])
+    def test_every_ordered_sequence_is_an_array(self, label, build, name, elements):
+        want = build(list(elements))
+        for values in (tuple(elements), np.array(elements), (x for x in elements),
+                       dict(enumerate(elements)).values()):
+            assert build(values) == want, type(values).__name__
 
     def test_numpy_scalars_are_numbers(self):
         built = [
@@ -554,9 +588,14 @@ _BOUNDS = [
     # a bare TypeError from comparing n with the limit before the rule
     (lambda: list(enumerate_chains(3, "x")), "limit must be an integer, got 'x'"),
     (lambda: list(enumerate_chains(3, 10.5)), "limit must be an integer, got 10.5"),
-    (lambda: Capacity(0, (0.0,)), "ground_size must be >= 1, got 0"),
+    (lambda: Capacity(0, (0.0,)), "ground_size must be in 1..62, got 0"),
     (lambda: capacity_from_doc({"ground_size": -1, "values": {}}),
-     "ground_size must be >= 1, got -1"),
+     "ground_size must be in 1..62, got -1"),
+    # a bare ValueError formatting 2**20000, a 2**(10**12) never finished
+    # and a bare OverflowError sizing 2**63 values
+    (lambda: Capacity(20000, ()), "ground_size must be in 1..62, got 20000"),
+    (lambda: Capacity(10**12, ()), "ground_size must be in 1..62, got 1000000000000"),
+    (lambda: Capacity.additive([0.0] * 63), "masses length must be in 1..62, got 63"),
     # a bare TypeError from comparing the tolerance before the rule
     (lambda: _U.is_probability("x"), "tol must be a number, got 'x'"),
     (lambda: _U.is_probability(math.nan), "tol must be finite and >= 0, got nan"),
