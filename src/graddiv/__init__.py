@@ -19,7 +19,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it provides
+# submodule -> the public names it provides: the one declaration of what
+# the package exports, so these submodules define no __all__. jsonio and
+# cli are exposed as modules, and their own __all__ declares their names.
 _EXPORTS = {
     "errors": ("GraddivError", "InvalidInputError", "ComputationError"),
     "ordered": ("GradingSample", "IncrementPair", "increments", "rate_h"),

@@ -55,15 +55,6 @@ from .discrete import DivergenceResult
 from .errors import InvalidInputError, beyond_range
 from .ordered import _Record, _store, array, as_floats, as_int, count, nonnegative, result
 
-__all__ = [
-    "Capacity",
-    "MaximalChain",
-    "CapacityEntropyReport",
-    "enumerate_chains",
-    "chain_divergence",
-    "capacity_entropy",
-]
-
 # The smallest ground size computed with numpy. Below it the Python loops
 # keep up with numpy, and a process spares numpy's import: a `graddiv
 # entropy capacity` process at n = 9 took 113 ms on Python floats against

@@ -27,14 +27,6 @@ from .families import ContinuousGrading, PiecewiseLinearCdf, Uniform, invert_cdf
 from .ordered import count, log_ratio
 from .quadrature import QuadratureSpec, integrate_adaptive
 
-__all__ = [
-    "divergence_continuous",
-    "riemann_divergence",
-    "corrected_entropy",
-    "symmetric_divergence",
-    "classical_entropy",
-]
-
 
 def _require_same_support(F: ContinuousGrading, G: ContinuousGrading) -> tuple[float, float]:
     if F.support != G.support:

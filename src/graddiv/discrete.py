@@ -26,17 +26,6 @@ from operator import sub
 from .errors import InvalidInputError, beyond_range
 from .ordered import GradingSample, _Record, _store, as_floats, count, nonnegative, result
 
-__all__ = [
-    "ProbabilityVector",
-    "DivergenceResult",
-    "divergence_discrete",
-    "relative_entropy",
-    "shannon_entropy",
-    "partition_entropy",
-    "cdf_grading",
-    "position_grading",
-]
-
 WEIGHT_SUM_TOL = 1e-9
 
 _FLOAT_MIN = sys.float_info.min  # the smallest normal double

@@ -28,19 +28,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:  # typing for type checkers only, as in jsonio
     from typing import ClassVar
 
-__all__ = [
-    "ContinuousGrading",
-    "Uniform",
-    "Triangular",
-    "Beta",
-    "TruncatedNormal",
-    "Power",
-    "PiecewiseLinearCdf",
-    "FAMILIES",
-    "invert_cdf",
-    "PROBABILITY_TOL",
-]
-
 PROBABILITY_TOL = 1e-12
 
 _EPS = sys.float_info.epsilon
@@ -117,12 +104,14 @@ class ContinuousGrading(_Record, abc.ABC):
     """A cdf/density pair acting as a grading function on [a, b].
 
     A parametric family is an immutable record (``ordered._Record``) with
-    fields a and b for its support and one field for each name in
-    ``params``, its shape parameters in constructor order. It declares
-    ``_fields`` and any trailing ``_defaults``, and ``_Record`` builds its
-    constructor, which stores the fields and calls ``__post_init__``: that
-    converts every field by ``ordered.as_float``, in field order, checks
-    the support, and then runs the family's ``_validate``. The constants a
+    fields a and b for its support and one field for each of its shape
+    parameters. It declares ``_fields`` and any trailing ``_defaults``;
+    ``_Record`` builds its constructor, which stores the fields and calls
+    ``__post_init__``, and ``__init_subclass__`` derives ``params``, the
+    shape parameters a document's ``params`` object names: every field
+    but a and b, in constructor order. ``__post_init__`` converts every
+    field by ``ordered.as_float``, in field order, checks the support, and
+    then runs the family's ``_validate``. The constants a
     family keeps, and its ``image``, live in the instance dict outside the
     fields; this class declares no ``__slots__`` so that every family has
     one. PiecewiseLinearCdf, whose knots fix its support, overrides
@@ -141,6 +130,10 @@ class ContinuousGrading(_Record, abc.ABC):
     family: ClassVar[str]
     params: ClassVar[tuple[str, ...]] = ()
     _log_norm_error: float = 0.0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.params = tuple(name for name in cls._fields if name not in ("a", "b"))
 
     def __post_init__(self):
         for name in self._fields:
@@ -245,7 +238,6 @@ class Triangular(ContinuousGrading):
     b: float
 
     family: ClassVar[str] = "triangular"
-    params: ClassVar[tuple[str, ...]] = ("c",)
 
     _fields = ("a", "c", "b")
     __slots__ = _fields
@@ -318,7 +310,6 @@ class Beta(ContinuousGrading):
     b: float
 
     family: ClassVar[str] = "beta"
-    params: ClassVar[tuple[str, ...]] = ("alpha", "beta")
 
     _fields = ("alpha", "beta", "a", "b")
     _defaults = (0.0, 1.0)
@@ -400,7 +391,6 @@ class TruncatedNormal(ContinuousGrading):
     b: float
 
     family: ClassVar[str] = "truncated_normal"
-    params: ClassVar[tuple[str, ...]] = ("mu", "sigma")
 
     _fields = ("mu", "sigma", "a", "b")
     __slots__ = _fields
@@ -476,7 +466,6 @@ class Power(ContinuousGrading):
     b: float
 
     family: ClassVar[str] = "power"
-    params: ClassVar[tuple[str, ...]] = ("p",)
 
     _fields = ("p", "a", "b")
     _defaults = (0.0, 1.0)
@@ -525,7 +514,6 @@ class PiecewiseLinearCdf(ContinuousGrading):
     knots: tuple[tuple[float, float], ...]
 
     family: ClassVar[str] = "piecewise_linear_cdf"
-    params: ClassVar[tuple[str, ...]] = ("knots",)
 
     _fields = ("knots",)
     __slots__ = _fields

@@ -16,11 +16,18 @@ next document text of that size did not fit. Depending on the heap's
 layout, a process that alternated such echoes with reading 1e5-element
 documents grew its resident set by about 2 MB per echo.
 
+One table, ``_SCHEMAS``, declares every input schema: its required and
+optional keys, its reader and its writer, in detection order. A document
+is in the first schema it shares a key with, and that schema's reader
+refuses a key it lacks or does not know; a document that shares no key
+with any schema, ``{}`` included, matches none.
+
 Reading judges arrays and numbers by the rule the constructors apply
 (``ordered.array``, ``as_float``, ``as_floats``, ``count`` and, for
 masses, ``nonnegative``) and converts each element once: each reader
-hands a decoded array, unchecked, to the constructor or the rule that
-converts and checks it.
+hands a decoded array or a family's parameters, unchecked, to the
+constructor or the rule that converts and checks it, so an error names
+the value as the constructor does (``alpha must be a number, got '2'``).
 
 A capacity document whose keys are the canonical subset keys in mask
 order, as ``capacity_to_doc`` builds it, is read in document order: one
@@ -208,14 +215,15 @@ def load_json(text: str) -> Any:
         ) from None
 
 
-def _require_keys(
-    doc: dict, required: frozenset, optional: frozenset = frozenset(), schema: str = ""
-) -> None:
+def _require_keys(doc: dict, schema: str, keys: tuple | None = None) -> None:
+    """Refuse ``doc`` unless it is an object that has every required key
+    and no key but the optional ones; ``keys``, a (required, optional)
+    pair, defaults to the schema's row of _SCHEMAS."""
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{schema} document must be a JSON object")
-    keys = set(doc)
-    missing = sorted(required - keys)
-    extra = sorted(keys - required - set(optional))
+    required, optional = keys or _SCHEMAS[schema][:2]
+    missing = sorted(set(required).difference(doc))
+    extra = sorted(set(doc).difference(required, optional))
     if missing:
         raise InvalidInputError(f"{schema} document is missing keys {missing}")
     if extra:
@@ -226,7 +234,7 @@ def _require_keys(
 
 
 def grading_sample_from_doc(doc: dict) -> GradingSample:
-    _require_keys(doc, frozenset({"grades"}), frozenset({"labels"}), "grading_sample")
+    _require_keys(doc, "grading_sample")
     if "labels" not in doc:
         return GradingSample(doc["grades"])
     # The constructor judges the labels. To it None means no labels, so a
@@ -243,7 +251,7 @@ def grading_sample_to_doc(sample: GradingSample) -> dict:
 
 
 def weights_from_doc(doc: dict) -> ProbabilityVector:
-    _require_keys(doc, frozenset({"weights"}), schema="weights")
+    _require_keys(doc, "weights")
     return ProbabilityVector(doc["weights"])
 
 
@@ -252,7 +260,7 @@ def weights_to_doc(vector: ProbabilityVector) -> dict:
 
 
 def masses_from_doc(doc: dict) -> tuple[float, ...]:
-    _require_keys(doc, frozenset({"masses"}), schema="masses")
+    _require_keys(doc, "masses")
     return nonnegative(as_floats(doc["masses"], "masses"), "masses")
 
 
@@ -316,7 +324,7 @@ def _subset_keys(n: int) -> tuple[str, ...]:
 def capacity_from_doc(doc: dict) -> Capacity:
     from .capacity import _MOST_ELEMENTS, Capacity, _mask_key
 
-    _require_keys(doc, frozenset({"ground_size", "values"}), schema="capacity")
+    _require_keys(doc, "capacity")
     n = count(doc["ground_size"], "ground_size", 1, _MOST_ELEMENTS)
     raw = doc["values"]
     if not isinstance(raw, dict):
@@ -360,9 +368,7 @@ def capacity_to_doc(mu: Capacity) -> dict:
 def continuous_grading_from_doc(doc: dict) -> ContinuousGrading:
     from .families import FAMILIES, PiecewiseLinearCdf
 
-    _require_keys(
-        doc, frozenset({"family", "params", "support"}), schema="continuous_grading"
-    )
+    _require_keys(doc, "continuous_grading")
     family = doc["family"]
     cls = FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
@@ -370,10 +376,10 @@ def continuous_grading_from_doc(doc: dict) -> ContinuousGrading:
         raise InvalidInputError(f"unknown family {family!r} (known: {known})")
     a, b = as_floats(doc["support"], "support", 2, 2)
     params = doc["params"]
-    _require_keys(params, frozenset(cls.params), schema=f"{family} params")
+    _require_keys(params, f"{family} params", (cls.params, ()))
     if cls is not PiecewiseLinearCdf:
-        return cls(a=a, b=b, **{k: as_float(params[k], f"params.{k}") for k in cls.params})
-    grading = PiecewiseLinearCdf(params["knots"])
+        return cls(a=a, b=b, **params)
+    grading = PiecewiseLinearCdf(**params)
     if grading.support != (a, b):
         raise InvalidInputError(
             f"support [{a!r}, {b!r}] disagrees with knot endpoints {grading.support!r}"
@@ -386,13 +392,10 @@ def continuous_grading_to_doc(F: ContinuousGrading) -> dict:
     return {"family": F.family, "params": F.shape_params(), "support": [a, b]}
 
 
-_QUAD_KEYS = frozenset({"abs_tol", "rel_tol", "max_depth"})
-
-
 def quadrature_spec_from_doc(doc: dict) -> QuadratureSpec:
     from .quadrature import QuadratureSpec
 
-    _require_keys(doc, frozenset(), _QUAD_KEYS, "quadrature_spec")
+    _require_keys(doc, "quadrature_spec")
     return QuadratureSpec(**doc)
 
 
@@ -425,13 +428,19 @@ def capacity_report_to_doc(report: CapacityEntropyReport) -> dict:
 
 # ---------------------------------------------------------------- dispatch
 
-_PARSERS = {
-    "grading_sample": (grading_sample_from_doc, grading_sample_to_doc),
-    "weights": (weights_from_doc, weights_to_doc),
-    "masses": (masses_from_doc, masses_to_doc),
-    "capacity": (capacity_from_doc, capacity_to_doc),
-    "continuous_grading": (continuous_grading_from_doc, continuous_grading_to_doc),
-    "quadrature_spec": (quadrature_spec_from_doc, quadrature_spec_to_doc),
+# input schema -> (required keys, optional keys, reader, writer), in
+# detection order
+_SCHEMAS = {
+    "grading_sample": (("grades",), ("labels",), grading_sample_from_doc, grading_sample_to_doc),
+    "weights": (("weights",), (), weights_from_doc, weights_to_doc),
+    "masses": (("masses",), (), masses_from_doc, masses_to_doc),
+    "capacity": (("ground_size", "values"), (), capacity_from_doc, capacity_to_doc),
+    "continuous_grading": (
+        ("family", "params", "support"), (), continuous_grading_from_doc, continuous_grading_to_doc,
+    ),
+    "quadrature_spec": (
+        (), ("abs_tol", "rel_tol", "max_depth"), quadrature_spec_from_doc, quadrature_spec_to_doc,
+    ),
 }
 
 
@@ -439,29 +448,20 @@ def detect_schema(doc: Any) -> str:
     """Name the input schema a JSON document is written in."""
     if not isinstance(doc, dict):
         raise InvalidInputError("document must be a JSON object")
-    if "grades" in doc:
-        return "grading_sample"
-    if "weights" in doc:
-        return "weights"
-    if "masses" in doc:
-        return "masses"
-    if "ground_size" in doc or "values" in doc:
-        return "capacity"
-    if "family" in doc:
-        return "continuous_grading"
-    if doc and set(doc) <= _QUAD_KEYS:
-        return "quadrature_spec"
-    known = ", ".join(sorted(_PARSERS))
+    for schema, (required, optional, _, _) in _SCHEMAS.items():
+        if not doc.keys().isdisjoint(required + optional):
+            return schema
+    known = ", ".join(sorted(_SCHEMAS))
     raise InvalidInputError(f"document matches no known schema (known: {known})")
 
 
 def parse_document(doc: Any) -> tuple[str, Any]:
     """Detect the schema, parse, and return (schema name, parsed object)."""
     schema = detect_schema(doc)
-    parser, _ = _PARSERS[schema]
-    return schema, parser(doc)
+    _, _, reader, _ = _SCHEMAS[schema]
+    return schema, reader(doc)
 
 
 def document_for(schema: str, obj: Any) -> dict:
-    _, serializer = _PARSERS[schema]
-    return serializer(obj)
+    _, _, _, writer = _SCHEMAS[schema]
+    return writer(obj)

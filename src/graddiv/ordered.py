@@ -57,8 +57,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:  # typing for type checkers only, as in jsonio
     from typing import Any
 
-__all__ = ["GradingSample", "IncrementPair", "increments", "rate_h"]
-
 
 def _is_number_type(t: type) -> bool:
     if t is float or t is int:

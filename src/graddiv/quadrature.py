@@ -79,8 +79,6 @@ from .ordered import (
     _Record, _store, as_float, as_floats, count, interval, nonnegative, positive, result,
 )
 
-__all__ = ["QuadratureSpec", "QuadratureOutcome", "integrate_adaptive"]
-
 _EPS = sys.float_info.epsilon
 # The nodes reach out to where the nearer end's distance, e^(-2u) of the
 # width, is 2^-1050: a subnormal that still holds 24 significant bits.

@@ -727,17 +727,19 @@ class TestLargestPrefix:
 
 class TestCapacityEntropyReport:
     @pytest.mark.parametrize(
-        "entropy, chain, examined, message",
+        "entropy, chain, examined, method, message",
         [
-            (math.nan, MaximalChain((2, 1)), 2, "entropy must be finite, got nan"),
-            (-math.inf, MaximalChain((2, 1)), 2, "entropy must be finite, got -inf"),
-            (0.5, (2, 1), 2, "argmin_chain must be a MaximalChain, got (2, 1)"),
-            (0.5, MaximalChain((2, 1)), 2.0, "chains_examined must be an integer, got 2.0"),
+            (math.nan, MaximalChain((2, 1)), 2, "exhaustive", "entropy must be finite, got nan"),
+            (-math.inf, MaximalChain((2, 1)), 2, "exhaustive", "entropy must be finite, got -inf"),
+            (0.5, (2, 1), 2, "exhaustive", "argmin_chain must be a MaximalChain, got (2, 1)"),
+            (0.5, MaximalChain((2, 1)), 2.0, "exhaustive",
+             "chains_examined must be an integer, got 2.0"),
+            (0.0, MaximalChain((1,)), 1, "bogus", "unknown method 'bogus'"),
         ],
     )
-    def test_fields_follow_the_number_rule(self, entropy, chain, examined, message):
+    def test_a_bad_field_is_named(self, entropy, chain, examined, method, message):
         with pytest.raises(InvalidInputError) as exc:
-            CapacityEntropyReport(entropy, chain, examined, "exhaustive")
+            CapacityEntropyReport(entropy, chain, examined, method)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(

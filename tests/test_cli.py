@@ -1040,6 +1040,12 @@ class TestPublicNames:
     def test_dir_lists_every_name(self):
         assert set(graddiv.__all__) <= set(dir(graddiv))
 
+    def test_only_the_package_lists_the_exported_names(self):
+        # _EXPORTS is the one declaration; jsonio and cli, exposed as
+        # modules, keep their own __all__
+        for module in graddiv._EXPORTS:
+            assert not hasattr(importlib.import_module(f"graddiv.{module}"), "__all__"), module
+
     def test_submodule_attribute_imports_it(self):
         proc = subprocess.run(
             [sys.executable, "-c",

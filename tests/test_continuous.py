@@ -46,11 +46,14 @@ PROBABILITY_FAMILIES = [
 
 @dataclass(frozen=True)
 class _HalfSupported(ContinuousGrading):
-    """Test double whose density vanishes on the right half of [0, 1].
+    """Test double whose density is 1/h on [0, h) and vanishes on the rest
+    of [0, 1]; by default h = 1/2, the right half.
 
     Bypasses the catalog on purpose: a genuine zero-density region makes
     the divergence of any fully supported grading from it -inf.
     """
+
+    h: float = 0.5
 
     family = "test_half_supported"
 
@@ -59,19 +62,30 @@ class _HalfSupported(ContinuousGrading):
         return (0.0, 1.0)
 
     def cdf(self, x):
-        return min(2.0 * x, 1.0)
+        return min(x / self.h, 1.0)
 
     def density(self, x):
-        return 2.0 if x < 0.5 else 0.0
+        return 1.0 / self.h if x < self.h else 0.0
 
     def log_density(self, x, da, db):
-        return math.log(2.0) if x < 0.5 else -math.inf
+        return -math.log(self.h) if x < self.h else -math.inf
 
     def inverse(self, u):
-        return 0.5 * u
+        return self.h * u
 
     def shape_params(self):
         return {}
+
+
+@dataclass(frozen=True)
+class _DeclaredStep(_HalfSupported):
+    """_HalfSupported that declares h, where its density drops to 0, as a
+    breakpoint, so each side of the drop converges."""
+
+    family = "test_declared_step"
+
+    def breakpoints(self):
+        return (self.h,)
 
 
 class TestDivergenceContinuous:
@@ -158,6 +172,22 @@ class TestRiemannDivergence:
 
     def test_returns_plain_float(self):
         assert isinstance(riemann_divergence(P2, U01, 50), float)
+
+    def test_a_cell_without_grade_width_is_refused(self):
+        # F's grades sit at 1e6, where a tenth of its span, 1e-11, is below
+        # half an ulp: the first cell's du rounds to 0
+        F = PiecewiseLinearCdf(((0.0, 1e6), (1.0, 1e6 + 1e-10)))
+        with pytest.raises(ComputationError, match="^grade grid collapsed at cell 1 "):
+            riemann_divergence(F, U01, 10)
+
+    def test_a_cell_whose_dq_rounds_to_0_is_negative_infinity(self):
+        # G rises by 5e-324 over [0, 1/2], so a cell's dq there rounds to 0
+        # and the sum is -inf. G's density is positive throughout:
+        # divergence_continuous gives 1/2 ln(2 * 5e-324) + 1/2 ln 2.
+        G = PiecewiseLinearCdf(((0.0, 0.0), (0.5, 5e-324), (1.0, 1.0)))
+        assert riemann_divergence(U01, G, 10) == -math.inf
+        assert divergence_continuous(U01, G).value == pytest.approx(
+            0.5 * math.log(2.0 * 5e-324) + 0.5 * math.log(2.0), rel=1e-12)
 
     def test_cell_ratio_below_double_range(self):
         # The first cell's dq is subnormal (1.2e-320) against du = 2e4, so
@@ -448,6 +478,16 @@ class TestSymmetricDivergence:
         r = symmetric_divergence(F, G)
         assert r.flags == frozenset()
         assert abs(r.value - exact) <= r.error_estimate
+
+    def test_both_densities_vanishing_is_a_zero_term(self):
+        # past h both densities are 0, where (f - g) ln(g / f) is 0 * NaN;
+        # the term is 0, so F from itself is exactly 0
+        r = symmetric_divergence(_DeclaredStep(0.5), _DeclaredStep(0.5))
+        assert r.value == 0.0 and r.flags == frozenset()
+        assert r.terms_used == 98
+        # on [1/4, 1/2) g vanishes under f, and past 1/2 both do
+        r = symmetric_divergence(_DeclaredStep(0.5), _DeclaredStep(0.25))
+        assert r.value == -math.inf and r.flags == frozenset({NEGATIVE_INFINITY})
 
     @pytest.mark.parametrize("F, G", [(U01, _HalfSupported()), (_HalfSupported(), U01)])
     def test_negative_infinity_in_each_orientation(self, F, G):

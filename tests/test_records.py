@@ -224,6 +224,19 @@ def test_divergence_result_flags_default_to_the_empty_frozenset():
     assert r.flags == frozenset() and type(r.flags) is frozenset
 
 
+def test_a_familys_params_are_its_fields_but_the_support():
+    from graddiv.families import FAMILIES
+
+    assert {name: cls.params for name, cls in FAMILIES.items()} == {
+        "uniform": (),
+        "triangular": ("c",),
+        "beta": ("alpha", "beta"),
+        "truncated_normal": ("mu", "sigma"),
+        "power": ("p",),
+        "piecewise_linear_cdf": ("knots",),
+    }
+
+
 def test_a_family_is_not_the_tuple_of_its_fields():
     assert Uniform(0, 1) != (0.0, 1.0)
     assert Triangular(0.0, 0.25, 1.0).c == 0.25
