@@ -16,7 +16,6 @@ import math
 import sys
 from bisect import bisect_right
 from collections.abc import Callable
-from functools import cached_property
 
 from .errors import InvalidInputError
 from .ordered import (
@@ -110,12 +109,15 @@ class ContinuousGrading(_Record, abc.ABC):
     ``__post_init__``, and ``__init_subclass__`` derives ``params``, the
     shape parameters a document's ``params`` object names: every field
     but a and b, in constructor order. ``__post_init__`` converts every
-    field by ``ordered.as_float``, in field order, checks the support, and
-    then runs the family's ``_validate``. The constants a
-    family keeps, and its ``image``, live in the instance dict outside the
-    fields; this class declares no ``__slots__`` so that every family has
-    one. PiecewiseLinearCdf, whose knots fix its support, overrides
-    ``__post_init__``, ``support`` and ``shape_params``.
+    field by ``ordered.as_float``, in field order, checks the support,
+    runs the family's ``_validate`` and stores the grade ``image``,
+    (cdf(a), cdf(b)). The constants a family keeps, and its ``image``,
+    live in the instance dict outside the fields; this class declares no
+    ``__slots__`` so that every family has one. PiecewiseLinearCdf, whose
+    knots fix its support, overrides ``__post_init__``, ``support`` and
+    ``shape_params``. A subclass that overrides ``__post_init__`` calls
+    this one or stores ``image`` itself, as PiecewiseLinearCdf does from
+    its knots: nothing computes it later.
 
     ``log_density`` is the method every grading must define: the integrals
     read the density through it alone, and no library code calls
@@ -129,6 +131,7 @@ class ContinuousGrading(_Record, abc.ABC):
 
     family: ClassVar[str]
     params: ClassVar[tuple[str, ...]] = ()
+    image: tuple[float, float]
     _log_norm_error: float = 0.0
 
     def __init_subclass__(cls, **kwargs):
@@ -138,8 +141,11 @@ class ContinuousGrading(_Record, abc.ABC):
     def __post_init__(self):
         for name in self._fields:
             _store(self, name, as_float(getattr(self, name), name))
-        interval(*self.support, "support")
+        a, b = interval(*self.support, "support")
         self._validate()
+        # kept outside the fields, so equality, hashing and repr ignore it;
+        # every family's cdf at its own ends needs no scipy
+        _store(self, "image", (self.cdf(a), self.cdf(b)))
 
     def _validate(self) -> None:
         """Check the family's own parameters and keep its constants."""
@@ -163,13 +169,6 @@ class ContinuousGrading(_Record, abc.ABC):
 
     def shape_params(self) -> dict:
         return {name: getattr(self, name) for name in self.params}
-
-    @cached_property
-    def image(self) -> tuple[float, float]:
-        # computed on first use and kept in the instance dict, outside the
-        # fields, so equality, hashing and repr ignore it
-        a, b = self.support
-        return (self.cdf(a), self.cdf(b))
 
     @property
     def grade_span(self) -> float:
@@ -525,14 +524,16 @@ class PiecewiseLinearCdf(ContinuousGrading):
         increasing(xs, "knot x", "support")
         increasing(ys, "knot y", "grade span")
         _store(self, "knots", knots)
-        # knot coordinates for bisection, ln of each segment's slope, which
-        # may overflow where its logarithm does not, and the largest
-        # rounding of those logs, kept outside the fields
+        # knot coordinates for bisection, the grade image (the cdf at the
+        # end knots), ln of each segment's slope, which may overflow where
+        # its logarithm does not, and the largest rounding of those logs,
+        # kept outside the fields
         log_slopes = tuple(
             log_ratio(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(knots, knots[1:])
         )
         _store(self, "_xs", xs)
         _store(self, "_ys", ys)
+        _store(self, "image", (ys[0], ys[-1]))
         _store(self, "_log_slopes", log_slopes)
         _store(self, "_log_norm_error", max(map(_log_rounding, log_slopes)))
 

@@ -146,10 +146,12 @@ def _write(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(_format_float(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
+        # checked before sorting, which a key that is no str would break
+        for key in obj:
             if not isinstance(key, str):
                 raise InvalidInputError(f"object keys must be strings, got {key!r}")
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
             if i:
                 out.append(",")
             out.append(encode_basestring_ascii(key))
@@ -215,15 +217,25 @@ def load_json(text: str) -> Any:
         ) from None
 
 
+def _key_order(key: Any) -> tuple[bool, str]:
+    """Sort key that puts str keys first, in their own order, and then
+    any other key by its repr, so that no two keys are compared across
+    types."""
+    return (False, key) if isinstance(key, str) else (True, repr(key))
+
+
 def _require_keys(doc: dict, schema: str, keys: tuple | None = None) -> None:
     """Refuse ``doc`` unless it is an object that has every required key
     and no key but the optional ones; ``keys``, a (required, optional)
-    pair, defaults to the schema's row of _SCHEMAS."""
+    pair, defaults to the schema's row of _SCHEMAS. A document with
+    exactly the required keys passes on one comparison."""
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{schema} document must be a JSON object")
     required, optional = keys or _SCHEMAS[schema][:2]
+    if doc.keys() == set(required):
+        return
     missing = sorted(set(required).difference(doc))
-    extra = sorted(set(doc).difference(required, optional))
+    extra = sorted(set(doc).difference(required, optional), key=_key_order)
     if missing:
         raise InvalidInputError(f"{schema} document is missing keys {missing}")
     if extra:

@@ -566,6 +566,28 @@ class TestBitIdenticalResults:
         assert r.value == -3.25
         assert r.terms_used == 81
 
+    @pytest.mark.parametrize(
+        "compute, value, error_estimate, terms_used",
+        [
+            (lambda: corrected_entropy(Power(2.0)),
+             -0.19314718055994531, 3.6038655057136417e-12, 53),
+            (lambda: corrected_entropy(TruncatedNormal(0.3, 0.5, -1.0, 2.0)),
+             -0.39768344016459034, 1.3862739235580668e-10, 113),
+            (lambda: corrected_entropy(Triangular(0.0, 0.6, 2.0)),
+             -0.19314718055994534, 3.6097454809342194e-12, 106),
+            (lambda: corrected_entropy(
+                PiecewiseLinearCdf(((0, 0), (0.5, 0.6), (1.5, 0.9), (2, 1)))),
+             -0.28040448209512714, 4.169233511016012e-14, 171),
+            (lambda: symmetric_divergence(Beta(2, 5), Beta(5, 2)),
+             -6.499999999999998, 2.8246192677406527e-13, 97),
+        ],
+        ids=["power", "truncated_normal", "triangular", "piecewise_linear_cdf", "symmetric_beta"],
+    )
+    def test_one_result_per_family_pinned(self, compute, value, error_estimate, terms_used):
+        r = compute()
+        assert (r.value, r.error_estimate, r.terms_used) == (value, error_estimate, terms_used)
+        assert r.flags == frozenset()
+
     def test_corrected_beta_spends_no_evaluations_below_rounding(self):
         # each side ends where its terms fall below one rounding of the
         # sum, far short of 2^-1050 of the width, which takes 197

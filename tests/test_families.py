@@ -247,6 +247,8 @@ class TestGradeStructure:
     def test_image_is_kept_outside_the_fields(self):
         for F in CATALOG:
             fresh = type(F)(*(getattr(F, name) for name in F._fields))
+            # stored at construction, before any use
+            assert vars(fresh)["image"] == F.image
             a, b = F.support
             assert F.image == (F.cdf(a), F.cdf(b))
             assert F.image is F.image

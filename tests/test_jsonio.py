@@ -76,6 +76,9 @@ class TestCanonicalDumps:
     def test_non_string_keys_rejected(self):
         with pytest.raises(InvalidInputError):
             canonical_dumps({1: "a"})
+        # named before the keys are sorted, which mixed types would break
+        with pytest.raises(InvalidInputError, match=r"^object keys must be strings, got 1$"):
+            canonical_dumps({1: 2, "a": 3})
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -648,6 +651,9 @@ _REFUSALS = [
     ({"params": {}, "support": [0, 1], "x": 1},
      "continuous_grading document is missing keys ['family']"),
     ({**_grading("beta", _BETA), "x": 1}, "continuous_grading document has unknown keys ['x']"),
+    # as many keys as required, one misspelt
+    ({"family": "beta", "params": _BETA, "suport": [0, 1]},
+     "continuous_grading document is missing keys ['support']"),
     (_grading("gamma", {}), f"unknown family 'gamma' {_KNOWN}"),
     (_grading(3, {}), f"unknown family 3 {_KNOWN}"),
     (_grading(None, {}), f"unknown family None {_KNOWN}"),
@@ -805,6 +811,8 @@ class TestSchemaDetection:
             ({"support": [0, 1]},
              "continuous_grading document is missing keys ['family', 'params']"),
             ({"values": {}, "abs_tol": 1e-9}, "capacity document is missing keys ['ground_size']"),
+            # str keys in their order, then any other key
+            ({"weights": [1.0], 1: 2, "x": 3}, "weights document has unknown keys ['x', 1]"),
         ],
     )
     def test_a_shared_key_names_the_schema(self, doc, message):
