@@ -25,7 +25,7 @@ from .discrete import DivergenceResult, _result
 from .errors import ComputationError, InvalidInputError
 from .families import ContinuousGrading, PiecewiseLinearCdf, Uniform, invert_cdf
 from .ordered import count, log_ratio
-from .quadrature import QuadratureSpec, _integrate
+from .quadrature import QuadratureSpec, integrate_adaptive
 
 
 def _require_same_support(F: ContinuousGrading, G: ContinuousGrading) -> tuple[float, float]:
@@ -58,16 +58,12 @@ def _quadrature(
     -inf that is not such a node is a term (named ``term``) beyond double
     range. The error estimate adds value_rounding |value| + mass_rounding
     for the rounding of the gradings' log-normalizers.
-
-    The rule runs without integrate_adaptive's checks of the interval and
-    the breakpoints: F's constructor has checked the support, and each
-    grading's breakpoints lie inside it.
     """
     a, b = _require_same_support(F, G)
     vanished = []
-    outcome = _integrate(
+    outcome = integrate_adaptive(
         make_integrand(F.log_density, G.log_density, vanished), a, b, spec,
-        F.breakpoints() + G.breakpoints(), mass,
+        breakpoints=F.breakpoints() + G.breakpoints(), mass=mass,
     )
     if outcome.negative_infinity:
         if not vanished:
@@ -82,7 +78,7 @@ def _quadrature(
 # exception raised by a density is a computation failure, never a -inf
 # divergence. A term beyond double range is -inf, which stops the
 # quadrature walk, and is told from a vanishing density afterwards; a NaN
-# or +inf term fails in the quadrature rule.
+# or +inf term fails in integrate_adaptive.
 
 def _directed(log_f, log_g, vanished):
     """f ln(g / f) and f, with no test on the common path."""

@@ -195,44 +195,17 @@ def integrate_adaptive(
     A sum beyond double range raises ComputationError at the end of its
     level. An interval that ordered.interval refuses, or a mass that is
     not finite and >= 0, is an InvalidInputError before fn is called.
-
-    The interval and the breakpoints are checked here, for any caller;
-    then ``_integrate`` checks the mass and runs the rule. The library's
-    own divergences call ``_integrate`` directly: the gradings'
-    constructors have already checked the interval and the breakpoints
-    they pass.
     """
     a, b = interval(as_float(a, "a"), as_float(b, "b"), "integration interval")
-    breakpoints = as_floats(breakpoints, "breakpoints")
-    mass = None if mass is None else as_float(mass, "mass")
-    return _integrate(fn, a, b, spec, breakpoints, mass)
-
-
-def _integrate(
-    fn: Callable[[float, float, float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec,
-    breakpoints: Sequence[float],
-    mass: float | None,
-) -> QuadratureOutcome:
-    """integrate_adaptive without its checks of the interval and the
-    breakpoints: a and b are floats that ordered.interval accepts, and the
-    breakpoints are floats, of which those strictly between a and b split
-    the interval. integrate_adaptive checks these for any caller;
-    continuous._quadrature may skip them because it passes the gradings'
-    common support and their breakpoints, which their constructors have
-    already checked. mass is None or a float, and is checked here for
-    every caller: the summed grade spans that symmetric_divergence passes
-    may overflow.
-    """
-    bounds = [a, *sorted({c for c in breakpoints if a < c < b}), b]
+    cuts = sorted({c for c in as_floats(breakpoints, "breakpoints") if a < c < b})
+    bounds = [a, *cuts, b]
     # (lo, hi, width, lo - a, b - hi) per segment
     segments = [(lo, hi, hi - lo, lo - a, b - hi) for lo, hi in zip(bounds, bounds[1:])]
     if mass is None:
         def pair(x, da, db):
             return fn(x, da, db), 0.0
     else:
+        mass = as_float(mass, "mass")
         nonnegative((mass,), "mass")
         pair = fn
 

@@ -22,6 +22,7 @@ from graddiv import (
     invert_cdf,
 )
 from graddiv.families import _log_beta
+from graddiv.ordered import _store
 
 CATALOG = [
     Uniform(0.0, 1.0),
@@ -256,6 +257,33 @@ class TestGradeStructure:
             assert "image" not in repr(F)
             assert F == fresh and hash(F) == hash(fresh)
             assert repr(F) == repr(fresh)
+
+    def test_subclass_overriding_post_init_keeps_the_image_contract(self):
+        # the image is stored at construction only: a subclass that
+        # overrides __post_init__ calls the base or stores it itself
+        class CallsBase(Power):
+            def __post_init__(self):
+                super().__post_init__()
+
+        class StoresImage(Power):
+            def __post_init__(self):
+                _store(self, "image", (0.25, 1.0))
+
+        class StoresNothing(Power):
+            def __post_init__(self):
+                pass
+
+        calls_base = CallsBase(2.0)
+        assert calls_base.image == Power(2.0).image == (0.0, 1.0)
+        assert calls_base.is_probability() and calls_base.grade_span == 1.0
+        assert invert_cdf(calls_base, 0.25) == Power(2.0).inverse(0.25)
+        stores_image = StoresImage(2.0)
+        assert stores_image.grade_span == 0.75
+        assert not stores_image.is_probability()
+        with pytest.raises(InvalidInputError, match=r"outside the grade image \[0.25, 1.0\]"):
+            invert_cdf(stores_image, 0.1)
+        with pytest.raises(AttributeError, match="image"):
+            StoresNothing(2.0).grade_span
 
     def test_densities_pinned_to_the_last_bit(self):
         # constants computed at construction must round as the per-call
