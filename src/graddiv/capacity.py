@@ -17,35 +17,34 @@ always taking the cheapest next edge, an O(n^2) upper bound.
 Exactness. All chain values, including the reported entropy of either
 method, come from one shared evaluator that folds the edge terms left to
 right from 0.0. Rounded addition is monotone in each argument, so the
-forward program, which accumulates in the same order, returns exactly the
-minimum of that evaluator over all chains, and greedy >= exhaustive holds
-bit for bit. Ties go to the lexicographically first minimizing chain.
-Because a prefix one ulp worse can still finish equal, the witness is not
-read off by backtracking: a backward pass computes, for every subset S,
-the largest prefix value theta(S) from which some completion still folds
-to at most the minimum, and a forward walk from the empty set takes at
-each step the smallest element whose rounded prefix stays within theta.
+forward program, which accumulates in the same order, returns as best[S]
+exactly the minimum of that evaluator over the chains to each subset S,
+and greedy >= exhaustive holds bit for bit. The witness is read off by
+backtracking from the ground set: at each subset S the step goes back to
+S - {e} for the highest element e whose rounded fold best[S - {e}] + term
+reaches best[S]; the edge that set best[S] always does. Every prefix of
+the chain so traced folds to best of its subset, so the chain folds to
+the minimum bit for bit, in O(n^2) work after the forward program. Among
+tied minimizing chains the witness is the one whose every prefix is a
+best prefix and whose insertion order, read from the end, is largest; a
+minimizing chain with a prefix one ulp worse is never the witness.
 
 Two implementations. Below _NUMPY_FROM elements a capacity is computed
 on Python floats with math.log, subset by subset over a table of each
 subset's cover edges built once per ground size, and never loads numpy.
 From there on numpy (module _capacity_numpy, imported on first use) does
-the monotonicity check, the two passes, a popcount layer at a time, their
-vector prefix step and the map from increments to edge terms; the
-finite-and-nonnegative rule (ordered.nonnegative), the evaluator, the
-walk and the bisection over bit patterns are written once. In both
-backward passes only the subsets that some minimizing chain passes
-through push bounds down their own cover edges: this side subset by
-subset, the numpy side layer by layer, in blocks. _side alone chooses
-the side, by ground size, once per public call: numpy's log may differ
-from math.log in the last bit, and the argument above needs the search,
-the walk and the evaluator to see the same terms. Greedy chooses with
-math.log on either side and folds its value with the side's terms.
+the monotonicity check, the forward pass, a popcount layer at a time,
+and the map from increments to edge terms; the finite-and-nonnegative
+rule (ordered.nonnegative), the evaluator and the backtrack are written
+once. _side alone chooses the side, by ground size, once per public
+call: numpy's log may differ from math.log in the last bit, and the
+argument above needs the forward pass, the backtrack and the evaluator
+to see the same terms. Greedy chooses with math.log on either side and
+folds its value with the side's terms.
 """
 
 import itertools
 import math
-import struct
 import sys
 from collections.abc import Iterator, Sequence
 from functools import cache, partial
@@ -57,19 +56,20 @@ from .ordered import _Record, _store, array, as_floats, as_int, count, nonnegati
 
 # The smallest ground size computed with numpy. Below it the Python loops
 # keep up with numpy, and a process spares numpy's import: a `graddiv
-# entropy capacity` process at n = 9 took 113 ms on Python floats against
-# 301 ms with numpy (medians of 7, interleaved). A benchmark operation
-# (read of a mask-ordered document, validate, both searches, report) in
-# process (2-CPU Xeon, Python 3.11, numpy 2.4; two runs, medians of 9
-# interleaved rounds of 20 calls), Python against numpy, on the random
-# capacities of seeds 0-5: 0.58-0.95 against 1.21-2.02 ms at n = 8,
-# 1.29-1.84 against 1.77-2.59 at 9, 2.60-3.70 against 2.41-3.66 at 10
-# (numpy faster on 10 of 12) and 4.61-7.49 against 3.55-5.39 at 11;
-# all-tie Capacity.additive([1/3] * n): 1.33-1.37 against 1.39-1.49 at 8,
-# 4.0-4.3 against 2.3-2.6 at 9, 6.1-8.3 against 3.0-3.5 at 10 and
-# 15.0-16.3 against 5.9-6.1 at 11. All-tie inputs favour numpy at 9,
-# random ones only from 10 on, where the two sides are about even; the
-# switch follows the random ones.
+# entropy capacity` process at n = 9 took 155 ms on Python floats against
+# 242 ms with numpy (seed-0 random capacity, medians of 7, interleaved).
+# A benchmark operation (read of a mask-ordered document, validate, both
+# searches, report) in process (2-CPU Xeon, Python 3.11, numpy 2.4; two
+# runs, medians of 9 interleaved rounds of 20 calls), Python against
+# numpy, on the random capacities of seeds 0-5: 0.50-0.52 against
+# 0.64-0.67 ms at n = 8, 0.94-0.99 against 0.91-1.00 at 9 (numpy faster
+# on 5 of 6), 1.78-1.96 against 1.37-1.50 at 10 and 3.71-4.05 against
+# 2.30-2.52 at 11; all-tie Capacity.additive([1/3] * n) costs what a
+# random capacity does on either side: 0.47-0.49 against 0.63 at 8,
+# 0.87-0.90 against 0.90 at 9, 1.78-1.81 against 1.43-1.49 at 10 and
+# 3.66-3.72 against 2.27-2.34 at 11. In process the sides are about even
+# at 9, so the switch follows the process, which spares numpy's import
+# below 10.
 _NUMPY_FROM = 10
 
 # The largest ground size: no container holds the 2^63 subset values of 63
@@ -201,12 +201,11 @@ def enumerate_chains(n: int, limit: int = 10) -> Iterator[MaximalChain]:
 def _edge_term(d: float) -> float:
     """-d ln d for a chain increment d, a zero increment contributing 0.
 
-    The Python side's edge term: its lattice search, witness walk, greedy
-    and chain evaluator all see these bits. The forward pass of _theta
-    writes the same expression out inline, and TestPythonLattice in
-    tests/test_capacity.py holds the two to the same bits against an
-    oracle that calls this function. A term beyond double range is -inf,
-    which the callers refuse.
+    The Python side's edge term: its backtrack, greedy and chain evaluator
+    all see these bits. _forward writes the same expression out inline,
+    and TestPythonLattice in tests/test_capacity.py holds the two to the
+    same bits against an oracle that calls this function. A term beyond
+    double range is -inf, which the callers refuse.
     """
     return -d * math.log(d) if d > 0.0 else 0.0
 
@@ -275,85 +274,24 @@ class CapacityEntropyReport(_Record):
             raise InvalidInputError("greedy search builds exactly one chain")
 
 
-_DOUBLE = struct.Struct("<d")
-_WORD = struct.Struct("<Q")
-_SIGN = 1 << 63
-_ALL_BITS = (1 << 64) - 1
-
-
-def _float_key(x: float) -> int:
-    """An unsigned integer ordered as the floats are (NaN aside)."""
-    (raw,) = _WORD.unpack(_DOUBLE.pack(x))
-    return raw ^ _ALL_BITS if raw & _SIGN else raw | _SIGN
-
-
-def _key_float(key: int) -> float:
-    raw = key ^ _SIGN if key & _SIGN else key ^ _ALL_BITS
-    return _DOUBLE.unpack(_WORD.pack(raw))[0]
-
-
-def _largest_prefix(term: float, bound: float) -> float:
-    """The largest float p with fl(p + term) <= bound.
-
-    fl(p + term) is nondecreasing in p, so the answer is where the real sum
-    crosses the rounding midpoint above bound, bound - term + ulp(bound)/2.
-    That point is formed with an error-free subtraction, so the estimate
-    is within an ulp of the answer even when |p| is far below |term|; it
-    is then checked exactly, and the rare misses (infinite terms or
-    bounds, for instance) fall back to bisection over the floats' bit
-    patterns.
-    """
-    diff = bound - term
-    back = diff - bound
-    err = (bound - (diff - back)) - (term + back)  # diff + err == bound - term
-    half_ulp = (math.nextafter(bound, math.inf) - bound) * 0.5
-    p = diff + (err + half_ulp)
-    # Step down once if p overshoots, then probe the neighbour that must
-    # not fit (above p) or must fit (p itself, after a step down).
-    fits = p + term <= bound
-    if not fits:
-        p = math.nextafter(p, -math.inf)
-    probe = math.nextafter(p, math.inf) if fits else p
-    if (probe + term <= bound) == fits:
-        return _bisect_prefix(term, bound)
-    return p
-
-
-def _bisect_prefix(term: float, bound: float) -> float:
-    """_largest_prefix by bisection over the floats' bit patterns, for the
-    misses of either side's estimate."""
-    # fl(-inf + term) = -inf always fits; fl(+inf + term) never does, since
-    # terms are below +inf and bounds never reach it.
-    lo = _float_key(-math.inf)
-    hi = _float_key(math.inf)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _key_float(mid) + term <= bound:
-            lo = mid
-        else:
-            hi = mid
-    return _key_float(lo)
-
-
 @cache
 def _cover_predecessors(n: int) -> tuple[tuple[int, ...], ...]:
     """For every subset S of an n-element ground set, the subsets S - {e}
-    it covers, e ascending: the cover edges both passes of _theta read,
-    built once per ground size."""
+    it covers, e ascending: the cover edges _forward reads, built once
+    per ground size."""
     return tuple(
         tuple(s ^ 1 << e for e in range(n) if s >> e & 1) for s in range(1 << n)
     )
 
 
-def _theta(values: Sequence[float], n: int) -> list[float]:
-    """theta[S] for every subset S: the largest prefix value at S from which
-    some completion still folds to at most the minimum over all chains.
-    Raises ComputationError when that minimum is not finite."""
+def _forward(values: Sequence[float], n: int) -> list[float]:
+    """best[S] for every subset S: the smallest left-to-right fold of edge
+    terms over the chains from the empty set to S. Raises ComputationError
+    when best at the ground set, the minimum over all chains, is not
+    finite."""
     full = (1 << n) - 1
     below = _cover_predecessors(n)
     log = math.log
-
-    # Forward: best[S] is the smallest left-to-right fold over chains to S.
     # Each S - {e} has a smaller mask than S, so ascending masks see it first.
     # The edge term is _edge_term's expression, written out: a call per
     # cover edge would cost more than the term.
@@ -370,51 +308,23 @@ def _theta(values: Sequence[float], n: int) -> list[float]:
     # the evaluator would refuse the minimizing chain's fold
     if not math.isfinite(best[full]):
         raise beyond_range("chain entropy", best[full])
-
-    # Backward: theta[S] is the largest value that any superset S + {e}
-    # allows through _largest_prefix. Some chain through S reaches the
-    # minimum exactly when best[S] <= theta[S]: S is live. Only a fit that
-    # reaches best[S] can make S live or set its value, and since
-    # fl(p + term) is nondecreasing in p, it does exactly when
-    # fl(best[S] + term) <= bound. A smaller fit is not computed: the walk,
-    # whose prefix at S is at least best[S], refuses S either way. A subset
-    # T that is not live is skipped for the same reason: what it would
-    # allow a parent S stays below best[S], since fl(best[S] + term) >=
-    # best[T] > theta[T]. Without ties, only the subsets on the minimizing
-    # chain push, each to its parent on that chain: n fits in all.
-    theta = [-math.inf] * full + [best[full]]
-    for into in range(full, 0, -1):
-        bound = theta[into]
-        if bound < best[into]:
-            continue
-        v = values[into]
-        for came in below[into]:
-            term = _edge_term(v - values[came])
-            if best[came] + term <= bound:
-                fit = _largest_prefix(term, bound)
-                if fit > theta[came]:
-                    theta[came] = fit
-    return theta
+    return best
 
 
-def _walk(values: Sequence[float], theta: Sequence[float], n: int, edge_terms) -> list[int]:
-    """The first chain, in insertion order, whose fold of edge_terms is the
-    minimum: from the empty set, the smallest element whose rounded prefix
-    stays within theta, step by step."""
+def _backtrack(values: Sequence[float], best: Sequence[float], n: int, edge_terms) -> list[int]:
+    """The witness chain, in insertion order: from the ground set back to
+    the empty set, each step to S - {e} for the highest element e whose
+    rounded fold best[S - {e}] + term reaches best[S]. By induction every
+    prefix of the chain folds to best of its subset."""
     order = []
-    free = list(range(n))
-    mask = 0
-    acc = 0.0
-    for _ in range(n):
-        v = values[mask]
-        steps = [mask | 1 << e for e in free]
-        for i, term in enumerate(edge_terms([values[s] - v for s in steps])):
-            prefix = acc + term
-            if prefix <= theta[steps[i]]:
-                break
-        acc = prefix
-        mask = steps[i]
-        order.append(free.pop(i) + 1)
+    s = (1 << n) - 1
+    while s:
+        came = [s ^ 1 << e for e in range(n - 1, -1, -1) if s >> e & 1]
+        terms = edge_terms([values[s] - values[c] for c in came])
+        c = next(c for c, term in zip(came, terms) if best[c] + term == best[s])
+        order.append((s ^ c).bit_length())
+        s = c
+    order.reverse()
     return order
 
 
@@ -422,13 +332,13 @@ class _Python:
     """The Python-float side, in _capacity_numpy's names."""
 
     faults = staticmethod(_faults)
-    theta = staticmethod(_theta)
+    forward = staticmethod(_forward)
     edge_terms = staticmethod(partial(map, _edge_term))
 
 
 def _side(n: int):
-    """The side that computes a capacity of n elements, as faults, theta and
-    edge_terms: _Python below _NUMPY_FROM, _capacity_numpy from there on.
+    """The side that computes a capacity of n elements, as faults, forward
+    and edge_terms: _Python below _NUMPY_FROM, _capacity_numpy from there on.
     Read once per public call, so every step of a call sees one log's terms."""
     if n < _NUMPY_FROM:
         return _Python
@@ -469,7 +379,7 @@ def capacity_entropy(mu: Capacity, method: str = "exhaustive") -> CapacityEntrop
     n = mu.ground_size
     side = _side(n)
     if method == "exhaustive":
-        order = _walk(mu.values, side.theta(mu.values, n), n, side.edge_terms)
+        order = _backtrack(mu.values, side.forward(mu.values, n), n, side.edge_terms)
     else:
         order = _greedy(mu.values, n)
     return CapacityEntropyReport(

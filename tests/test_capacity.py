@@ -1,8 +1,10 @@
 import contextlib
 import itertools
 import math
+import operator
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -275,7 +277,9 @@ class TestCapacityEntropy:
     def test_single_element_zero_mass(self):
         assert capacity_entropy(Capacity(1, (0.0, 0.0))).entropy == 0.0
 
-    def test_tie_breaks_to_first_chain_in_order(self):
+    def test_tie_breaks_to_largest_elements_last(self):
+        # Where every chain folds to the same bits, the backtrack takes the
+        # highest element last at every step: the identity order.
         for side in SIDES:
             with computed_on(side):
                 rep2 = capacity_entropy(Capacity.additive((0.5, 0.5)), method="exhaustive")
@@ -336,24 +340,35 @@ class TestCapacityEntropy:
     @given(st.one_of(capacities(max_n=7), all_tie_capacities(max_n=7)))
     def test_exhaustive_is_true_minimum(self, mu):
         # The lattice search against the n! scan, bit for bit: the value is
-        # the smallest chain divergence and the witness the first chain, in
-        # enumerate_chains order, that reaches it.
+        # the smallest chain divergence. The witness, read off the scan
+        # alone: among the chains whose every prefix folds to the smallest
+        # fold of any chain to its subset, the one whose order, read from
+        # the end, is largest.
+        n = mu.ground_size
         for side in SIDES:
             with computed_on(side):
                 rep = capacity_entropy(mu, method="exhaustive")
-                scan = [
-                    (chain_divergence(mu, ch).value, ch)
-                    for ch in enumerate_chains(mu.ground_size)
-                ]
-            lowest = min(v for v, _ in scan)
-            assert rep.entropy == lowest, side
-            assert rep.argmin_chain == next(ch for v, ch in scan if v == lowest), side
+                edge_terms = capacity._side(n).edge_terms
+                scan = {}
+                for ch in enumerate_chains(n):
+                    scan[ch.order] = prefix_folds(mu, ch.order, edge_terms)
+                    assert scan[ch.order][1][-1] == chain_divergence(mu, ch).value, side
+            lowest = {}
+            for masks, folds in scan.values():
+                for m, fold in zip(masks, folds):
+                    lowest[m] = min(lowest.get(m, math.inf), fold)
+            assert rep.entropy == lowest[(1 << n) - 1], side
+            best_prefixes = [
+                order for order, (masks, folds) in scan.items()
+                if all(lowest[m] == fold for m, fold in zip(masks, folds))
+            ]
+            assert rep.argmin_chain.order == max(best_prefixes, key=lambda o: o[::-1]), side
 
     def test_prefix_one_ulp_worse_can_still_win(self):
         # Entering {1, 2} by (1, 2) costs one ulp more than by (2, 1), yet
-        # both finish at the minimum, so the first minimizer is (1, 2, 3):
-        # a witness read back from the best prefix at each subset would
-        # start with 2.
+        # both finish at the minimum. The witness is the chain each of whose
+        # prefixes is a best prefix, (2, 1, 3); the lexicographically first
+        # minimizer, (1, 2, 3), folds to the same value.
         mu = Capacity.additive((0.1, 0.7, 0.2))
         sub = Capacity(2, mu.values[:4])
         for side in SIDES:
@@ -363,8 +378,8 @@ class TestCapacityEntropy:
                     > chain_divergence(sub, MaximalChain((2, 1))).value
                 ), side
                 rep = capacity_entropy(mu, method="exhaustive")
-                assert rep.argmin_chain.order == (1, 2, 3), side
-                assert rep.entropy == chain_divergence(mu, MaximalChain((2, 1, 3))).value
+                assert rep.argmin_chain.order == (2, 1, 3), side
+                assert rep.entropy == chain_divergence(mu, MaximalChain((1, 2, 3))).value, side
 
     def test_additive_sixteen_elements_match_partition_entropy(self):
         masses = [0.5 + 0.37 * k % 1.9 for k in range(16)]
@@ -379,44 +394,6 @@ class TestCapacityEntropy:
         elapsed = time.perf_counter() - t0
         assert rep.chains_examined == math.factorial(8)
         assert elapsed < 1.0
-
-
-def row_cover_bits(layer, flip, k):
-    """The (len(layer), k) grid of the bits set in layer ^ flip, lowest
-    first, a row per mask."""
-    rest = layer ^ flip
-    out = np.empty((layer.size, k), dtype=np.int64)
-    for j in range(k):
-        low = rest & -rest
-        out[:, j] = low
-        rest = rest ^ low
-    return out
-
-
-def unpruned_theta(values, n):
-    """The numpy lattice passes without pruning, an oracle for the pruned
-    ones: every subset takes the largest value that any superset S + {e}
-    allows through _largest_prefix, live or not."""
-    vals = np.asarray(values)
-    full = (1 << n) - 1
-    layers = capacity_numpy._layers(n)
-    best = np.empty(vals.size)
-    best[0] = 0.0
-    with np.errstate(over="ignore"):
-        for k in range(1, n + 1):
-            into = layers[k][:, None]
-            came = into ^ row_cover_bits(layers[k], 0, k)
-            cand = best[came] + capacity_numpy._edge_terms(vals[into] - vals[came])
-            best[layers[k]] = cand.min(axis=1)
-        if not math.isfinite(best[full]):
-            raise beyond_range("chain entropy", float(best[full]))
-        theta = best
-        for k in range(n - 1, -1, -1):
-            came = layers[k][:, None]
-            into = came | row_cover_bits(layers[k], full, n - k)
-            terms = capacity_numpy._edge_terms(vals[into] - vals[came])
-            theta[layers[k]] = capacity_numpy._largest_prefix(terms, theta[into]).max(axis=1)
-    return theta
 
 
 def seeded_capacity(n: int, seed: int, zero_share: float = 0.0) -> Capacity:
@@ -475,23 +452,11 @@ def test_reports_around_the_switch_are_pinned(key):
     assert (rep.entropy.hex(), rep.argmin_chain.order, rep.chains_examined) == PINNED_REPORTS[key]
 
 
-def walked(mu, theta):
-    """The walk's chain and its value under one backward pass, or the
-    message of the ComputationError that the passes raise."""
-    n = mu.ground_size
-    terms = capacity._side(n).edge_terms
-    try:
-        order = capacity._walk(mu.values, theta(mu.values, n), n, terms)
-    except ComputationError as exc:
-        return str(exc)
-    return capacity._chain_value(mu.values, order, terms)[0], tuple(order)
-
-
-# The numpy passes work block by block; each case is checked in the
-# default blocks and in small ones, which split every middle layer.
+# The numpy forward pass works block by block; each case is checked in the
+# default blocks and in 64-edge ones, which split every middle layer.
 WAYS = {
-    "pruned": {},
-    "pruned, small blocks": {"_BLOCK": 64},
+    "default blocks": {},
+    "64-edge blocks": {"_BLOCK": 64},
 }
 
 LATTICE_CASES = {
@@ -509,49 +474,51 @@ def lattice_case(spec) -> Capacity:
     return Capacity.additive([m] * n)
 
 
-def python_unpruned_passes(values, n):
-    """capacity._theta's passes without pruning, an oracle for the Python
-    side: every edge term comes from capacity._edge_term, and every subset
-    takes the largest value that any superset S + {e} allows through
-    _largest_prefix, live or not. Returns best and theta."""
-    full = (1 << n) - 1
-    best = [0.0] * (full + 1)
-    for s in range(1, full + 1):
-        best[s] = min(
-            best[s ^ 1 << e] + capacity._edge_term(values[s] - values[s ^ 1 << e])
-            for e in range(n)
-            if s >> e & 1
-        )
-    if not math.isfinite(best[full]):
-        raise beyond_range("chain entropy", best[full])
-    theta = best[:]
-    for s in range(full - 1, -1, -1):
-        theta[s] = max(
-            capacity._largest_prefix(
-                capacity._edge_term(values[s | 1 << e] - values[s]), theta[s | 1 << e]
-            )
-            for e in range(n)
-            if not s >> e & 1
-        )
-    return best, theta
+def forward_oracle(mu, edge_terms) -> list[float]:
+    """best[S] for every subset S, one subset at a time, each edge term
+    from edge_terms: the smallest rounded fold best[S - {e}] + term over
+    the elements e of S."""
+    n = mu.ground_size
+    vals = mu.values
+    best = [0.0] * (1 << n)
+    for s in range(1, 1 << n):
+        came = [s ^ 1 << e for e in range(n) if s >> e & 1]
+        terms = edge_terms([vals[s] - vals[c] for c in came])
+        best[s] = min(map(operator.add, [best[c] for c in came], terms))
+    return best
 
 
-def python_unpruned_theta(values, n):
-    return python_unpruned_passes(values, n)[1]
+def prefix_folds(mu, order, edge_terms) -> tuple[list[int], list[float]]:
+    """The subsets a chain passes through as masks, the empty set first,
+    and the left-to-right fold of its edge_terms at each of them."""
+    masks = [0, *itertools.accumulate((1 << e - 1 for e in order), operator.or_)]
+    grades = [mu.values[m] for m in masks]
+    terms = edge_terms(list(map(operator.sub, grades[1:], grades)))
+    return masks, list(itertools.accumulate(terms, initial=0.0))
 
 
-def check_against_unpruned(mu, theta=capacity_numpy.theta, oracle=unpruned_theta):
-    """theta's walk, and capacity_entropy, against the oracle's walk: the
-    same chain and value bit for bit, or the same refusal."""
-    expected = walked(mu, oracle)
-    assert walked(mu, theta) == expected
-    if isinstance(expected, str):
-        with pytest.raises(ComputationError, match="chain entropy is -inf"):
-            capacity_entropy(mu)
+def check_lattice(mu):
+    """The side's forward pass against forward_oracle bit for bit, and the
+    reported witness against it: every prefix of the chain folds to best
+    of its subset, and the whole chain to the reported entropy. Where the
+    minimum is not finite, the forward pass and capacity_entropy refuse
+    it with the same error."""
+    n = mu.ground_size
+    side = capacity._side(n)
+    expected = forward_oracle(mu, side.edge_terms)
+    if not math.isfinite(expected[-1]):
+        message = str(beyond_range("chain entropy", expected[-1]))
+        for compute in (partial(side.forward, mu.values, n), partial(capacity_entropy, mu)):
+            with pytest.raises(ComputationError) as exc:
+                compute()
+            assert str(exc.value) == message
         return
+    best = side.forward(mu.values, n)
+    assert list(map(float.hex, best)) == list(map(float.hex, expected))
     rep = capacity_entropy(mu)
-    assert (rep.entropy, rep.argmin_chain.order) == expected
-    assert chain_divergence(mu, rep.argmin_chain).value == rep.entropy
+    masks, folds = prefix_folds(mu, rep.argmin_chain.order, side.edge_terms)
+    assert list(map(float.hex, folds)) == [best[m].hex() for m in masks]
+    assert folds[-1] == rep.entropy == chain_divergence(mu, rep.argmin_chain).value
 
 
 # Sizes whose middle layers span several default blocks: about 24k edges,
@@ -574,95 +541,30 @@ PYTHON_LATTICE_CASES = {
 
 class TestPythonLattice:
     @pytest.mark.parametrize("case", PYTHON_LATTICE_CASES)
-    def test_matches_the_unpruned_pass(self, case):
-        mu = lattice_case(PYTHON_LATTICE_CASES[case])
+    def test_matches_the_forward_oracle(self, case):
+        # The forward pass writes _edge_term's expression out; the oracle
+        # calls it, through the side's edge_terms.
         with computed_on("python"):
-            check_against_unpruned(mu, capacity._theta, python_unpruned_theta)
-        # The forward pass writes _edge_term's expression out. On every
-        # subset some minimizing chain passes through, theta must carry
-        # the oracle's bits, the minimum at the ground set among them.
-        n = mu.ground_size
-        try:
-            best, expected = python_unpruned_passes(mu.values, n)
-        except ComputationError:
-            return
-        theta = capacity._theta(mu.values, n)
-        live = [s for s, (b, t) in enumerate(zip(best, expected)) if b <= t]
-        assert live == [s for s, (b, t) in enumerate(zip(best, theta)) if b <= t]
-        assert [theta[s] for s in live] == [expected[s] for s in live]
-
-    @pytest.mark.parametrize("n", PYTHON_SIZES)
-    def test_prefix_step_runs_once_per_chain_edge_without_ties(self, n):
-        # Only a fit that reaches best[S] can set the value of a live
-        # subset S, and without ties only the predecessor on the minimizing
-        # chain gets one: n prefix steps, not the n(n+1)/2 edges below the
-        # live subsets.
-        for seed in (0, 1):
-            assert prefix_steps(seeded_capacity(n, seed)) == n
-
-    @pytest.mark.parametrize("n", PYTHON_SIZES)
-    def test_prefix_step_runs_on_every_edge_when_all_tie(self, n):
-        # Every subset is live and every fit reaches its best, so each of
-        # the n 2^(n-1) cover edges takes one prefix step.
-        assert prefix_steps(Capacity.additive([1 / 3] * n)) == n << n - 1
+            check_lattice(lattice_case(PYTHON_LATTICE_CASES[case]))
 
 
-def prefix_steps(mu) -> int:
-    """The number of _largest_prefix calls in one exhaustive search on the
-    Python side."""
-    calls = 0
-    original = capacity._largest_prefix
-
-    def counted(term, bound):
-        nonlocal calls
-        calls += 1
-        return original(term, bound)
-
-    with computed_on("python"), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(capacity, "_largest_prefix", counted)
-        capacity_entropy(mu, method="exhaustive")
-    return calls
-
-
-class TestPrunedLattice:
+class TestNumpyLattice:
     @pytest.mark.parametrize("way", WAYS)
     @pytest.mark.parametrize("case", LATTICE_CASES)
-    def test_matches_the_unpruned_pass(self, case, way):
-        mu = lattice_case(LATTICE_CASES[case])
+    def test_matches_the_forward_oracle(self, case, way):
         with computed_on("numpy"), pytest.MonkeyPatch.context() as mp:
             for name, value in WAYS[way].items():
                 mp.setattr(capacity_numpy, name, value)
-            check_against_unpruned(mu)
+            check_lattice(lattice_case(LATTICE_CASES[case]))
 
-    @pytest.mark.parametrize("case", BLOCK_CASES)
-    def test_matches_the_unpruned_pass_in_default_blocks(self, case):
-        spec = BLOCK_CASES[case]
-        n = spec[0]
-        assert math.comb(n, n // 2) * (n // 2) > capacity_numpy._BLOCK
-        check_against_unpruned(lattice_case(spec))
-
-    @pytest.mark.parametrize("way", WAYS)
-    def test_keeps_one_chain_without_ties(self, way):
-        # Without ties only the minimizing chain is live, and only the
-        # subsets one element below a live one are ever given a value.
-        n = 10
-        mu = seeded_capacity(n, 0)
-        with pytest.MonkeyPatch.context() as mp:
-            for name, value in WAYS[way].items():
-                mp.setattr(capacity_numpy, name, value)
-            theta = capacity_numpy.theta(mu.values, n)
-        assert np.isfinite(theta).sum() <= n * (n + 1) // 2 + 1
-        order = capacity_entropy(mu).argmin_chain.order
-        chain = list(itertools.accumulate(1 << (e - 1) for e in order))
-        assert np.isfinite(theta[chain]).all()
-        assert np.all(theta[chain] == unpruned_theta(mu.values, n)[chain])
-
-    def test_backward_pass_reads_one_chain_of_edges_without_ties(self):
-        # Only the live subsets push down their own cover edges, so beyond
-        # the forward pass's n 2^(n-1) edges the backward pass reads the k
-        # edges below each live subset of layer k: n(n+1)/2 - 1 of them.
-        n = 14
-        mu = seeded_capacity(n, 0)
+    @pytest.mark.parametrize("case", ["random n=10 seed=0", "all tie n=10 m=0.333"])
+    def test_reads_each_cover_edge_once_and_the_witness_quadratically(self, case):
+        # The forward pass reads each of the n 2^(n-1) cover edges once. The
+        # backtrack reads the k edges below the witness's subset of each
+        # size k, n(n+1)/2 in all, and the evaluator the chain's n edges,
+        # tied or not.
+        mu = lattice_case(LATTICE_CASES[case])
+        n = mu.ground_size
         read = []
         original = capacity_numpy._edge_terms
 
@@ -670,59 +572,17 @@ class TestPrunedLattice:
             read.append(inc.size)
             return original(inc)
 
-        with pytest.MonkeyPatch.context() as mp:
+        with computed_on("numpy"), pytest.MonkeyPatch.context() as mp:
             mp.setattr(capacity_numpy, "_edge_terms", counted)
-            capacity_numpy.theta(mu.values, n)
-        assert sum(read) - n * (1 << n - 1) <= n * (n + 1) // 2
+            capacity_entropy(mu)
+        assert sum(read) == n * (1 << n - 1) + n * (n + 1) // 2 + n
 
-
-# Edge terms are finite or -inf (an overflowing -d ln d), and so are the
-# bounds the lattice search asks about.
-search_floats = st.floats(allow_nan=False).filter(lambda x: x != math.inf)
-
-
-def elementwise_largest_prefix(term, bound):
-    """The Python side's scalar routine over arrays."""
-    return np.array(
-        [capacity._largest_prefix(t, b) for t, b in zip(term.tolist(), bound.tolist())]
-    )
-
-
-PREFIX_ROUTINES = {
-    "numpy": capacity_numpy._largest_prefix,
-    "python": elementwise_largest_prefix,
-}
-
-
-class TestLargestPrefix:
-    @given(
-        st.lists(st.tuples(search_floats, search_floats), min_size=1, max_size=8),
-        st.lists(st.floats(-1e-12, 1e-12), min_size=8, max_size=8),
-    )
-    def test_is_the_largest_float_that_fits(self, pairs, nudges):
-        # Half the bounds sit within a hair of the term, where the answer is
-        # far below the term in magnitude.
-        term = np.array([t for t, _ in pairs])
-        bound = np.array(
-            [b if k % 2 or not math.isfinite(t) else t + nudges[k]
-             for k, (t, b) in enumerate(pairs)]
-        )
-        for side, largest_prefix in PREFIX_ROUTINES.items():
-            p = largest_prefix(term, bound)
-            with np.errstate(invalid="ignore", over="ignore"):
-                assert np.all(p + term <= bound), side
-                assert not np.any(np.nextafter(p, np.inf) + term <= bound), side
-
-    def test_special_values(self):
-        term = np.array([-np.inf, -np.inf, 0.0, 1.0, 5e-324, 0.25])
-        bound = np.array([-np.inf, 1.0, -np.inf, 1.0, 0.0, 0.25])
-        for side, largest_prefix in PREFIX_ROUTINES.items():
-            p = largest_prefix(term, bound)
-            assert p[0] == p[1] == np.finfo(float).max, side  # -inf absorbs any finite p
-            assert p[2] == -np.inf, side
-            assert p[3] + 1.0 == 1.0 and np.nextafter(p[3], np.inf) + 1.0 > 1.0, side
-            assert p[4] == -5e-324, side
-            assert p[5] == 2.0**-55, side  # half an ulp of 0.25: the tie rounds to 0.25
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_matches_the_forward_oracle_in_default_blocks(self, case):
+        spec = BLOCK_CASES[case]
+        n = spec[0]
+        assert math.comb(n, n // 2) * (n // 2) > capacity_numpy._BLOCK
+        check_lattice(lattice_case(spec))
 
 
 class TestCapacityEntropyReport:
