@@ -547,6 +547,68 @@ class TestPythonLattice:
         with computed_on("python"):
             check_lattice(lattice_case(PYTHON_LATTICE_CASES[case]))
 
+    @pytest.mark.parametrize("n", PYTHON_SIZES)
+    def test_witness_computes_at_most_the_quadratic_terms_without_ties(self, n):
+        # The Python side's terms are lazy: the backtrack computes the terms
+        # below each witness subset, highest element first, only until one
+        # fits, from 1 to k at size k, and the evaluator the chain's n.
+        for seed in (0, 1):
+            computed = terms_computed(seeded_capacity(n, seed))
+            assert n <= computed - n <= n * (n + 1) // 2, seed
+
+    @pytest.mark.parametrize("n", PYTHON_SIZES)
+    def test_witness_computes_one_term_per_step_when_all_tie(self, n):
+        # Every subset of size k holds the same best, so the highest element
+        # fits at once at every step: n terms, and n for the evaluator.
+        assert terms_computed(Capacity.additive([1 / 3] * n)) == 2 * n
+
+
+def terms_computed(mu) -> int:
+    """The number of edge terms one exhaustive search computes on the
+    Python side after the forward pass, which writes its terms out."""
+    calls = 0
+
+    def counted(d):
+        nonlocal calls
+        calls += 1
+        return capacity._edge_term(d)
+
+    with computed_on("python"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity._Python, "edge_terms", staticmethod(partial(map, counted)))
+        capacity_entropy(mu, method="exhaustive")
+    return calls
+
+
+TIE_RULE_CASES = {
+    "random": lambda: seeded_capacity(8, 0),
+    "zero steps": lambda: seeded_capacity(8, 2, 0.5),
+    **{f"all tie m={m:.3g}": partial(Capacity.additive, [m] * 8) for m in TIE_MASSES},
+}
+
+
+@pytest.mark.parametrize("case", TIE_RULE_CASES)
+@pytest.mark.parametrize("side", SIDES)
+def test_each_step_back_drops_the_highest_fitting_element(side, case):
+    # The tie rule read against forward_oracle: going back along the
+    # witness from the ground set, the element dropped at S is the highest
+    # e whose fold best[S - {e}] + term reaches best[S].
+    mu = TIE_RULE_CASES[case]()
+    n = mu.ground_size
+    with computed_on(side):
+        edge_terms = capacity._side(n).edge_terms
+        best = forward_oracle(mu, edge_terms)
+        order = capacity_entropy(mu).argmin_chain.order
+    masks = prefix_folds(mu, order, edge_terms)[0]
+    for s, e in zip(masks[:0:-1], order[::-1]):
+        fitting = [
+            f for f in range(1, n + 1)
+            if s >> f - 1 & 1
+            and best[s ^ 1 << f - 1]
+            + next(iter(edge_terms([mu.values[s] - mu.values[s ^ 1 << f - 1]])))
+            == best[s]
+        ]
+        assert e == max(fitting), (side, s)
+
 
 class TestNumpyLattice:
     @pytest.mark.parametrize("way", WAYS)
